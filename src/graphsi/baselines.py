@@ -16,6 +16,8 @@ from math import comb, factorial, inf, sqrt
 import numpy as np
 
 from .coalitions import full_mask, iter_members, iter_subsets, mask_of, sort_key
+from .game import GameOracle, GraphGame
+from .generate import seeded_rng
 from .graph import Graph, khop_neighborhoods
 from .interactions import InteractionSet, InteractionValues
 from .moebius import build_interaction_set, moebius_transform
@@ -24,16 +26,9 @@ BRUTE_FORCE_MI_MAX = 16
 BRUTE_FORCE_SI_MAX = 14
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # counter-based generator: replicates across platforms for a fixed seed
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _all_values(game, n: int) -> dict[int, float]:
+def _all_values(game: GameOracle, n: int) -> dict[int, float]:
     masks = list(range(1 << n))
-    if hasattr(game, "evaluate_batch"):
-        return dict(zip(masks, game.evaluate_batch(masks)))
-    return {t: game.evaluate(t) for t in masks}
+    return dict(zip(masks, game.evaluate_batch(masks)))
 
 
 def discrete_derivative(values: dict[int, float], s_mask: int, t_mask: int) -> float:
@@ -46,17 +41,17 @@ def discrete_derivative(values: dict[int, float], s_mask: int, t_mask: int) -> f
     return total
 
 
-def brute_force_mi(game, n: int) -> InteractionValues:
+def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
     """Exact Moebius interactions of every subset, by inclusion-exclusion."""
     if n > BRUTE_FORCE_MI_MAX:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
     values = _all_values(game, n)
     mi = {s: moebius_transform(None, s, values) for s in range(1 << n)}
     return InteractionValues(kind="mi", k=n, n=n, values=mi,
-                             call_count=_maybe_calls(game))
+                             call_count=game.call_count())
 
 
-def brute_force_sv(game, n: int) -> InteractionValues:
+def brute_force_sv(game: GameOracle, n: int) -> InteractionValues:
     """Shapley values by the weighted marginal-contribution sum."""
     if n > BRUTE_FORCE_SI_MAX:
         raise ValueError(f"brute force is capped at n={BRUTE_FORCE_SI_MAX}, got {n}")
@@ -72,10 +67,10 @@ def brute_force_sv(game, n: int) -> InteractionValues:
             total += weight * (values[t | (1 << i)] - values[t])
         out[1 << i] = total
     return InteractionValues(kind="sv", k=1, n=n, values=out,
-                             call_count=_maybe_calls(game))
+                             call_count=game.call_count())
 
 
-def brute_force_sii(game, n: int, k: int) -> InteractionValues:
+def brute_force_sii(game: GameOracle, n: int, k: int) -> InteractionValues:
     """Shapley interaction index for every set of size 1..k, by definition."""
     if n > BRUTE_FORCE_SI_MAX:
         raise ValueError(f"brute force is capped at n={BRUTE_FORCE_SI_MAX}, got {n}")
@@ -94,10 +89,10 @@ def brute_force_sii(game, n: int, k: int) -> InteractionValues:
                 total += weight * discrete_derivative(values, s_mask, t)
             out[s_mask] = total
     return InteractionValues(kind="sii", k=k, n=n, values=out,
-                             call_count=_maybe_calls(game))
+                             call_count=game.call_count())
 
 
-def brute_force_stii(game, n: int, k: int) -> InteractionValues:
+def brute_force_stii(game: GameOracle, n: int, k: int) -> InteractionValues:
     """Shapley-Taylor interactions by definition: Moebius values below the
     top order, the weighted discrete-derivative sum at order k."""
     if n > BRUTE_FORCE_SI_MAX:
@@ -117,10 +112,10 @@ def brute_force_stii(game, n: int, k: int) -> InteractionValues:
             total += discrete_derivative(values, s_mask, t) / comb(n - 1, t.bit_count())
         out[s_mask] = total * k / n
     return InteractionValues(kind="stii", k=k, n=n, values=out,
-                             call_count=_maybe_calls(game))
+                             call_count=game.call_count())
 
 
-def permutation_sampling_sv(game, budget: int, seed: int,
+def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
                             ) -> tuple[InteractionValues, dict[int, float]]:
     """Castro-style Shapley value estimator.
 
@@ -134,7 +129,7 @@ def permutation_sampling_sv(game, budget: int, seed: int,
     n = game.n_players
     if budget < n + 1:
         raise ValueError(f"budget must be at least n+1 = {n + 1}, got {budget}")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     sums = np.zeros(n)
     squares = np.zeros(n)
     rounds = 0
@@ -162,11 +157,11 @@ def permutation_sampling_sv(game, budget: int, seed: int,
             stderr[i] = inf
     values = {1 << i: float(means[i]) for i in range(n)}
     iv = InteractionValues(kind="sv", k=1, n=n, values=values,
-                           call_count=_maybe_calls(game))
+                           call_count=game.call_count())
     return iv, stderr
 
 
-def permutation_sampling_sii(game, k: int, budget: int, seed: int,
+def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
                              informed: InteractionSet | None = None) -> InteractionValues:
     """Sampled Shapley interaction index for every set of size 1..k.
 
@@ -197,7 +192,7 @@ def permutation_sampling_sii(game, k: int, budget: int, seed: int,
         raise ValueError(
             f"budget {budget} cannot afford one draw per target set (needs {round_cost})")
 
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     sums = {s: 0.0 for s in targets}
     draws = {s: 0 for s in targets}
     spent = 0
@@ -221,7 +216,7 @@ def permutation_sampling_sii(game, k: int, budget: int, seed: int,
     for s in zeros:
         out[s] = 0.0
     return InteractionValues(kind="sii", k=k, n=n, values=out,
-                             call_count=_maybe_calls(game))
+                             call_count=game.call_count())
 
 
 def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,
@@ -232,8 +227,6 @@ def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,
     The linear model's off-family mass must vanish (< 1e-8); the mlp2
     model's mass is the reported finding, with no threshold.
     """
-    from .game import GraphGame
-
     if g.n > BRUTE_FORCE_SI_MAX:
         raise ValueError(f"audit is capped at n={BRUTE_FORCE_SI_MAX}, got {g.n}")
     if model_linear.num_layers != model_mlp2.num_layers:
@@ -250,7 +243,3 @@ def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,
         report[f"max_abs_mi_outside_{label}"] = off
     report["linear_ok"] = report["max_abs_mi_outside_linear"] < 1e-8
     return report
-
-
-def _maybe_calls(game):
-    return game.call_count() if hasattr(game, "call_count") else None

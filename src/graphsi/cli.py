@@ -35,10 +35,10 @@ EXIT_BUDGET = 3
 EXIT_NONLINEAR = 4
 
 
-def _runtime_options(args) -> tuple[int, int]:
-    """(threads, ceiling) resolved with the documented precedence."""
+def _runtime_options(args) -> int:
+    """The exact-mode ceiling, resolved with the documented precedence."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -48,32 +48,24 @@ def _runtime_options(args) -> tuple[int, int]:
             raise ParseError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ParseError("config file must hold a JSON object")
-        unknown = set(cfg) - {"threads", "ceiling", "rng"}
+        unknown = set(cfg) - {"ceiling", "rng"}
         if unknown:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
         if "rng" in cfg and cfg["rng"] != "philox":
             raise ParseError(f"unsupported rng {cfg['rng']!r}; only 'philox' is available")
 
-    def pick(flag_value, env_name: str, cfg_key: str, default: int) -> int:
-        if flag_value is not None:
-            value = flag_value
-        elif os.environ.get(env_name) is not None:
-            try:
-                value = int(os.environ[env_name])
-            except ValueError as exc:
-                raise ParseError(f"{env_name} must be an integer") from exc
-        elif cfg_key in cfg:
-            value = cfg[cfg_key]
-        else:
-            value = default
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ParseError(f"{cfg_key} must be a positive integer, got {value!r}")
-        return value
-
-    threads = pick(getattr(args, "threads", None), "GRAPHSI_THREADS", "threads", 1)
-    ceiling = pick(getattr(args, "ceiling", None), "GRAPHSI_CEILING", "ceiling",
-                   DEFAULT_CEILING)
-    return threads, ceiling
+    if args.ceiling is not None:
+        ceiling = args.ceiling
+    elif os.environ.get("GRAPHSI_CEILING") is not None:
+        try:
+            ceiling = int(os.environ["GRAPHSI_CEILING"])
+        except ValueError as exc:
+            raise ParseError("GRAPHSI_CEILING must be an integer") from exc
+    else:
+        ceiling = cfg.get("ceiling", DEFAULT_CEILING)
+    if not isinstance(ceiling, int) or isinstance(ceiling, bool) or ceiling < 1:
+        raise ParseError(f"ceiling must be a positive integer, got {ceiling!r}")
+    return ceiling
 
 
 def _emit(text: str, out_path) -> None:
@@ -104,11 +96,10 @@ def _parse_int_list(text: str, name: str) -> list[int]:
 
 
 def cmd_explain(args) -> int:
-    threads, ceiling = _runtime_options(args)
     explainer = GraphInteractionExplainer(
         model=args.weights, index=args.index, order=args.order,
         lam=args.lam, baseline=args.baseline, normalize=args.normalize,
-        ceiling=ceiling, workers=threads)
+        ceiling=_runtime_options(args))
     explainer.fit(args.graph)
     if args.format == "json":
         text = dumps_json(explainer.to_export())
@@ -169,7 +160,7 @@ def cmd_benchmark(args) -> int:
 
     from .coalitions import mask_of
 
-    threads, ceiling = _runtime_options(args)
+    ceiling = _runtime_options(args)
     graph = load_graph(args.graph)
     model = ensure_model(args.weights)
     k = args.order
@@ -180,7 +171,7 @@ def cmd_benchmark(args) -> int:
     index = "sv" if k == 1 else "sii"
 
     hoods = khop_neighborhoods(graph, model.num_layers)
-    game = GraphGame(model, graph, workers=threads)
+    game = GraphGame(model, graph)
     mi, exact_si = graphshapiq_exact(game, hoods, k, index=index, ceiling=ceiling)
 
     sets = [mask_of(c) for size in range(1, k + 1)
@@ -192,12 +183,12 @@ def cmd_benchmark(args) -> int:
     lines = ["method,budget,seed,mse_vs_exact"]
 
     for lam in range(1, n_max + 1):
-        run_game = GraphGame(model, graph, workers=threads)
+        run_game = GraphGame(model, graph)
         _, si_hat = graphshapiq_approx(run_game, hoods, lam, k, index=index)
         mse = _mse(_si_values_map(si_hat, sets), truth)
         lines.append(f"graphshapiq_l{lam},{run_game.call_count()},0,{format_float(mse)}")
 
-    sample_game = GraphGame(model, graph, workers=threads)
+    sample_game = GraphGame(model, graph)
     for budget in budgets:
         for seed in seeds:
             if k == 1:
@@ -275,8 +266,6 @@ def cmd_audit_readout(args) -> int:
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for game evaluation (env GRAPHSI_THREADS)")
     parser.add_argument("--ceiling", type=int, default=None,
                         help="evaluation-budget guard for exact mode (env GRAPHSI_CEILING)")
     parser.add_argument("--config", default=None,

@@ -81,18 +81,6 @@ def iter_proper_subsets(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def iter_supersets_within(mask: int, universe: int) -> Iterator[int]:
-    """Yield supersets of ``mask`` contained in ``universe``."""
-    free = universe & ~mask
-    for extra in iter_subsets(free):
-        yield mask | extra
-
-
 def sort_key(mask: int) -> tuple[int, int]:
     """Canonical coalition order: ascending size, then ascending bitmask."""
     return (mask.bit_count(), mask)
-
-
-def format_coalition(mask: int) -> str:
-    """Human-readable form, e.g. ``{0, 2, 5}``; empty set as ``{}``."""
-    return "{" + ", ".join(str(i) for i in iter_members(mask)) + "}"

@@ -31,7 +31,6 @@ class GraphInteractionExplainer:
         baseline: "mean", a vector, or a path to a JSON array
         normalize: subtract nu(empty) from every game value
         ceiling: evaluation-budget guard for the exact mode
-        workers: threads for batched game evaluations
 
     Fitted attributes: interactions_, moebius_, call_count_,
     interaction_set_size_ (exact mode), game_, hoods_,
@@ -41,7 +40,7 @@ class GraphInteractionExplainer:
     def __init__(self, model, *, index: str = "ksii", order: int | None = None,
                  ell: int | None = None, lam: int | None = None,
                  baseline="mean", normalize: bool = False,
-                 ceiling: int = DEFAULT_CEILING, workers: int = 1):
+                 ceiling: int = DEFAULT_CEILING):
         self.model = model
         self.index = index
         self.order = order
@@ -50,10 +49,9 @@ class GraphInteractionExplainer:
         self.baseline = baseline
         self.normalize = normalize
         self.ceiling = ceiling
-        self.workers = workers
 
     _param_names = ("model", "index", "order", "ell", "lam", "baseline",
-                    "normalize", "ceiling", "workers")
+                    "normalize", "ceiling")
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}
@@ -88,8 +86,7 @@ class GraphInteractionExplainer:
         baseline = ensure_baseline(self.baseline, g)
         ell = self.ell if self.ell is not None else model.num_layers
         check_positive_int(ell, "ell")
-        game = GraphGame(model, g, baseline=baseline, normalize=self.normalize,
-                         workers=self.workers)
+        game = GraphGame(model, g, baseline=baseline, normalize=self.normalize)
         hoods = khop_neighborhoods(g, ell)
         k = self._resolve_order(g.n)
         if self.lam is None:

@@ -3,16 +3,16 @@
 GraphGame is the masked-prediction game: nu(T) is the model output for
 the frozen target class when every node outside T has its features
 replaced by the baseline. NodeGame is the vector-valued analogue for a
-single node's embedding. Both memoize, so repeated coalition
-evaluations cost one forward pass, and the number of distinct forwarded
+single node's embedding. Both run on one masked-game engine: a memo
+that forwards each distinct coalition exactly once, in first-seen
+order, behind a single lock. The number of distinct forwarded
 coalitions is the unit of every complexity claim here.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from typing import Protocol
 
 import numpy as np
 
@@ -22,37 +22,22 @@ from .graph import Graph
 from .nn import GnnModel, default_baseline, forward_graph, forward_node, masked_features
 
 
-class GameOracle:
-    """Deterministic set function: evaluate(T) -> value, n_players players."""
+class GameOracle(Protocol):
+    """What the interaction routines need from a game over n_players."""
 
     n_players: int
 
-    def evaluate(self, coalition: int) -> float:
-        raise NotImplementedError
+    def evaluate(self, coalition: int) -> float: ...
+
+    def evaluate_batch(self, coalitions) -> list[float]: ...
+
+    def call_count(self) -> int: ...
 
 
-class GraphGame(GameOracle):
-    """GNN-induced graph game over node coalitions.
+class _MaskedGame:
+    """Memoized masked forwards; subclasses supply _forward(coalition)."""
 
-    The target output component is frozen at construction: argmax of the
-    unmasked forward pass, ties broken by lowest index (for a 1-d output
-    this selects the sole component). That construction pass is not a
-    coalition evaluation and does not enter call_count.
-
-    Args:
-        model: loaded GnnModel
-        graph: loaded Graph, at most 64 nodes
-        baseline: masking vector of length d0; defaults to the
-            columnwise feature mean
-        normalize: report nu(T) - nu(empty) instead of nu(T)
-        workers: thread fan-out for evaluate_batch on uncached work
-        max_cache_size: optional LRU cap on stored values (distinct-call
-            accounting is exact regardless)
-    """
-
-    def __init__(self, model: GnnModel, graph: Graph, baseline=None,
-                 normalize: bool = False, workers: int = 1,
-                 max_cache_size: int | None = None):
+    def __init__(self, model: GnnModel, graph: Graph, baseline=None):
         if graph.n > MAX_PLAYERS:
             raise ParseError(
                 f"graph has {graph.n} nodes; coalition engine supports at most {MAX_PLAYERS}")
@@ -69,89 +54,76 @@ class GraphGame(GameOracle):
         self.model = model
         self.graph = graph
         self.baseline = baseline
-        self.normalize = bool(normalize)
-        self.workers = max(1, int(workers))
         self.n_players = graph.n
         self.grand = full_mask(graph.n)
+        self._memo: dict = {}
+        self._lock = threading.Lock()
 
+    def _values(self, coalitions: list[int]) -> list:
+        """Memoized values in input order; each new coalition is forwarded once."""
+        for t in coalitions:
+            if t & ~self.grand:
+                raise ValueError(f"coalition {bin(t)} has members outside 0..{self.n_players - 1}")
+        with self._lock:
+            memo = self._memo
+            for t in coalitions:
+                if t not in memo:
+                    memo[t] = self._forward(t)
+            return [memo[t] for t in coalitions]
+
+    def evaluate_batch(self, coalitions) -> list:
+        return self._values(list(coalitions))
+
+    def evaluate(self, coalition: int):
+        return self.evaluate_batch([coalition])[0]
+
+    def call_count(self) -> int:
+        """Distinct coalitions ever forwarded (memo misses)."""
+        with self._lock:
+            return len(self._memo)
+
+
+class GraphGame(_MaskedGame):
+    """GNN-induced graph game over node coalitions.
+
+    The target output component is frozen at construction: argmax of the
+    unmasked forward pass, ties broken by lowest index (for a 1-d output
+    this selects the sole component). That construction pass is not a
+    coalition evaluation and does not enter call_count.
+
+    Args:
+        model: loaded GnnModel
+        graph: loaded Graph, at most 64 nodes
+        baseline: masking vector of length d0; defaults to the
+            columnwise feature mean
+        normalize: report nu(T) - nu(empty) instead of nu(T)
+    """
+
+    def __init__(self, model: GnnModel, graph: Graph, baseline=None,
+                 normalize: bool = False):
+        super().__init__(model, graph, baseline)
+        self.normalize = bool(normalize)
         full_out = forward_graph(model, graph, graph.features)
         self.target = int(np.argmax(full_out))  # argmax takes the lowest index on ties
         self._raw_full = float(full_out[self.target])
-
-        self._cache: OrderedDict[int, float] = OrderedDict()
-        self._forwarded: set[int] = set()
-        self._max_cache = max_cache_size
-        self._lock = threading.Lock()
-
-    # -- raw (unnormalized) values ------------------------------------
 
     def _forward(self, coalition: int) -> float:
         x = masked_features(self.graph, self.baseline, coalition)
         return float(forward_graph(self.model, self.graph, x)[self.target])
 
-    def _raw(self, coalition: int) -> float:
-        with self._lock:
-            if coalition in self._cache:
-                self._cache.move_to_end(coalition)
-                return self._cache[coalition]
-        value = self._forward(coalition)
-        self._store(coalition, value)
-        return value
-
-    def _store(self, coalition: int, value: float) -> None:
-        with self._lock:
-            self._forwarded.add(coalition)
-            if coalition not in self._cache:  # first write wins
-                self._cache[coalition] = value
-                if self._max_cache is not None and len(self._cache) > self._max_cache:
-                    self._cache.popitem(last=False)
-
-    # -- public API ----------------------------------------------------
-
-    def evaluate(self, coalition: int) -> float:
-        if coalition & ~self.grand:
-            raise ValueError(f"coalition {bin(coalition)} has members outside 0..{self.n_players - 1}")
-        value = self._raw(coalition)
-        if self.normalize:
-            return value - self._raw(0)
-        return value
-
     def evaluate_batch(self, coalitions) -> list[float]:
-        """Values in input order; uncached coalitions may run on workers."""
+        """Values in input order; the empty coalition is forwarded last when normalizing."""
         coalitions = list(coalitions)
-        for t in coalitions:
-            if t & ~self.grand:
-                raise ValueError(f"coalition {bin(t)} has members outside 0..{self.n_players - 1}")
-        with self._lock:
-            cached = set(self._cache)
-        todo = []
-        seen = set()
-        for t in coalitions:
-            if t not in cached and t not in seen:
-                todo.append(t)
-                seen.add(t)
-        if self.normalize and coalitions and 0 not in cached and 0 not in seen:
-            todo.append(0)
-        if todo:
-            if self.workers > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    values = list(pool.map(self._forward, todo))
-            else:
-                values = [self._forward(t) for t in todo]
-            for t, v in zip(todo, values):
-                self._store(t, v)
-        return [self.evaluate(t) for t in coalitions]
-
-    def call_count(self) -> int:
-        """Distinct coalitions ever forwarded (cache misses)."""
-        with self._lock:
-            return len(self._forwarded)
+        if not self.normalize or not coalitions:
+            return self._values(coalitions)
+        *values, empty = self._values(coalitions + [0])
+        return [v - empty for v in values]
 
     @property
     def nu_full(self) -> float:
         """Value of the grand coalition under the current normalization."""
         if self.normalize:
-            return self._raw_full - self._raw(0)
+            return self._raw_full - self._values([0])[0]
         return self._raw_full
 
     @property
@@ -159,39 +131,17 @@ class GraphGame(GameOracle):
         return self.evaluate(0)
 
 
-class NodeGame:
+class NodeGame(_MaskedGame):
     """Vector-valued game nu_i(T): node i's embedding under masking."""
 
     def __init__(self, model: GnnModel, graph: Graph, i: int, baseline=None):
         if not (0 <= i < graph.n):
             raise IndexError(f"node index {i} out of range for n={graph.n}")
-        if graph.n > MAX_PLAYERS:
-            raise ParseError(
-                f"graph has {graph.n} nodes; coalition engine supports at most {MAX_PLAYERS}")
-        if baseline is None:
-            baseline = default_baseline(graph)
-        self.model = model
-        self.graph = graph
+        super().__init__(model, graph, baseline)
         self.node = i
-        try:
-            self.baseline = np.asarray(baseline, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"baseline must be a vector of length {graph.d0}") from exc
-        self.n_players = graph.n
-        self._cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
-    def evaluate(self, coalition: int) -> np.ndarray:
-        with self._lock:
-            if coalition in self._cache:
-                return self._cache[coalition]
+    def _forward(self, coalition: int) -> np.ndarray:
         x = masked_features(self.graph, self.baseline, coalition)
         value = forward_node(self.model, self.graph, x, self.node)
         value.setflags(write=False)
-        with self._lock:
-            self._cache.setdefault(coalition, value)
-            return self._cache[coalition]
-
-    def call_count(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return value

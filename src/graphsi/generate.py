@@ -15,7 +15,8 @@ from .nn import GcnLayer, GinLayer, GnnModel, LinearReadout, Mlp2Readout
 GRAPH_KINDS = ("path", "cycle", "tree", "er")
 
 
-def _rng(seed: int) -> np.random.Generator:
+def seeded_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator: replicates across platforms for a fixed seed."""
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -67,7 +68,7 @@ def random_graph(kind: str, n: int, d0: int, seed: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if d0 < 1:
         raise ValueError(f"d0 must be >= 1, got {d0}")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     if kind == "path":
         edges = path_edges(n)
     elif kind == "cycle":
@@ -94,7 +95,7 @@ def random_model(kind: str, d0: int, layers: int, hidden: int, seed: int,
         raise ValueError(f"unknown model kind {kind!r}")
     if layers < 1 or hidden < 1 or d_out < 1:
         raise ValueError("layers, hidden, and d_out must all be >= 1")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     stack = []
     width = d0
     for _ in range(layers):

@@ -19,6 +19,7 @@ from math import comb
 
 from .coalitions import full_mask, is_subset, iter_members, iter_subsets, mask_of, sort_key
 from .errors import BudgetExceeded, NonlinearReadout
+from .game import GameOracle
 from .graph import NeighborhoodIndex
 from .interactions import InteractionSet, InteractionValues
 
@@ -101,12 +102,8 @@ def moebius_transform(game, coalition: int, values: dict[int, float] | None = No
     return total
 
 
-def _evaluate_all(game, coalitions) -> dict[int, float]:
-    if hasattr(game, "evaluate_batch"):
-        vals = game.evaluate_batch(coalitions)
-    else:
-        vals = [game.evaluate(t) for t in coalitions]
-    return dict(zip(coalitions, vals))
+def _evaluate_all(game: GameOracle, coalitions) -> dict[int, float]:
+    return dict(zip(coalitions, game.evaluate_batch(coalitions)))
 
 
 def _check_readout(game) -> None:
@@ -118,16 +115,16 @@ def _check_readout(game) -> None:
             "fields (run the readout audit to quantify them)")
 
 
-def _grand_value(game, n: int) -> float:
-    # GraphGame knows its full-coalition value from construction; for
-    # plain oracles, evaluate (and cache) the grand coalition.
+def _grand_value(game: GameOracle, n: int) -> float:
+    # GraphGame knows its full-coalition value from construction; table
+    # games have none, so evaluate (and cache) the grand coalition.
     nu_full = getattr(game, "nu_full", None)
     if nu_full is not None:
         return nu_full
     return game.evaluate(full_mask(n))
 
 
-def graphshapiq_exact(game, hoods: NeighborhoodIndex, k: int, index: str = "ksii",
+def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index: str = "ksii",
                       ceiling: int = DEFAULT_CEILING,
                       ) -> tuple[InteractionValues, InteractionValues]:
     """Exact interactions from one game evaluation per non-trivial set.
@@ -149,14 +146,13 @@ def graphshapiq_exact(game, hoods: NeighborhoodIndex, k: int, index: str = "ksii
     iset = build_interaction_set(hoods, ceiling)
     values = _evaluate_all(game, list(iset.members))
     mi_values = {s: moebius_transform(None, s, values) for s in iset.members}
-    calls = game.call_count() if hasattr(game, "call_count") else len(values)
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
-                           ell=hoods.ell, lam=None, call_count=calls)
+                           ell=hoods.ell, lam=None, call_count=game.call_count())
     si = convert_mi(mi, index, k)
     return mi, si
 
 
-def graphshapiq_approx(game, hoods: NeighborhoodIndex, lam: int, k: int,
+def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,
                        index: str = "ksii",
                        ) -> tuple[InteractionValues, InteractionValues]:
     """Order-truncated interactions with an efficiency repair.
@@ -204,8 +200,7 @@ def graphshapiq_approx(game, hoods: NeighborhoodIndex, lam: int, k: int,
         tau = _grand_value(game, n) - sum(mi_hat.values())
         mi_hat[star] += tau
 
-    calls = game.call_count() if hasattr(game, "call_count") else len(values)
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_hat,
-                           ell=hoods.ell, lam=lam, call_count=calls)
+                           ell=hoods.ell, lam=lam, call_count=game.call_count())
     si = convert_mi(mi, index, k)
     return mi, si

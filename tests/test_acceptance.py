@@ -38,7 +38,6 @@ from graphsi.nn import load_model
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    monkeypatch.delenv("GRAPHSI_THREADS", raising=False)
     monkeypatch.delenv("GRAPHSI_CEILING", raising=False)
 
 
@@ -345,8 +344,7 @@ def _mutate(text: str, rng) -> str:
     return text
 
 
-def test_cli_fuzz_exit_codes_and_byte_determinism(demo_dir, tmp_path, capsys,
-                                                  monkeypatch):
+def test_cli_fuzz_exit_codes_and_byte_determinism(demo_dir, tmp_path, capsys):
     graph_text = (demo_dir / "path4_graph.json").read_text()
     model_text = (demo_dir / "path4_model.json").read_text()
     good_graph = str(demo_dir / "path4_graph.json")
@@ -371,19 +369,14 @@ def test_cli_fuzz_exit_codes_and_byte_determinism(demo_dir, tmp_path, capsys,
     capsys.readouterr()
 
     outs = [tmp_path / f"run{j}.json" for j in range(4)]
-    for j, threads in enumerate(("1", "1", "4", "4")):
-        monkeypatch.setenv("GRAPHSI_THREADS", threads)
-        for args in (
-            ["explain", good_graph, good_model, "--out", str(outs[j])],
-        ):
-            assert main(args) == 0
+    for out in outs:
+        assert main(["explain", good_graph, good_model, "--out", str(out)]) == 0
     first = outs[0].read_bytes()
     assert all(out.read_bytes() == first for out in outs[1:])
 
     er_outs = [tmp_path / f"er{j}.json" for j in range(2)]
-    for j, threads in enumerate(("1", "3")):
-        monkeypatch.setenv("GRAPHSI_THREADS", threads)
+    for out in er_outs:
         assert main(["explain", str(demo_dir / "er8_graph.json"),
                      str(demo_dir / "er8_model.json"),
-                     "--out", str(er_outs[j])]) == 0
+                     "--out", str(out)]) == 0
     assert er_outs[0].read_bytes() == er_outs[1].read_bytes()

@@ -11,7 +11,6 @@ from graphsi.graph import load_graph, make_graph
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    monkeypatch.delenv("GRAPHSI_THREADS", raising=False)
     monkeypatch.delenv("GRAPHSI_CEILING", raising=False)
 
 
@@ -92,14 +91,6 @@ def test_explain_baseline_file(path4_args, tmp_path, capsys):
     assert main(["explain", *path4_args]) == 0
     mean = json.loads(capsys.readouterr().out)
     assert shifted["metadata"]["nu_empty"] != mean["metadata"]["nu_empty"]
-
-
-def test_explain_threads_do_not_change_bytes(path4_args, tmp_path, monkeypatch):
-    one, four = tmp_path / "t1.json", tmp_path / "t4.json"
-    assert main(["explain", *path4_args, "--out", str(one)]) == 0
-    monkeypatch.setenv("GRAPHSI_THREADS", "4")
-    assert main(["explain", *path4_args, "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
 
 
 # ------------------------------------------------------------- exit codes
@@ -190,8 +181,8 @@ def test_env_overrides_config(er8_args, tmp_path, monkeypatch, capsys):
     '[16]',                      # not an object
     '{"celing": 16}',            # unknown key
     '{"rng": "mt19937"}',        # unsupported generator
-    '{"threads": 0}',            # below minimum
-    '{"threads": true}',         # bool is not an int here
+    '{"ceiling": 0}',            # below minimum
+    '{"ceiling": true}',         # bool is not an int here
     '{"ceiling": "big"}',        # wrong type
 ])
 def test_bad_config_exits_two(path4_args, tmp_path, capsys, body):
@@ -202,14 +193,14 @@ def test_bad_config_exits_two(path4_args, tmp_path, capsys, body):
 
 
 def test_bad_env_value_exits_two(path4_args, monkeypatch, capsys):
-    monkeypatch.setenv("GRAPHSI_THREADS", "lots")
+    monkeypatch.setenv("GRAPHSI_CEILING", "lots")
     assert main(["explain", *path4_args]) == 2
-    assert "GRAPHSI_THREADS" in capsys.readouterr().err
+    assert "GRAPHSI_CEILING" in capsys.readouterr().err
 
 
 def test_rng_philox_accepted(path4_args, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"rng": "philox", "threads": 2}\n')
+    cfg.write_text('{"rng": "philox"}\n')
     assert main(["explain", *path4_args, "--config", str(cfg)]) == 0
     capsys.readouterr()
 

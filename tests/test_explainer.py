@@ -18,12 +18,11 @@ def path4(demo_dir):
 def test_get_params_lists_every_hyperparameter(path4):
     _, weights = path4
     ex = GraphInteractionExplainer(weights, index="sv", order=1, ell=2, lam=1,
-                                   baseline="mean", normalize=True,
-                                   ceiling=512, workers=3)
+                                   baseline="mean", normalize=True, ceiling=512)
     params = ex.get_params()
     assert params == {
         "model": weights, "index": "sv", "order": 1, "ell": 2, "lam": 1,
-        "baseline": "mean", "normalize": True, "ceiling": 512, "workers": 3,
+        "baseline": "mean", "normalize": True, "ceiling": 512,
     }
     clone = GraphInteractionExplainer(**params)
     assert clone.get_params() == params
@@ -43,7 +42,7 @@ def test_constructor_defaults(path4):
     ex = GraphInteractionExplainer(weights)
     p = ex.get_params()
     assert p["index"] == "ksii" and p["order"] is None and p["lam"] is None
-    assert p["ceiling"] == DEFAULT_CEILING and p["workers"] == 1
+    assert p["ceiling"] == DEFAULT_CEILING
 
 
 @pytest.mark.parametrize("index,expected_k", [
@@ -105,6 +104,24 @@ def test_fitted_attributes_exact(path4):
     assert ex.graph_.n == 4
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_call_count_is_the_forwards_actually_run(demo_dir, monkeypatch, normalize):
+    import graphsi.game
+
+    forwards = []
+    real = graphsi.game.forward_graph
+
+    def counting(*args, **kwargs):
+        forwards.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphsi.game, "forward_graph", counting)
+    ex = GraphInteractionExplainer(demo_dir / "er8_model.json", index="ksii",
+                                   normalize=normalize).fit(demo_dir / "er8_graph.json")
+    after_construction = len(forwards) - 1  # one unmasked pass freezes the target
+    assert after_construction == ex.call_count_ == ex.interaction_set_size_
+
+
 def test_fitted_attributes_truncated(path4):
     graph, weights = path4
     ex = GraphInteractionExplainer(weights, index="ksii", lam=1).fit(graph)
@@ -129,13 +146,6 @@ def test_normalize_shifts_empty_value(path4):
     assert ex.game_.nu_empty == 0.0
     doc = ex.to_export()
     assert doc["metadata"]["nu_empty"] == 0.0
-
-
-def test_worker_count_does_not_change_values(path4):
-    graph, weights = path4
-    serial = GraphInteractionExplainer(weights, index="ksii").fit(graph)
-    threaded = GraphInteractionExplainer(weights, index="ksii", workers=4).fit(graph)
-    assert serial.interactions_.values == threaded.interactions_.values
 
 
 def test_unfitted_access_raises(path4):

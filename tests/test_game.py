@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import graphsi.game
 from graphsi.coalitions import full_mask, mask_of
 from graphsi.errors import ParseError
 from graphsi.game import GraphGame, NodeGame
@@ -114,12 +118,37 @@ def test_call_count_counts_distinct_coalitions():
     assert game.call_count() == 2
 
 
-def test_workers_do_not_change_values():
-    serial = demo_game(workers=1)
-    parallel = demo_game(workers=4)
+def test_concurrent_callers_forward_each_coalition_once(monkeypatch):
+    forwards = []
+    real = graphsi.game.forward_graph
+
+    def counting(*args):
+        forwards.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graphsi.game, "forward_graph", counting)
+    game = demo_game(normalize=True)
+    forwards.clear()  # drop the construction pass
     masks = list(range(1 << 5))
-    assert parallel.evaluate_batch(masks) == serial.evaluate_batch(masks)
-    assert parallel.call_count() == serial.call_count() == 32
+    results = {}
+
+    def caller(shift):
+        results[shift] = game.evaluate_batch(masks[shift:] + masks[:shift])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(s,)) for s in range(0, 32, 4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(forwards) == game.call_count() == 32
+    want = demo_game(normalize=True).evaluate_batch(masks)
+    assert results == {s: want[s:] + want[:s] for s in range(0, 32, 4)}
 
 
 def test_repeated_evaluations_bitwise_identical(rng):
@@ -129,16 +158,6 @@ def test_repeated_evaluations_bitwise_identical(rng):
     for t in draws:
         v = game.evaluate(t)
         assert first.setdefault(t, v) == v  # exact, not approx
-
-
-def test_lru_cap_recomputes_identically_and_counts_distinct():
-    game = demo_game(max_cache_size=2)
-    masks = [0b00001, 0b00010, 0b00100, 0b01000]
-    before = [game.evaluate(t) for t in masks]
-    assert game.call_count() == 4
-    again = [game.evaluate(t) for t in masks]  # all evicted by now
-    assert again == before
-    assert game.call_count() == 4
 
 
 # -- normalization -----------------------------------------------------------
@@ -208,6 +227,14 @@ def test_node_game_evaluates_embeddings():
     assert node.evaluate(t).shape == (model.d_ell,)
     node.evaluate(t)
     assert node.call_count() == 1
+
+
+def test_node_game_rejects_bad_baseline():
+    g, model = generate_instance("er", 5, 3, 41, "gin", 1, 4, edge_prob=0.5)
+    with pytest.raises(ParseError):
+        NodeGame(model, g, 0, baseline=[1.0, 2.0])  # d0 is 3
+    with pytest.raises(ParseError):
+        NodeGame(model, g, 0, baseline=[1.0, float("nan"), 0.0])
 
 
 def test_node_game_rejects_bad_index():
