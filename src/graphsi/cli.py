@@ -10,7 +10,6 @@ requested. Runtime options resolve as flags > GRAPHSI_* environment >
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -18,7 +17,7 @@ from . import __version__
 from .baselines import audit_nonlinear_readout, permutation_sampling_sii, permutation_sampling_sv
 from .complexity import scaling_study
 from .convert import convert_mi
-from .errors import BudgetExceeded, NonlinearReadout, ParseError
+from .errors import BudgetExceeded, NonlinearReadout, ParseError, read_json
 from .explainer import GraphInteractionExplainer
 from .export import atomic_write_text, dumps_json, format_float
 from .game import GraphGame
@@ -39,13 +38,7 @@ def _runtime_options(args) -> int:
     """The exact-mode ceiling, resolved with the documented precedence."""
     cfg = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config file is not valid JSON: {exc}") from exc
+        cfg = read_json(args.config, "config")
         if not isinstance(cfg, dict):
             raise ParseError("config file must hold a JSON object")
         unknown = set(cfg) - {"ceiling", "rng"}
@@ -220,10 +213,6 @@ def cmd_benchmark(args) -> int:
 def cmd_generate(args) -> int:
     if args.kind in ("er", "tree") and args.n > 64:
         raise ParseError(f"--kind {args.kind} supports at most 64 nodes, got {args.n}")
-    if args.n < 1:
-        raise ParseError(f"--n must be >= 1, got {args.n}")
-    if args.d0 < 1 or args.layers < 1 or args.hidden < 1:
-        raise ParseError("--d0, --layers, and --hidden must all be >= 1")
     if not 0.0 <= args.edge_prob <= 1.0:
         raise ParseError(f"--edge-prob must be in [0, 1], got {args.edge_prob}")
     try:

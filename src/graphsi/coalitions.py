@@ -39,10 +39,6 @@ def iter_members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -62,18 +58,6 @@ def iter_subsets(mask: int) -> Iterator[int]:
     is decreasing as an integer. 2^|mask| subsets total.
     """
     sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def iter_proper_subsets(mask: int) -> Iterator[int]:
-    """Yield every strict subset of ``mask`` (``mask`` itself excluded)."""
-    if mask == 0:
-        return
-    sub = (mask - 1) & mask
     while True:
         yield sub
         if sub == 0:

@@ -1,10 +1,55 @@
-"""Error types shared across the package."""
+"""Error types and the input boundary shared across the package.
+
+Every input from outside the program passes through here: read_json
+opens and parses graph, weights, baseline and config files, and
+as_matrix/as_vector check the arrays inside them. Each failure is a
+ParseError (exit code 2 on the command line), never a traceback.
+"""
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
+
 
 class ParseError(ValueError):
-    """Malformed input: graph file, weights file, or config."""
+    """Malformed input: graph, weights, baseline or config."""
+
+
+def read_json(path, what: str):
+    """Parsed contents of the UTF-8 JSON file at path; what names it in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # syntax, UTF-8 decoding, nesting depth
+        raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def _finite_copy(obj, name: str, expected: str, ndim: int, length=None) -> np.ndarray:
+    """Read-only float64 copy of obj; copying leaves the caller's own array writable."""
+    try:
+        arr = np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge ints
+        raise ParseError(f"{name} must be {expected}") from exc
+    if arr.ndim != ndim or 0 in arr.shape or (length is not None and arr.shape[0] != length):
+        raise ParseError(f"{name} must be {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{name} has non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
+def as_matrix(obj, name: str) -> np.ndarray:
+    """Non-empty finite 2-d float64 matrix, as a read-only copy."""
+    return _finite_copy(obj, name, "a non-empty 2-d matrix", 2)
+
+
+def as_vector(obj, name: str, length: int) -> np.ndarray:
+    """Finite float64 vector of the given length, as a read-only copy."""
+    return _finite_copy(obj, name, f"a vector of length {length}", 1, length)
 
 
 class BudgetExceeded(RuntimeError):

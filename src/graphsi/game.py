@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .coalitions import MAX_PLAYERS, full_mask
-from .errors import ParseError
+from .errors import ParseError, as_vector
 from .graph import Graph
 from .nn import GnnModel, default_baseline, forward_graph, forward_node, masked_features
 
@@ -43,17 +43,9 @@ class _MaskedGame:
                 f"graph has {graph.n} nodes; coalition engine supports at most {MAX_PLAYERS}")
         if baseline is None:
             baseline = default_baseline(graph)
-        try:
-            baseline = np.asarray(baseline, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"baseline must be a vector of length {graph.d0}") from exc
-        if baseline.ndim != 1 or baseline.shape[0] != graph.d0:
-            raise ParseError(f"baseline must be a vector of length {graph.d0}")
-        if not np.all(np.isfinite(baseline)):
-            raise ParseError("baseline must be finite")
         self.model = model
         self.graph = graph
-        self.baseline = baseline
+        self.baseline = as_vector(baseline, "baseline", graph.d0)
         self.n_players = graph.n
         self.grand = full_mask(graph.n)
         self._memo: dict = {}

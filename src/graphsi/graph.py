@@ -7,13 +7,12 @@ so they plug directly into the interaction machinery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coalitions import iter_members
-from .errors import ParseError
+from .errors import ParseError, as_matrix, read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +99,9 @@ def make_graph(n: int, edges, features) -> Graph:
         canon.append(key)
     canon.sort()
 
-    try:
-        feats = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric entries
-        raise ParseError("features must be a rectangular matrix with one row per node") from exc
-    if feats.ndim != 2:
-        raise ParseError("features must be a rectangular matrix with one row per node")
+    feats = as_matrix(features, "features")
     if feats.shape[0] != n:
         raise ParseError(f"feature matrix has {feats.shape[0]} rows for {n} nodes")
-    if feats.shape[1] < 1:
-        raise ParseError("features must have at least one column")
-    if not np.all(np.isfinite(feats)):
-        raise ParseError("features must be finite numbers")
     return Graph(n=n, edges=tuple(canon), features=feats)
 
 
@@ -131,24 +121,12 @@ def graph_from_json(obj) -> Graph:
     features = obj["features"]
     if not isinstance(features, list) or any(not isinstance(r, list) for r in features):
         raise ParseError("features must be a list of per-node rows")
-    try:
-        return make_graph(obj["n"], edges, features)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"malformed graph: {exc}") from exc
+    return make_graph(obj["n"], edges, features)
 
 
 def load_graph(path) -> Graph:
     """Load a graph from a JSON file. Raises ParseError on any defect."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read graph file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ParseError(f"graph file {path} is not valid JSON: {exc}") from exc
-    return graph_from_json(obj)
+    return graph_from_json(read_json(path, "graph"))
 
 
 def khop_neighborhoods(g: Graph, ell: int) -> NeighborhoodIndex:

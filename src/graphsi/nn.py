@@ -11,14 +11,13 @@ invariance tolerances on deeper stacks.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coalitions import contains
-from .errors import ParseError
+from .errors import ParseError, as_matrix, as_vector, read_json
 from .graph import Graph
 
 
@@ -142,47 +141,16 @@ class GnnModel:
                 "pooling": self.pooling, "readout": readout}
 
 
-def _matrix(obj, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric entries
-        raise ParseError(f"{name} must be a non-empty 2-d matrix") from exc
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ParseError(f"{name} must be a non-empty 2-d matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{name} has non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _vector(obj, name: str, length: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name} must be a vector of length {length}") from exc
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise ParseError(f"{name} must be a vector of length {length}")
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{name} has non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 def _parse_mlp(obj, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if not isinstance(obj, dict):
         raise ParseError(f"{name} must be an object with keys w1, b1, w2, b2")
     missing = {"w1", "b1", "w2", "b2"} - obj.keys()
     if missing:
         raise ParseError(f"{name} is missing keys: {sorted(missing)}")
-    try:
-        w1 = _matrix(obj["w1"], f"{name}.w1")
-        b1 = _vector(obj["b1"], f"{name}.b1", w1.shape[1])
-        w2 = _matrix(obj["w2"], f"{name}.w2")
-        b2 = _vector(obj["b2"], f"{name}.b2", w2.shape[1])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"malformed {name}: {exc}") from exc
+    w1 = as_matrix(obj["w1"], f"{name}.w1")
+    b1 = as_vector(obj["b1"], f"{name}.b1", w1.shape[1])
+    w2 = as_matrix(obj["w2"], f"{name}.w2")
+    b2 = as_vector(obj["b2"], f"{name}.b2", w2.shape[1])
     if w2.shape[0] != w1.shape[1]:
         raise ParseError(f"{name}: w2 input width {w2.shape[0]} != w1 output width {w1.shape[1]}")
     return w1, b1, w2, b2
@@ -217,8 +185,8 @@ def model_from_json(obj) -> GnnModel:
             if kind == "gcn":
                 if {"weight", "bias"} - raw.keys():
                     raise ParseError(f"{name} (gcn) needs 'weight' and 'bias'")
-                weight = _matrix(raw["weight"], f"{name}.weight")
-                bias = _vector(raw["bias"], f"{name}.bias", weight.shape[1])
+                weight = as_matrix(raw["weight"], f"{name}.weight")
+                bias = as_vector(raw["bias"], f"{name}.bias", weight.shape[1])
                 layers.append(GcnLayer(weight=weight, bias=bias))
             elif kind == "gin":
                 if {"epsilon", "mlp"} - raw.keys():
@@ -246,8 +214,8 @@ def model_from_json(obj) -> GnnModel:
     if raw_readout["kind"] == "linear":
         if {"weight", "bias"} - raw_readout.keys():
             raise ParseError("linear readout needs 'weight' and 'bias'")
-        weight = _matrix(raw_readout["weight"], "readout.weight")
-        bias = _vector(raw_readout["bias"], "readout.bias", weight.shape[1])
+        weight = as_matrix(raw_readout["weight"], "readout.weight")
+        bias = as_vector(raw_readout["bias"], "readout.bias", weight.shape[1])
         readout = LinearReadout(weight=weight, bias=bias)
     elif raw_readout["kind"] == "mlp2":
         w1, b1, w2, b2 = _parse_mlp(raw_readout, "readout")
@@ -262,14 +230,7 @@ def model_from_json(obj) -> GnnModel:
 
 def load_model(path) -> GnnModel:
     """Load a model from a weight JSON file. Raises ParseError on any defect."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read weights file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ParseError(f"weights file {path} is not valid JSON: {exc}") from exc
-    return model_from_json(obj)
+    return model_from_json(read_json(path, "weights"))
 
 
 # Derived per-graph matrices, keyed by graph identity.

@@ -2,7 +2,9 @@
 
 Each helper accepts the natural in-memory object, a parsed JSON object,
 or a file path, and returns the validated domain type, raising
-ParseError with a usable message otherwise.
+ParseError with a usable message otherwise. Files are read and arrays
+checked by the shared boundary in errors (read_json, as_vector); this
+module only dispatches on the kind of source.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, as_vector, read_json
 from .graph import Graph, graph_from_json, load_graph
 from .nn import GnnModel, default_baseline, load_model, model_from_json
 
@@ -41,25 +43,8 @@ def ensure_baseline(spec, graph: Graph) -> np.ndarray:
     if spec is None or (isinstance(spec, str) and spec == "mean"):
         return default_baseline(graph)
     if isinstance(spec, (str, bytes)) or hasattr(spec, "__fspath__"):
-        import json
-        try:
-            with open(os.fspath(spec), "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read baseline file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"baseline file is not valid JSON: {exc}") from exc
-        if not isinstance(spec, list):
-            raise ParseError("baseline file must hold a JSON array of numbers")
-    try:
-        vec = np.asarray(spec, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"baseline is not numeric: {exc}") from exc
-    if vec.ndim != 1 or vec.shape[0] != graph.d0:
-        raise ParseError(f"baseline must be a vector of length {graph.d0}")
-    if not np.all(np.isfinite(vec)):
-        raise ParseError("baseline must be finite")
-    return vec
+        spec = read_json(os.fspath(spec), "baseline")
+    return as_vector(spec, "baseline", graph.d0)
 
 
 def check_positive_int(value, name: str, minimum: int = 1) -> int:

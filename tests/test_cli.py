@@ -104,6 +104,22 @@ def test_corrupt_graph_is_a_parse_error(path4_args, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe[1",
+    b"[" * 100_000,
+    b'{"a": 1}',
+    b"[0.0, 0.0]",
+    b"[1" + b"0" * 400 + b", 0.0, 0.0]",
+], ids=["invalid-utf8", "deep-nesting", "not-an-array", "wrong-length",
+        "int-beyond-float"])
+def test_bad_baseline_file_exits_two(path4_args, tmp_path, capsys, body):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_bytes(body)
+    assert main(["explain", *path4_args, "--baseline", str(baseline)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_missing_file_is_a_parse_error(path4_args, tmp_path):
     assert main(["explain", str(tmp_path / "absent.json"), path4_args[1]]) == 2
 
@@ -184,12 +200,15 @@ def test_env_overrides_config(er8_args, tmp_path, monkeypatch, capsys):
     '{"ceiling": 0}',            # below minimum
     '{"ceiling": true}',         # bool is not an int here
     '{"ceiling": "big"}',        # wrong type
+    pytest.param(b"\xff\xfe[1", id="invalid-utf8"),
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
 ])
 def test_bad_config_exits_two(path4_args, tmp_path, capsys, body):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(body)
+    cfg.write_bytes(body if isinstance(body, bytes) else body.encode())
     assert main(["explain", *path4_args, "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_env_value_exits_two(path4_args, monkeypatch, capsys):

@@ -9,11 +9,9 @@ from graphsi.coalitions import (
     full_mask,
     is_subset,
     iter_members,
-    iter_proper_subsets,
     iter_subsets,
     mask_of,
     members_of,
-    size,
     sort_key,
 )
 
@@ -44,21 +42,13 @@ def test_iter_subsets_is_the_power_set(mask):
     assert len(got) == len(expected)  # no duplicates
 
 
-@given(small_masks)
-def test_proper_subsets_exclude_self(mask):
-    got = set(iter_proper_subsets(mask))
-    assert mask not in got
-    assert got | {mask} == set(iter_subsets(mask))
-
-
 @given(masks, masks)
 def test_is_subset_matches_sets(a, b):
     assert is_subset(a, b) == set(members_of(a)).issubset(members_of(b))
 
 
 @given(masks)
-def test_size_and_contains(mask):
-    assert size(mask) == len(members_of(mask))
+def test_contains_matches_members(mask):
     for i in range(12):
         assert contains(mask, i) == (i in members_of(mask))
 
@@ -81,9 +71,7 @@ def test_sort_key_orders_by_size_then_bits():
 def test_subset_iteration_counts():
     mask = mask_of([0, 3, 5])
     assert len(list(iter_subsets(mask))) == 8
-    assert len(list(iter_proper_subsets(mask))) == 7
     assert list(iter_subsets(0)) == [0]
-    assert list(iter_proper_subsets(0)) == []
 
 
 @pytest.mark.parametrize("players,expected", [

@@ -19,6 +19,7 @@ from graphsi.nn import (
     forward_node,
     masked_features,
 )
+from graphsi.validation import ensure_baseline
 
 
 def demo_game(**kwargs) -> GraphGame:
@@ -204,6 +205,15 @@ def test_bad_baseline_rejected():
         GraphGame(model, g, baseline=[1.0, 2.0])  # d0 is 3
     with pytest.raises(ParseError):
         GraphGame(model, g, baseline=[1.0, float("nan"), 0.0])
+
+
+def test_caller_baseline_stays_writable():
+    g, model = generate_instance("er", 5, 3, 41, "gin", 1, 4, edge_prob=0.5)
+    arr = np.array([1.0, 2.0, 3.0])
+    GraphGame(model, g, baseline=arr)
+    assert arr.flags.writeable
+    ensure_baseline(arr, g)
+    assert arr.flags.writeable
 
 
 def test_too_many_nodes_rejected():

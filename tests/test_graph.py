@@ -76,6 +76,7 @@ def test_graph_from_json_round_trip():
     {"n": 2, "edges": [], "features": [[0], ["x"]]},
     {"n": 2, "edges": [], "features": "nope"},
     [1, 2, 3],
+    {"n": 1, "edges": [], "features": [[10 ** 400]]},       # int beyond float range
 ])
 def test_graph_from_json_rejects_malformed(doc):
     with pytest.raises(ParseError):

@@ -200,9 +200,10 @@ def break_doc(mutate):
     lambda d: d.update(layers=[{"kind": "gin", "epsilon": 0.0,
                                 "mlp": {"w1": [[1.0]], "b1": [0.0],
                                         "w2": [[1.0]]}}]),
+    lambda d: d["layers"][0].update(bias=[10 ** 400, 0.0]),
 ], ids=["no-activation", "tanh", "max-pool", "no-layers", "unknown-kind",
         "no-bias", "inf-weight", "bias-length", "unknown-readout",
-        "bool-epsilon", "mlp-missing-key"])
+        "bool-epsilon", "mlp-missing-key", "int-beyond-float"])
 def test_model_from_json_rejects_malformed(mutate):
     with pytest.raises(ParseError):
         model_from_json(break_doc(mutate))
