@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .baselines import audit_nonlinear_readout, permutation_sampling_sii, permutation_sampling_sv
 from .complexity import scaling_study
-from .convert import convert_mi
 from .errors import BudgetExceeded, NonlinearReadout, ParseError, read_json
 from .explainer import GraphInteractionExplainer
 from .export import atomic_write_text, dumps_json, format_float
@@ -122,10 +121,7 @@ def cmd_complexity(args) -> int:
         ids = [os.path.splitext(os.path.basename(target))[0]]
     graphs = [load_graph(p) for p in paths]
 
-    if args.csv:
-        rows, fits = scaling_study(graphs, ells, out=args.csv, ids=ids)
-    else:
-        rows, fits = scaling_study(graphs, ells, out=sys.stdout, ids=ids)
+    rows, fits = scaling_study(graphs, ells, out=args.csv or sys.stdout, ids=ids)
     for ell in ells:
         fit = fits[ell]
         if fit["degenerate"]:

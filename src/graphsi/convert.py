@@ -1,10 +1,12 @@
 """Conversion from Moebius interactions to the classic indices.
 
-Every supported index is a fixed linear redistribution of the Moebius
-mass: an interaction m(S~) contributes to the subsets of S~ up to the
-explanation order, with a weight depending only on |S|, |S~| and k. The
-weights are assembled in exact rational arithmetic (Bernoulli numbers
-cancel catastrophically in floats) and realized to float64 once.
+Every supported index is a fixed linear map of the Moebius values
+(Grabisch, Marichal & Roubens 2000): m(S~) contributes w(|S|, |S~|, k)
+times m(S~) to each subset S of S~ of size 1..k. convert_mi is the one
+loop for every index; only the weight, read from one table, differs, and
+the Shapley value is k-SII at k=1. The k-SII weights are assembled in
+exact rational arithmetic (Bernoulli numbers cancel catastrophically in
+floats) and realized to float64 once.
 
 Cost is linear in the number of stored interactions times the subsets
 enumerated inside each support set, never in 2^n.
@@ -17,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .coalitions import iter_members, mask_of
+from .coalitions import iter_members
 from .interactions import InteractionValues
 
 
@@ -60,89 +62,62 @@ def _ksii_weight(s: int, s_tilde: int, k: int) -> float:
     return float(total)
 
 
-def mi_to_sv(mi: InteractionValues) -> InteractionValues:
-    """Shapley values: each interaction is split equally among its members."""
-    out: dict[int, float] = {1 << i: 0.0 for i in range(mi.n)}
-    for s_tilde, value in mi.values.items():
-        size = s_tilde.bit_count()
-        if size == 0:
-            continue
-        share = value / size
-        for i in iter_members(s_tilde):
-            out[1 << i] += share
-    return InteractionValues(kind="sv", k=1, n=mi.n, values=out, ell=mi.ell,
-                             lam=mi.lam, call_count=mi.call_count)
+# index -> w(|S|, |S~|, k), the share of m(S~) that lands on each size-|S| subset.
+_WEIGHTS = {
+    "sv": _ksii_weight,  # k-SII at k=1, i.e. 1/|S~|; convert_mi admits only k=1 for sv
+    "sii": lambda s, s_tilde, k: 1.0 / (s_tilde - s + 1),
+    "ksii": _ksii_weight,
+    "stii": lambda s, s_tilde, k: 1.0 / comb(s_tilde, k) if s == k else float(s == s_tilde),
+}
 
 
-def _distribute(mi: InteractionValues, k: int, weight) -> dict[int, float]:
-    """Accumulate weight(|S|, |S~|) * m(S~) onto subsets S of each support set."""
+def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
+    """The requested index at order k; "mi" returns the input unchanged."""
+    if mi.kind != "mi":
+        raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
+    if index == "mi":
+        return mi
+    if index not in _WEIGHTS:
+        raise ValueError(f"unknown index {index!r}")
+    if index == "sv" and k != 1:
+        raise ValueError("the Shapley value is an order-1 index; use k=1")
+    if not 1 <= k <= mi.n:
+        raise ValueError(f"order k must be in 1..{mi.n}, got {k}")
+    weight = _WEIGHTS[index]
     out: dict[int, float] = {}
     for s_tilde, value in mi.values.items():
-        members = list(iter_members(s_tilde))
-        for size in range(1, min(k, len(members)) + 1):
-            w = weight(size, len(members))
+        bits = [1 << i for i in iter_members(s_tilde)]
+        for size in range(1, min(k, len(bits)) + 1):
+            w = weight(size, len(bits), k)
             if w == 0.0:
                 continue
             contribution = value * w
-            for combo in combinations(members, size):
-                key = mask_of(combo)
+            for combo in combinations(bits, size):
+                key = sum(combo)  # the bits are disjoint, so the sum is the union
                 out[key] = out.get(key, 0.0) + contribution
-    return out
+    return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
+                             lam=mi.lam, call_count=mi.call_count)
+
+
+def mi_to_sv(mi: InteractionValues) -> InteractionValues:
+    """Shapley values: each interaction is split equally among its members."""
+    return convert_mi(mi, "sv", 1)
 
 
 def mi_to_sii(mi: InteractionValues, k: int) -> InteractionValues:
     """Shapley interaction index for every set of size 1..k."""
-    _check_order(mi, k)
-    values = _distribute(mi, k, lambda s, s_tilde: 1.0 / (s_tilde - s + 1))
-    return InteractionValues(kind="sii", k=k, n=mi.n, values=values, ell=mi.ell,
-                             lam=mi.lam, call_count=mi.call_count)
+    return convert_mi(mi, "sii", k)
 
 
 def mi_to_ksii(mi: InteractionValues, k: int) -> InteractionValues:
     """k-Shapley interactions: SII at the top order, Bernoulli-aggregated below."""
-    _check_order(mi, k)
-    values = _distribute(mi, k, lambda s, s_tilde: _ksii_weight(s, s_tilde, k))
-    return InteractionValues(kind="ksii", k=k, n=mi.n, values=values, ell=mi.ell,
-                             lam=mi.lam, call_count=mi.call_count)
+    return convert_mi(mi, "ksii", k)
 
 
 def mi_to_stii(mi: InteractionValues, k: int) -> InteractionValues:
     """Shapley-Taylor interactions: Moebius values below order k, the
     remaining mass spread over the size-k subsets of each support set."""
-    _check_order(mi, k)
-    out: dict[int, float] = {}
-    for s_tilde, value in mi.values.items():
-        size = s_tilde.bit_count()
-        if size == 0:
-            continue
-        if size < k:
-            out[s_tilde] = out.get(s_tilde, 0.0) + value
-        else:
-            share = value / comb(size, k)
-            for combo in combinations(list(iter_members(s_tilde)), k):
-                key = mask_of(combo)
-                out[key] = out.get(key, 0.0) + share
-    return InteractionValues(kind="stii", k=k, n=mi.n, values=out, ell=mi.ell,
-                             lam=mi.lam, call_count=mi.call_count)
-
-
-def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
-    """Dispatch to the requested index; "mi" returns the input unchanged."""
-    if mi.kind != "mi":
-        raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
-    if index == "mi":
-        return mi
-    if index == "sv":
-        if k != 1:
-            raise ValueError("the Shapley value is an order-1 index; use k=1")
-        return mi_to_sv(mi)
-    if index == "sii":
-        return mi_to_sii(mi, k)
-    if index == "ksii":
-        return mi_to_ksii(mi, k)
-    if index == "stii":
-        return mi_to_stii(mi, k)
-    raise ValueError(f"unknown index {index!r}")
+    return convert_mi(mi, "stii", k)
 
 
 def efficiency_check(si: InteractionValues, nu_full: float, nu_empty: float) -> float:
@@ -157,8 +132,3 @@ def efficiency_check(si: InteractionValues, nu_full: float, nu_empty: float) -> 
         return abs(si.total() - nu_full)
     total = sum(v for s, v in si.values.items() if s != 0)
     return abs(total - (nu_full - nu_empty))
-
-
-def _check_order(mi: InteractionValues, k: int) -> None:
-    if not 1 <= k <= mi.n:
-        raise ValueError(f"order k must be in 1..{mi.n}, got {k}")

@@ -28,6 +28,15 @@ def read_json(path, what: str):
         raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
+def _holds_non_numbers(obj) -> bool:
+    """True if obj holds a string or a boolean, which float64 would read as a number."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind in "bSU"
+    if isinstance(obj, (list, tuple)):
+        return not set(map(type, obj)) <= {int, float} and any(map(_holds_non_numbers, obj))
+    return isinstance(obj, (str, bytes, bool, np.bool_))
+
+
 def _finite_copy(obj, name: str, expected: str, ndim: int, length=None) -> np.ndarray:
     """Read-only float64 copy of obj; copying leaves the caller's own array writable."""
     try:
@@ -36,6 +45,8 @@ def _finite_copy(obj, name: str, expected: str, ndim: int, length=None) -> np.nd
         raise ParseError(f"{name} must be {expected}") from exc
     if arr.ndim != ndim or 0 in arr.shape or (length is not None and arr.shape[0] != length):
         raise ParseError(f"{name} must be {expected}")
+    if _holds_non_numbers(obj):  # only ndim levels deep once the shape is checked
+        raise ParseError(f"{name} must hold numbers, not strings or booleans")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{name} has non-finite entries")
     arr.setflags(write=False)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
 from .coalitions import full_mask, is_subset, iter_members, iter_subsets, mask_of, sort_key
 from .errors import BudgetExceeded, NonlinearReadout
 from .game import GameOracle
@@ -137,8 +138,6 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and
     BudgetExceeded when the interaction set is too large.
     """
-    from .convert import convert_mi
-
     _check_readout(game)
     n = len(hoods.hoods)
     if not 1 <= k <= n:
@@ -148,7 +147,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     mi_values = {s: moebius_transform(None, s, values) for s in iset.members}
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
                            ell=hoods.ell, lam=None, call_count=game.call_count())
-    si = convert_mi(mi, index, k)
+    si = convert.convert_mi(mi, index, k)
     return mi, si
 
 
@@ -164,8 +163,6 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
     tau so the values sum to nu(N) exactly. Exact whenever
     lam >= n_max - 1.
     """
-    from .convert import convert_mi
-
     _check_readout(game)
     n = len(hoods.hoods)
     if not 1 <= lam <= n:
@@ -202,5 +199,5 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
 
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_hat,
                            ell=hoods.ell, lam=lam, call_count=game.call_count())
-    si = convert_mi(mi, index, k)
+    si = convert.convert_mi(mi, index, k)
     return mi, si

@@ -143,6 +143,62 @@ def stii_oracle(nu, n, k) -> dict:
     return out
 
 
+def _conversion_weight(index, s, s_tilde, k) -> Fraction:
+    """Exact share of m(S~) that the index gives a size-s subset S of S~.
+
+    k-SII is not taken from a closed form: it replays ksii_oracle's
+    order recursion on the game whose only Moebius mass is m(S~) = 1.
+    There SII(T) = 1/(|S~| - |T| + 1) for T between S and S~, and the
+    C(|S~| - s, order - s) sets T of each order share one value.
+    """
+    if index == "sv":
+        return Fraction(1, s_tilde)
+    if index == "sii":
+        return Fraction(1, s_tilde - s + 1)
+    if index == "stii":
+        if s < k:
+            return Fraction(int(s == s_tilde))
+        return Fraction(1, comb(s_tilde, k))
+    total = Fraction(1, s_tilde - s + 1)  # phi_s(S) = SII(S)
+    for order in range(s + 1, min(k, s_tilde) + 1):
+        total += (BERNOULLI[order - s] * comb(s_tilde - s, order - s)
+                  * Fraction(1, s_tilde - order + 1))
+    return total
+
+
+def conversion_oracle(moebius: dict, n, index, k) -> dict:
+    """Every set S of size 1..k mapped to (exact value, sum |w*m|, terms).
+
+    moebius maps frozensets to float Moebius values; each is read as the
+    exact rational it stores, so the result is the index of that float
+    table in exact arithmetic. terms counts the supersets S~ of S with a
+    non-zero weight: a float conversion summing w*m over them is off by
+    at most gamma_{terms+1} * sum |w*m| (one rounding for w, one for the
+    product, terms - 1 for the sum).
+    """
+    out = {}
+    for r in range(1, k + 1):
+        for s in combinations(range(n), r):
+            s = frozenset(s)
+            value, magnitude, terms = Fraction(0), Fraction(0), 0
+            for s_tilde, m in moebius.items():
+                if not s <= s_tilde:
+                    continue
+                w = _conversion_weight(index, len(s), len(s_tilde), k)
+                if w:
+                    value += w * Fraction(m)
+                    magnitude += abs(w * Fraction(m))
+                    terms += 1
+            out[s] = (value, magnitude, terms)
+    return out
+
+
+def gamma(j) -> Fraction:
+    """Higham's gamma_j = j*u / (1 - j*u) for float64, u = 2^-53."""
+    ju = Fraction(j, 2 ** 53)
+    return ju / (1 - ju)
+
+
 # -- receptive fields --------------------------------------------------------
 
 

@@ -110,8 +110,11 @@ def test_corrupt_graph_is_a_parse_error(path4_args, tmp_path, capsys):
     b'{"a": 1}',
     b"[0.0, 0.0]",
     b"[1" + b"0" * 400 + b", 0.0, 0.0]",
+    b'["0", "0", true]',
+    b"[0.0, 0.0, true]",
+    b'[0.0, 0.0, "1.5"]',
 ], ids=["invalid-utf8", "deep-nesting", "not-an-array", "wrong-length",
-        "int-beyond-float"])
+        "int-beyond-float", "strings-and-bool", "bool-entry", "numeric-string"])
 def test_bad_baseline_file_exits_two(path4_args, tmp_path, capsys, body):
     baseline = tmp_path / "baseline.json"
     baseline.write_bytes(body)

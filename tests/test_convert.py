@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphsi.coalitions import full_mask, mask_of
+from graphsi.coalitions import full_mask, is_subset, mask_of
 from graphsi.convert import (
     bernoulli_numbers,
     convert_mi,
@@ -19,7 +19,9 @@ from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
 from helpers import DictGame, mask_to_set, random_table, table_as_nu
 from oracles import (
     BERNOULLI,
+    conversion_oracle,
     fast_moebius_oracle,
+    gamma,
     ksii_oracle,
     shapley_oracle,
     sii_oracle,
@@ -282,3 +284,30 @@ def test_conversions_match_definition_oracles():
     want = stii_oracle(nu, n, 2)
     for s, v in want.items():
         assert stii.get(mask_of(s)) == pytest.approx(v, abs=1e-8)
+
+
+# -- exact-rational reference ------------------------------------------------
+
+
+def scaled_mi(n: int, seed: int, hoods=None) -> InteractionValues:
+    """Random MI over six orders of magnitude, so terms cancel; with hoods,
+    only subsets of a hood carry mass, as in a receptive-field run."""
+    values = {t: v * 10.0 ** (t % 7 - 3) for t, v in random_table(n, seed).items()
+              if hoods is None or any(is_subset(t, h) for h in hoods)}
+    return mi_map(n, values)
+
+
+@pytest.mark.parametrize("index", ["sv", "sii", "ksii", "stii"])
+def test_conversions_within_rounding_bound_of_exact_rationals(index):
+    n = 6
+    tables = [scaled_mi(n, seed=71), scaled_mi(n, seed=72),
+              scaled_mi(n, seed=73, hoods=(0b000111, 0b011110, 0b110001))]
+    for mi in tables:
+        moebius = {mask_to_set(t): v for t, v in mi.values.items()}
+        for k in ((1,) if index == "sv" else range(1, n + 1)):
+            got = convert_mi(mi, index, k)
+            want = conversion_oracle(moebius, n, index, k)
+            assert {mask_to_set(t) for t in got.values} <= set(want)
+            for s, (exact, magnitude, terms) in want.items():
+                err = abs(Fraction(got.get(mask_of(s))) - exact)
+                assert err <= gamma(terms + 1) * magnitude, (index, k, sorted(s))

@@ -77,6 +77,8 @@ def test_graph_from_json_round_trip():
     {"n": 2, "edges": [], "features": "nope"},
     [1, 2, 3],
     {"n": 1, "edges": [], "features": [[10 ** 400]]},       # int beyond float range
+    {"n": 2, "edges": [], "features": [[0], ["1.5"]]},      # numeric string
+    {"n": 2, "edges": [], "features": [[0], [True]]},       # boolean
 ])
 def test_graph_from_json_rejects_malformed(doc):
     with pytest.raises(ParseError):

@@ -201,9 +201,12 @@ def break_doc(mutate):
                                 "mlp": {"w1": [[1.0]], "b1": [0.0],
                                         "w2": [[1.0]]}}]),
     lambda d: d["layers"][0].update(bias=[10 ** 400, 0.0]),
+    lambda d: d["layers"][0].update(bias=["0", 0.0]),
+    lambda d: d["readout"].update(weight=[[True], [1.0]]),
 ], ids=["no-activation", "tanh", "max-pool", "no-layers", "unknown-kind",
         "no-bias", "inf-weight", "bias-length", "unknown-readout",
-        "bool-epsilon", "mlp-missing-key", "int-beyond-float"])
+        "bool-epsilon", "mlp-missing-key", "int-beyond-float", "string-bias",
+        "bool-weight"])
 def test_model_from_json_rejects_malformed(mutate):
     with pytest.raises(ParseError):
         model_from_json(break_doc(mutate))
