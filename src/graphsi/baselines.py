@@ -1,4 +1,4 @@
-"""Exhaustive oracles, permutation-sampling estimators, and the readout audit.
+"""Exhaustive oracles, permutation samplers, the estimator comparison, the readout audit.
 
 The brute-force routines are deliberately plain: they follow the
 defining sums term by term over the full power set so they can serve as
@@ -10,17 +10,20 @@ actual model calls still dedupe through the game cache.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, inf, sqrt
+from typing import Container
 
 import numpy as np
 
-from .coalitions import full_mask, iter_members, iter_subsets, mask_of, sort_key
+from .coalitions import full_mask, iter_subsets, mask_of, sort_key
+from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
 from .graph import Graph, khop_neighborhoods
-from .interactions import InteractionSet, InteractionValues
-from .moebius import build_interaction_set, moebius_transform
+from .interactions import InteractionValues
+from .moebius import DEFAULT_CEILING, build_interaction_set, moebius_transform
+from .validation import ensure_graph, ensure_model
 
 BRUTE_FORCE_MI_MAX = 16
 BRUTE_FORCE_SI_MAX = 14
@@ -162,7 +165,7 @@ def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
 
 
 def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
-                             informed: InteractionSet | None = None) -> InteractionValues:
+                             informed: Container[int] | None = None) -> InteractionValues:
     """Sampled Shapley interaction index for every set of size 1..k.
 
     Per target set S, one draw samples a predecessor set T with the
@@ -227,6 +230,10 @@ def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,
     The linear model's off-family mass must vanish (< 1e-8); the mlp2
     model's mass is the reported finding, with no threshold.
     """
+    if model_linear.readout.kind != "linear":
+        raise ValueError("the first model must use a linear readout")
+    if model_mlp2.readout.kind != "mlp2":
+        raise ValueError("the second model must use an mlp2 readout")
     if g.n > BRUTE_FORCE_SI_MAX:
         raise ValueError(f"audit is capped at n={BRUTE_FORCE_SI_MAX}, got {g.n}")
     if model_linear.num_layers != model_mlp2.num_layers:
@@ -243,3 +250,47 @@ def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,
         report[f"max_abs_mi_outside_{label}"] = off
     report["linear_ok"] = report["max_abs_mi_outside_linear"] < 1e-8
     return report
+
+
+def compare_estimators(model, graph, k: int, budgets: list[int], seeds: list[int],
+                       ceiling: int = DEFAULT_CEILING,
+                       ) -> list[tuple[str, int, int, float | None]]:
+    """Error of each estimator against the exact index, at equal budgets.
+
+    The index is SV at k=1 and SII above. Rows are (method, budget,
+    seed, mse over every set of size 1..k): first the truncated run at
+    each order 1..n_max (its budget is the calls it made, seed 0), then
+    permutation sampling at each budget and seed, for k >= 2 both
+    uninformed and informed by the exact run's interaction set. A
+    budget too small for one sampling round gives mse None.
+    """
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be non-negative integers, got {min(seeds)}")
+    g, model = ensure_graph(graph), ensure_model(model)
+    index = "sv" if k == 1 else "sii"
+    exact = GraphInteractionExplainer(model, index=index, order=k, ceiling=ceiling).fit(g)
+    sets = [mask_of(c) for size in range(1, k + 1) for c in combinations(range(g.n), size)]
+
+    def mse(estimate: InteractionValues) -> float:
+        truth = exact.interactions_
+        return sum((estimate.get(s) - truth.get(s)) ** 2 for s in sets) / len(sets)
+
+    rows = []
+    n_max = max(h.bit_count() for h in exact.hoods_.hoods)
+    for lam in range(1, n_max + 1):
+        run = GraphInteractionExplainer(model, index=index, order=k, lam=lam).fit(g)
+        rows.append((f"graphshapiq_l{lam}", run.call_count_, 0, mse(run.interactions_)))
+
+    game = exact.game_
+    methods = ([("permutation_sv", None)] if k == 1 else
+               [("permutation_sii_uninformed", None),
+                ("permutation_sii_informed", exact.moebius_.values)])
+    for budget, seed in product(budgets, seeds):
+        for method, informed in methods:
+            try:
+                estimate = (permutation_sampling_sv(game, budget, seed)[0] if k == 1 else
+                            permutation_sampling_sii(game, k, budget, seed, informed=informed))
+            except ValueError:  # the budget cannot fund one sampling round
+                estimate = None
+            rows.append((method, budget, seed, None if estimate is None else mse(estimate)))
+    return rows

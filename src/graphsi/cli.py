@@ -14,16 +14,15 @@ import os
 import sys
 
 from . import __version__
-from .baselines import audit_nonlinear_readout, permutation_sampling_sii, permutation_sampling_sv
+from .baselines import audit_nonlinear_readout, compare_estimators
 from .complexity import scaling_study
 from .errors import BudgetExceeded, NonlinearReadout, ParseError, read_json
 from .explainer import GraphInteractionExplainer
 from .export import atomic_write_text, dumps_json, format_float
-from .game import GraphGame
 from .generate import generate_instance
-from .graph import khop_neighborhoods, load_graph
+from .graph import load_graph
 from .interactions import INDEX_KINDS
-from .moebius import DEFAULT_CEILING, build_interaction_set, graphshapiq_approx, graphshapiq_exact
+from .moebius import DEFAULT_CEILING
 from .validation import ensure_baseline, ensure_model
 
 EXIT_OK = 0
@@ -136,69 +135,17 @@ def cmd_complexity(args) -> int:
 # -- benchmark ------------------------------------------------------------
 
 
-def _si_values_map(si, sets: list[int]) -> dict[int, float]:
-    return {s: si.get(s) for s in sets}
-
-
-def _mse(estimate: dict[int, float], truth: dict[int, float]) -> float:
-    return sum((estimate[s] - truth[s]) ** 2 for s in truth) / len(truth)
-
-
 def cmd_benchmark(args) -> int:
-    from itertools import combinations
-
-    from .coalitions import mask_of
-
     ceiling = _runtime_options(args)
-    graph = load_graph(args.graph)
-    model = ensure_model(args.weights)
-    k = args.order
-    if k < 1 or k > graph.n:
-        raise ParseError(f"--order must be in 1..{graph.n}")
     budgets = _parse_int_list(args.budgets, "--budgets")
     seeds = _parse_int_list(args.seeds, "--seeds")
-    index = "sv" if k == 1 else "sii"
-
-    hoods = khop_neighborhoods(graph, model.num_layers)
-    game = GraphGame(model, graph)
-    mi, exact_si = graphshapiq_exact(game, hoods, k, index=index, ceiling=ceiling)
-
-    sets = [mask_of(c) for size in range(1, k + 1)
-            for c in combinations(range(graph.n), size)]
-    truth = _si_values_map(exact_si, sets)
-    iset = build_interaction_set(hoods, ceiling)
-    n_max = max(h.bit_count() for h in hoods.hoods)
-
-    lines = ["method,budget,seed,mse_vs_exact"]
-
-    for lam in range(1, n_max + 1):
-        run_game = GraphGame(model, graph)
-        _, si_hat = graphshapiq_approx(run_game, hoods, lam, k, index=index)
-        mse = _mse(_si_values_map(si_hat, sets), truth)
-        lines.append(f"graphshapiq_l{lam},{run_game.call_count()},0,{format_float(mse)}")
-
-    sample_game = GraphGame(model, graph)
-    for budget in budgets:
-        for seed in seeds:
-            if k == 1:
-                try:
-                    est, _ = permutation_sampling_sv(sample_game, budget, seed)
-                except ValueError:
-                    lines.append(f"permutation_sv,{budget},{seed},infeasible")
-                    continue
-                mse = _mse(_si_values_map(est, sets), truth)
-                lines.append(f"permutation_sv,{budget},{seed},{format_float(mse)}")
-                continue
-            for label, informed in (("uninformed", None), ("informed", iset)):
-                try:
-                    est = permutation_sampling_sii(sample_game, k, budget, seed,
-                                                   informed=informed)
-                except ValueError:
-                    lines.append(f"permutation_sii_{label},{budget},{seed},infeasible")
-                    continue
-                mse = _mse(_si_values_map(est, sets), truth)
-                lines.append(f"permutation_sii_{label},{budget},{seed},{format_float(mse)}")
-
+    try:
+        rows = compare_estimators(args.weights, args.graph, args.order, budgets, seeds, ceiling)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    lines = ["method,budget,seed,mse_vs_exact"] + [
+        f"{method},{budget},{seed},{'infeasible' if mse is None else format_float(mse)}"
+        for method, budget, seed, mse in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -234,10 +181,6 @@ def cmd_audit_readout(args) -> int:
     graph = load_graph(args.graph)
     linear = ensure_model(args.weights_linear)
     mlp2 = ensure_model(args.weights_mlp2)
-    if linear.readout.kind != "linear":
-        raise ParseError("the first weights file must use a linear readout")
-    if mlp2.readout.kind != "mlp2":
-        raise ParseError("the second weights file must use an mlp2 readout")
     baseline = ensure_baseline(args.baseline, graph)
     try:
         report = audit_nonlinear_readout(linear, mlp2, graph, baseline=baseline)

@@ -21,16 +21,6 @@ def mask_of(members) -> int:
     return mask
 
 
-def members_of(mask: int) -> list[int]:
-    """Member indices of a coalition in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def iter_members(mask: int) -> Iterator[int]:
     """Yield member indices in ascending order."""
     while mask:

@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 
-from .coalitions import members_of
+from .coalitions import iter_members
 from .graph import Graph
 from .interactions import InteractionValues
 
@@ -124,7 +124,7 @@ def build_si_graph(si: InteractionValues, nu_full: float, nu_empty: float,
     for mask, value in si.sorted_items():
         if mask.bit_count() < 2 or abs(value) < EXPORT_PRUNE:
             continue
-        hyperedges.append({"members": members_of(mask), "value": value})
+        hyperedges.append({"members": list(iter_members(mask)), "value": value})
     metadata = {
         "index": si.kind,
         "k": si.k,

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
-from .coalitions import full_mask, is_subset, iter_members, iter_subsets, mask_of, sort_key
+from .coalitions import full_mask, is_subset, iter_members, iter_subsets, sort_key
 from .errors import BudgetExceeded, NonlinearReadout
 from .game import GameOracle
 from .graph import NeighborhoodIndex
@@ -56,6 +56,20 @@ def suggest_lambda(hoods: NeighborhoodIndex, ceiling: int) -> int:
     return best
 
 
+def _support(maximal: list[int], lam: int) -> list[int]:
+    """Every subset of size <= lam of the given fields, canonically ordered.
+
+    A subset is a combination of its field's member bits, so its mask is
+    their sum. lam = n_max gives the union of the fields' power sets.
+    """
+    members: set[int] = set()
+    for hood in maximal:
+        bits = [1 << i for i in iter_members(hood)]
+        for size in range(min(lam, len(bits)) + 1):
+            members.update(map(sum, combinations(bits, size)))
+    return sorted(members, key=sort_key)
+
+
 def build_interaction_set(hoods: NeighborhoodIndex,
                           ceiling: int = DEFAULT_CEILING) -> InteractionSet:
     """Union of the power sets of all receptive fields, canonically ordered.
@@ -73,26 +87,20 @@ def build_interaction_set(hoods: NeighborhoodIndex,
         raise BudgetExceeded(bound_sum, bound_nmax, None, ceiling,
                              suggested_lambda=suggest_lambda(hoods, ceiling))
     maximal = _unique_maximal(hoods.hoods)
-    members: set[int] = set()
-    for hood in maximal:
-        members.update(iter_subsets(hood))
-    ordered = tuple(sorted(members, key=sort_key))
-    return InteractionSet(members=ordered, maximal_hoods=tuple(maximal))
+    return InteractionSet(members=tuple(_support(maximal, n_max)),
+                          maximal_hoods=tuple(maximal))
 
 
 def moebius_transform(game, coalition: int, values: dict[int, float] | None = None) -> float:
     """Inclusion-exclusion sum m(S) = sum_{T subset S} (-1)^{|S|-|T|} nu(T).
 
     Reads nu from `values` when given (a missing subset is a caller
-    bug), otherwise evaluates through the game's cache.
+    bug), otherwise evaluates every subset through the game in one batch.
     """
+    if values is None:
+        values = _evaluate_all(game, list(iter_subsets(coalition)))
     s = coalition.bit_count()
     total = 0.0
-    if values is None:
-        for sub in iter_subsets(coalition):
-            term = game.evaluate(sub)
-            total += term if (s - sub.bit_count()) % 2 == 0 else -term
-        return total
     try:
         for sub in iter_subsets(coalition):
             term = values[sub]
@@ -125,6 +133,29 @@ def _grand_value(game: GameOracle, n: int) -> float:
     return game.evaluate(full_mask(n))
 
 
+def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: list[int],
+                  oversized: list[int], k: int, index: str, lam: int | None,
+                  ) -> tuple[InteractionValues, InteractionValues]:
+    """Evaluate kept + oversized in one batch, transform the kept sets, convert.
+
+    Each oversized field, smallest first, gets what the recovery identity
+    leaves unexplained by the values assigned so far; the largest (ties:
+    smallest bitmask) also takes the gap tau to nu(N). Exact runs have none.
+    """
+    n = len(hoods.hoods)
+    values = _evaluate_all(game, kept + oversized)
+    mi_values = {s: moebius_transform(None, s, values) for s in kept}
+    for hood in oversized:
+        explained = sum(v for t, v in mi_values.items() if is_subset(t, hood))
+        mi_values[hood] = values[hood] - explained
+    if oversized:
+        star = min(oversized, key=lambda h: (-h.bit_count(), h))
+        mi_values[star] += _grand_value(game, n) - sum(mi_values.values())
+    mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
+                           ell=hoods.ell, lam=lam, call_count=game.call_count())
+    return mi, convert.convert_mi(mi, index, k)
+
+
 def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index: str = "ksii",
                       ceiling: int = DEFAULT_CEILING,
                       ) -> tuple[InteractionValues, InteractionValues]:
@@ -143,12 +174,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     iset = build_interaction_set(hoods, ceiling)
-    values = _evaluate_all(game, list(iset.members))
-    mi_values = {s: moebius_transform(None, s, values) for s in iset.members}
-    mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
-                           ell=hoods.ell, lam=None, call_count=game.call_count())
-    si = convert.convert_mi(mi, index, k)
-    return mi, si
+    return _interactions(game, hoods, list(iset.members), [], k, index, None)
 
 
 def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,
@@ -158,9 +184,8 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
 
     Keeps interaction-set members of size at most lam, evaluates them
     plus each distinct oversized receptive field, and recovers one
-    surrogate Moebius value per such field from the recovery identity.
-    The largest field (ties: smallest bitmask) absorbs the remaining gap
-    tau so the values sum to nu(N) exactly. Exact whenever
+    surrogate Moebius value per such field from the recovery identity,
+    with the efficiency gap tau on the largest one. Exact whenever
     lam >= n_max - 1.
     """
     _check_readout(game)
@@ -169,35 +194,6 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
         raise ValueError(f"lambda must be in 1..{n}, got {lam}")
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-
-    maximal = _unique_maximal(hoods.hoods)
-    truncated: set[int] = set()
-    for hood in maximal:
-        nodes = list(iter_members(hood))
-        for size in range(0, min(lam, len(nodes)) + 1):
-            for combo in combinations(nodes, size):
-                truncated.add(mask_of(combo))
-    kept = sorted(truncated, key=sort_key)
-
+    kept = _support(_unique_maximal(hoods.hoods), lam)
     oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
-
-    values = _evaluate_all(game, kept + oversized)
-    mi_hat = {s: moebius_transform(None, s, values) for s in kept}
-
-    # Surrogate values for the oversized fields, smallest first: each one
-    # takes whatever the recovery identity leaves unexplained by the
-    # values assigned so far (truncated sets and smaller fields alike).
-    for hood in oversized:
-        explained = sum(v for t, v in mi_hat.items() if is_subset(t, hood))
-        mi_hat[hood] = values[hood] - explained
-
-    if oversized:
-        top_size = max(h.bit_count() for h in oversized)
-        star = min(h for h in oversized if h.bit_count() == top_size)
-        tau = _grand_value(game, n) - sum(mi_hat.values())
-        mi_hat[star] += tau
-
-    mi = InteractionValues(kind="mi", k=n, n=n, values=mi_hat,
-                           ell=hoods.ell, lam=lam, call_count=game.call_count())
-    si = convert.convert_mi(mi, index, k)
-    return mi, si
+    return _interactions(game, hoods, kept, oversized, k, index, lam)

@@ -7,6 +7,7 @@ from graphsi.baselines import (
     brute_force_sii,
     brute_force_stii,
     brute_force_sv,
+    compare_estimators,
     discrete_derivative,
     permutation_sampling_sii,
     permutation_sampling_sv,
@@ -278,3 +279,30 @@ def test_audit_validation():
     _, mlp2 = generate_instance("path", 4, 3, 13, "gin", 1, 4, readout="mlp2")
     with pytest.raises(ValueError):
         audit_nonlinear_readout(linear, mlp2, big)
+
+
+def test_audit_rejects_swapped_models():
+    g, linear = generate_instance("path", 4, 3, 13, "gin", 1, 4)
+    _, mlp2 = generate_instance("path", 4, 3, 13, "gin", 1, 4, readout="mlp2")
+    with pytest.raises(ValueError, match="linear readout"):
+        audit_nonlinear_readout(mlp2, linear, g)
+
+
+# -- estimator comparison -----------------------------------------------------
+
+
+def test_compare_estimators_rows(demo_dir):
+    rows = compare_estimators(demo_dir / "path4_model.json", demo_dir / "path4_graph.json",
+                              2, [31, 136], [0, 1])
+    methods = [method for method, _, _, _ in rows]
+    lam_rows = [row for row in rows if row[0].startswith("graphshapiq_l")]
+    assert methods[:len(lam_rows)] == ["graphshapiq_l1", "graphshapiq_l2", "graphshapiq_l3"]
+    # lambda = n_max is the exact run: |I| = 12 calls, no error at all
+    assert lam_rows[-1][1:] == (12, 0, 0.0)
+    by_key = {(method, budget, seed): mse for method, budget, seed, mse in rows}
+    assert by_key["permutation_sii_uninformed", 31, 0] is None
+    assert by_key["permutation_sii_informed", 31, 0] >= 0.0
+    assert len(rows) == 3 + 2 * 2 * 2
+    with pytest.raises(ValueError, match="non-negative"):
+        compare_estimators(demo_dir / "path4_model.json", demo_dir / "path4_graph.json",
+                           2, [136], [0, -1])

@@ -316,6 +316,12 @@ def test_benchmark_out_file_and_validation(path4_args, tmp_path, capsys):
     assert main(["benchmark", *path4_args, "--budgets", ""]) == 2
     assert main(["benchmark", *path4_args, "--budgets", "ten"]) == 2
     capsys.readouterr()
+    # a negative seed is malformed input, not an unaffordable budget
+    negative = tmp_path / "negative.csv"
+    assert main(["benchmark", *path4_args, "--budgets", "136", "--seeds", "0,-1",
+                 "--out", str(negative)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not negative.exists()
 
 
 # --------------------------------------------------------------- generate

@@ -251,6 +251,11 @@ def test_truncation_at_full_width_matches_exact():
     keys = set(exact_mi.values) | set(approx_mi.values)
     for t in keys:
         assert approx_mi.get(t) == pytest.approx(exact_mi.get(t), abs=1e-9)
+    # at lam = n_max nothing is oversized: the truncated run is the exact run
+    full_game = GraphGame(model, g)
+    full_mi, _ = graphshapiq_approx(full_game, hoods, lam=n_max, k=2)
+    assert full_mi.values == exact_mi.values
+    assert full_game.call_count() == exact_mi.call_count
 
 
 def test_truncated_sum_hits_the_full_prediction_at_every_order():
