@@ -22,7 +22,8 @@ from .game import GameOracle, GraphGame
 from .generate import seeded_rng
 from .graph import Graph, khop_neighborhoods
 from .interactions import InteractionValues
-from .moebius import DEFAULT_CEILING, build_interaction_set, moebius_transform
+from .moebius import (DEFAULT_CEILING, build_interaction_set, graphshapiq_approx,
+                      moebius_transform)
 from .validation import ensure_graph, ensure_model
 
 BRUTE_FORCE_MI_MAX = 16
@@ -209,8 +210,8 @@ def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
         others = np.array([i for i in range(n) if not s_mask & (1 << i)], dtype=np.int64)
         t_size = int(rng.integers(0, len(others) + 1))
         t_mask = mask_of(int(j) for j in rng.permutation(others)[:t_size])
-        values = {t_mask | sub: game.evaluate(t_mask | sub)
-                  for sub in iter_subsets(s_mask)}
+        coalitions = [t_mask | sub for sub in iter_subsets(s_mask)]
+        values = dict(zip(coalitions, game.evaluate_batch(coalitions)))
         sums[s_mask] += discrete_derivative(values, s_mask, t_mask)
         draws[s_mask] += 1
         position = (position + 1) % len(targets)
@@ -259,7 +260,8 @@ def compare_estimators(model, graph, k: int, budgets: list[int], seeds: list[int
 
     The index is SV at k=1 and SII above. Rows are (method, budget,
     seed, mse over every set of size 1..k): first the truncated run at
-    each order 1..n_max (its budget is the calls it made, seed 0), then
+    each order 1..n_max (its budget is the calls it makes on a game of
+    its own, seed 0), then
     permutation sampling at each budget and seed, for k >= 2 both
     uninformed and informed by the exact run's interaction set. A
     budget too small for one sampling round gives mse None.
@@ -275,13 +277,15 @@ def compare_estimators(model, graph, k: int, budgets: list[int], seeds: list[int
         truth = exact.interactions_
         return sum((estimate.get(s) - truth.get(s)) ** 2 for s in sets) / len(sets)
 
+    # Every run reads the exact run's game, so no coalition is forwarded twice;
+    # a lambda run's budget is the sets its Moebius map holds, each evaluated once.
+    game = exact.game_
     rows = []
     n_max = max(h.bit_count() for h in exact.hoods_.hoods)
     for lam in range(1, n_max + 1):
-        run = GraphInteractionExplainer(model, index=index, order=k, lam=lam).fit(g)
-        rows.append((f"graphshapiq_l{lam}", run.call_count_, 0, mse(run.interactions_)))
+        mi, estimate = graphshapiq_approx(game, exact.hoods_, lam, k, index=index)
+        rows.append((f"graphshapiq_l{lam}", len(mi.values), 0, mse(estimate)))
 
-    game = exact.game_
     methods = ([("permutation_sv", None)] if k == 1 else
                [("permutation_sii_uninformed", None),
                 ("permutation_sii_informed", exact.moebius_.values)])

@@ -10,6 +10,7 @@ requested. Runtime options resolve as flags > GRAPHSI_* environment >
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -200,7 +201,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON config file; precedence: flags > env > config")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="graphsi",
         description="Shapley interactions for GNN graph predictions via "

@@ -6,7 +6,9 @@ the last), sum or mean pooling, and a linear readout. An mlp2 readout
 audit and the sparse exact solver refuses to run on it.
 
 All arithmetic is float64. 32-bit accumulation loses the tight
-invariance tolerances on deeper stacks.
+invariance tolerances on deeper stacks. The forwards take one realized
+feature matrix (n, d0) or a stack of them (B, n, d0); each matrix of a
+stack gets the same bits it would get alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalitions import contains
 from .errors import ParseError, as_matrix, as_vector, read_json
 from .graph import Graph
 
@@ -119,6 +120,12 @@ class GnnModel:
     @property
     def d_out(self) -> int:
         return self.readout.d_out
+
+    @property
+    def width(self) -> int:
+        """Widest per-node vector in the conv stack: input, hidden or output."""
+        return max(max(layer.weight.shape) if isinstance(layer, GcnLayer)
+                   else max(layer.w1.shape + layer.w2.shape) for layer in self.layers)
 
     def to_json_dict(self) -> dict:
         layers = []
@@ -261,11 +268,12 @@ def default_baseline(g: Graph) -> np.ndarray:
     return g.features.mean(axis=0)
 
 
-def masked_features(g: Graph, baseline: np.ndarray, coalition: int) -> np.ndarray:
-    """Realized matrix X^(T): row i is x_i when i is in T, else the baseline."""
-    keep = np.fromiter((contains(coalition, i) for i in range(g.n)),
-                       dtype=bool, count=g.n)
-    return np.where(keep[:, None], g.features, baseline[None, :])
+def masked_features(g: Graph, baseline: np.ndarray, coalitions) -> np.ndarray:
+    """Stack (B, n, d0) of realized matrices X^(T), one per coalition T in
+    the sequence: row i of X^(T) is x_i when i is in T, else the baseline."""
+    bits = np.array(coalitions, dtype=np.uint64)
+    keep = (bits[:, None] >> np.arange(g.n, dtype=np.uint64)) & np.uint64(1)
+    return np.where(keep[:, :, None] == 1, g.features, baseline)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -273,9 +281,9 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _conv_stack(model: GnnModel, g: Graph, x: np.ndarray) -> np.ndarray:
-    if x.shape[1] != model.d_in:
+    if x.shape[-1] != model.d_in:
         raise DimensionMismatch(
-            f"layers[0] expects input width {model.d_in}, features have {x.shape[1]}")
+            f"layers[0] expects input width {model.d_in}, features have {x.shape[-1]}")
     adj, a_hat = _graph_matrices(g)
     h = x
     last = len(model.layers) - 1
@@ -297,14 +305,19 @@ def _apply_readout(readout, pooled: np.ndarray) -> np.ndarray:
 
 
 def forward_graph(model: GnnModel, g: Graph, x: np.ndarray) -> np.ndarray:
-    """Graph-level output (logits) for a realized feature matrix."""
+    """Graph-level output (logits) for a realized feature matrix (n, d0),
+    or one row of logits per matrix of a (B, n, d0) stack."""
     h = _conv_stack(model, g, x)
-    pooled = h.sum(axis=0) if model.pooling == "sum" else h.mean(axis=0)
-    return _apply_readout(model.readout, pooled)
+    pooled = h.sum(axis=-2) if model.pooling == "sum" else h.mean(axis=-2)
+    # One vector-matrix product per pooled row: a single (B, d) @ (d, c)
+    # product rounds differently from the (d,) @ (d, c) of a lone matrix.
+    rows = [_apply_readout(model.readout, p) for p in pooled.reshape(-1, pooled.shape[-1])]
+    return np.reshape(rows, pooled.shape[:-1] + (model.d_out,))
 
 
 def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray:
-    """Node embedding after the last conv layer, before pooling."""
+    """Node i's embedding after the last conv layer, before pooling: a
+    vector for one matrix, one row per matrix of a stack."""
     if not (0 <= i < g.n):
         raise IndexError(f"node index {i} out of range for n={g.n}")
-    return _conv_stack(model, g, x)[i]
+    return _conv_stack(model, g, x)[..., i, :].copy()  # a view would pin the whole stack

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import graphsi.game
 from graphsi.baselines import (
     audit_nonlinear_readout,
     brute_force_mi,
@@ -12,7 +15,9 @@ from graphsi.baselines import (
     permutation_sampling_sii,
     permutation_sampling_sv,
 )
+from graphsi.coalitions import mask_of
 from graphsi.convert import convert_mi
+from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
 from graphsi.graph import khop_neighborhoods
@@ -306,3 +311,31 @@ def test_compare_estimators_rows(demo_dir):
     with pytest.raises(ValueError, match="non-negative"):
         compare_estimators(demo_dir / "path4_model.json", demo_dir / "path4_graph.json",
                            2, [136], [0, -1])
+
+
+def test_compare_estimators_forwards_each_coalition_once(demo_dir, monkeypatch):
+    model, graph = demo_dir / "er8_model.json", demo_dir / "er8_graph.json"
+    forwards = []  # coalitions (rows) per forward_graph call
+    real = graphsi.game.forward_graph
+
+    def counting(model, g, x):
+        forwards.append(len(x) if x.ndim == 3 else 1)
+        return real(model, g, x)
+
+    monkeypatch.setattr(graphsi.game, "forward_graph", counting)
+    rows = compare_estimators(model, graph, 2, [], [0])
+    construction, *stacks = forwards
+    assert construction == 1  # one game serves every run
+    assert sum(stacks) == 136  # |I|: the lambda runs forward nothing new
+    monkeypatch.undo()
+
+    # each row equals a run on a game of its own: budget and mse bits
+    truth = GraphInteractionExplainer(model, index="sii", order=2).fit(graph).interactions_
+    sets = [mask_of(c) for size in (1, 2) for c in combinations(range(8), size)]
+    want = []
+    for lam in range(1, 8):
+        own = GraphInteractionExplainer(model, index="sii", order=2, lam=lam).fit(graph)
+        mse = sum((own.interactions_.get(s) - truth.get(s)) ** 2 for s in sets) / len(sets)
+        want.append((f"graphshapiq_l{lam}", own.call_count_, 0, mse))
+    assert rows == want
+    assert [budget for _, budget, _, _ in rows] == [17, 40, 77, 110, 129, 136, 136]

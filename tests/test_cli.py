@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from graphsi.cli import main
+from graphsi.cli import build_parser, main
 from graphsi.export import dumps_json
 from graphsi.graph import load_graph, make_graph
 
@@ -160,6 +160,24 @@ def test_exclusive_lambda_and_exact(path4_args, capsys):
 def test_unknown_index_rejected_by_parser(path4_args, capsys):
     assert main(["explain", *path4_args, "--index", "banzhaf"]) == 2
     capsys.readouterr()
+
+
+def test_consecutive_calls_share_no_state(path4_args, tmp_path, capsys):
+    first, last = tmp_path / "sv.json", tmp_path / "default.json"
+    assert main(["explain", *path4_args, "--index", "sv", "--normalize",
+                 "--out", str(first)]) == 0
+    assert main(["complexity", path4_args[0], "--ell", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("path4_graph,4,2,")
+    assert main(["explain", *path4_args, "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["explain", *path4_args, "--out", str(last)]) == 0
+    assert main(["explain", *path4_args]) == 0
+    assert capsys.readouterr().out.encode() == last.read_bytes()
+    doc = json.loads(last.read_text())
+    assert doc["metadata"]["index"] == "ksii"
+    assert doc["metadata"]["nu_empty"] != 0.0  # --normalize did not carry over
+    assert json.loads(first.read_text())["metadata"]["index"] == "sv"
+    assert build_parser() is build_parser()  # built once per process
 
 
 def test_version_exits_zero(capsys):

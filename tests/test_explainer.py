@@ -108,18 +108,20 @@ def test_fitted_attributes_exact(path4):
 def test_call_count_is_the_forwards_actually_run(demo_dir, monkeypatch, normalize):
     import graphsi.game
 
-    forwards = []
+    forwards = []  # coalitions (rows) per forward_graph call
     real = graphsi.game.forward_graph
 
-    def counting(*args, **kwargs):
-        forwards.append(1)
-        return real(*args, **kwargs)
+    def counting(model, g, x):
+        forwards.append(len(x) if x.ndim == 3 else 1)
+        return real(model, g, x)
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting)
     ex = GraphInteractionExplainer(demo_dir / "er8_model.json", index="ksii",
                                    normalize=normalize).fit(demo_dir / "er8_graph.json")
-    after_construction = len(forwards) - 1  # one unmasked pass freezes the target
-    assert after_construction == ex.call_count_ == ex.interaction_set_size_
+    construction, *stacks = forwards  # one unmasked pass freezes the target
+    assert construction == 1
+    assert sum(stacks) == ex.call_count_ == ex.interaction_set_size_
+    assert len(stacks) < sum(stacks)  # coalitions were forwarded in stacks
 
 
 def test_fitted_attributes_truncated(path4):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -120,12 +121,12 @@ def test_call_count_counts_distinct_coalitions():
 
 
 def test_concurrent_callers_forward_each_coalition_once(monkeypatch):
-    forwards = []
+    forwards = []  # coalitions (rows) per forward_graph call
     real = graphsi.game.forward_graph
 
-    def counting(*args):
-        forwards.append(1)
-        return real(*args)
+    def counting(model, g, x):
+        forwards.append(len(x) if x.ndim == 3 else 1)
+        return real(model, g, x)
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting)
     game = demo_game(normalize=True)
@@ -147,9 +148,59 @@ def test_concurrent_callers_forward_each_coalition_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(forwards) == game.call_count() == 32
+    assert sum(forwards) == game.call_count() == 32
+    assert len(forwards) < sum(forwards)  # coalitions were forwarded in stacks
     want = demo_game(normalize=True).evaluate_batch(masks)
     assert results == {s: want[s:] + want[:s] for s in range(0, 32, 4)}
+
+
+def _lone_matrix(g, baseline, t):
+    """X^(T) built row by row, apart from the game's stacked mask."""
+    return np.array([g.features[i] if t >> i & 1 else baseline for i in range(g.n)])
+
+
+@pytest.mark.parametrize("readout", ["linear", "mlp2"])
+@pytest.mark.parametrize("pooling", ["sum", "mean"])
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
+def test_stacked_values_bit_identical_to_lone_forwards(kind, pooling, readout, monkeypatch):
+    g, model = generate_instance("er", 16, 3, 17, kind, 2, 32, edge_prob=0.2,
+                                 readout=readout)
+    model = dataclasses.replace(model, pooling=pooling)
+    rows = GraphGame(model, g)._rows
+    rng = np.random.Generator(np.random.Philox(5))
+    masks = [int(t) for t in rng.choice(1 << g.n, size=rows + 1, replace=False)]
+    stacks = []
+    real = graphsi.game.forward_graph
+
+    def recording(model, g, x):
+        stacks.append(len(x))
+        return real(model, g, x)
+
+    monkeypatch.setattr(graphsi.game, "forward_graph", recording)
+    for size, chunks in ((rows - 1, [rows - 1]), (rows, [rows]), (rows + 1, [rows, 1])):
+        game = GraphGame(model, g)
+        stacks.clear()  # drop the construction pass
+        values = game.evaluate_batch(masks[:size])
+        assert stacks == chunks
+        for t, value in zip(masks, values):
+            x = _lone_matrix(g, game.baseline, t)
+            assert value == float(real(model, g, x)[game.target])  # no tolerance
+    node = NodeGame(model, g, 3)
+    for t, value in zip(masks, node.evaluate_batch(masks)):
+        want = forward_node(model, g, _lone_matrix(g, node.baseline, t), 3)
+        assert (value == want).all()
+        assert not value.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
+def test_single_node_stack_bit_identical(kind):
+    g, model = generate_instance("path", 1, 2, 3, kind, 1, 4)
+    game, node = GraphGame(model, g), NodeGame(model, g, 0)
+    for t, value, embedding in zip([0, 1], game.evaluate_batch([0, 1]),
+                                   node.evaluate_batch([0, 1])):
+        x = _lone_matrix(g, game.baseline, t)
+        assert value == float(forward_graph(model, g, x)[game.target])
+        assert (embedding == forward_node(model, g, x, 0)).all()
 
 
 def test_repeated_evaluations_bitwise_identical(rng):
@@ -232,7 +283,7 @@ def test_node_game_evaluates_embeddings():
     g, model = generate_instance("er", 5, 3, 41, "gin", 1, 4, edge_prob=0.5)
     node = NodeGame(model, g, 2)
     t = mask_of([0, 2, 4])
-    want = forward_node(model, g, masked_features(g, node.baseline, t), 2)
+    want = forward_node(model, g, masked_features(g, node.baseline, [t])[0], 2)
     np.testing.assert_array_equal(node.evaluate(t), want)
     assert node.evaluate(t).shape == (model.d_ell,)
     node.evaluate(t)

@@ -93,9 +93,8 @@ def test_node_embedding_ignores_masking_outside_receptive_field(kind, layers, rn
     for _ in range(25):
         t = int(rng.integers(0, 1 << g.n))
         for i in range(g.n):
-            full = forward_node(model, g, masked_features(g, baseline, t), i)
-            trimmed = forward_node(
-                model, g, masked_features(g, baseline, t & hoods[i]), i)
+            full, trimmed = forward_node(
+                model, g, masked_features(g, baseline, [t, t & hoods[i]]), i)
             np.testing.assert_allclose(full, trimmed, atol=1e-9)
 
 
@@ -144,11 +143,10 @@ def test_default_baseline_is_feature_mean():
 def test_masked_features_replaces_dropped_rows():
     g = make_graph(3, [(0, 1), (1, 2)], [[1.0], [2.0], [3.0]])
     b = np.array([9.0])
-    np.testing.assert_array_equal(masked_features(g, b, 0b010),
-                                  [[9.0], [2.0], [9.0]])
-    np.testing.assert_array_equal(masked_features(g, b, 0b111), g.features)
-    np.testing.assert_array_equal(masked_features(g, b, 0),
-                                  [[9.0], [9.0], [9.0]])
+    np.testing.assert_array_equal(masked_features(g, b, [0b010, 0b111, 0]),
+                                  [[[9.0], [2.0], [9.0]], g.features,
+                                   [[9.0], [9.0], [9.0]]])
+    assert masked_features(g, b, []).shape == (0, 3, 1)
 
 
 # -- serialization and validation --------------------------------------------
