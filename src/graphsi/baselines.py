@@ -1,121 +1,44 @@
 """Exhaustive oracles, permutation samplers, the estimator comparison, the readout audit.
 
-The brute-force routines are deliberately plain: they follow the
-defining sums term by term over the full power set so they can serve as
-ground truth for everything else. The samplers draw discrete
-derivatives with the exact Shapley distribution over predecessor sets;
-budgets count nominal evaluations under the documented schedule while
-actual model calls still dedupe through the game cache.
+The brute-force Moebius map evaluates the full power set and runs the
+package's one inclusion-exclusion sum over it; every index follows from
+it through `convert_mi`, the same linear maps the sparse pipeline uses.
+The term-by-term SV/SII/STII definitions live only in the test oracles.
+The samplers draw discrete derivatives with the exact Shapley
+distribution over predecessor sets; budgets count nominal evaluations
+under the documented schedule while actual model calls still dedupe
+through the game cache.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb, factorial, inf, sqrt
+from math import inf, sqrt
 from typing import Container
 
 import numpy as np
 
-from .coalitions import full_mask, iter_subsets, mask_of, sort_key
+from .coalitions import iter_subsets, mask_of, sort_key
 from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
 from .graph import Graph, khop_neighborhoods
 from .interactions import InteractionValues
-from .moebius import (DEFAULT_CEILING, build_interaction_set, graphshapiq_approx,
-                      moebius_transform)
+from .moebius import (DEFAULT_CEILING, _evaluate_all, build_interaction_set,
+                      graphshapiq_approx, moebius_transform)
 from .validation import ensure_graph, ensure_model
 
 BRUTE_FORCE_MI_MAX = 16
-BRUTE_FORCE_SI_MAX = 14
-
-
-def _all_values(game: GameOracle, n: int) -> dict[int, float]:
-    masks = list(range(1 << n))
-    return dict(zip(masks, game.evaluate_batch(masks)))
-
-
-def discrete_derivative(values: dict[int, float], s_mask: int, t_mask: int) -> float:
-    """Delta_S(T) = sum_{L subset S} (-1)^{|S|-|L|} nu(T u L); T disjoint from S."""
-    s = s_mask.bit_count()
-    total = 0.0
-    for sub in iter_subsets(s_mask):
-        term = values[t_mask | sub]
-        total += term if (s - sub.bit_count()) % 2 == 0 else -term
-    return total
+AUDIT_MAX = 14
 
 
 def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
     """Exact Moebius interactions of every subset, by inclusion-exclusion."""
     if n > BRUTE_FORCE_MI_MAX:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
-    values = _all_values(game, n)
+    values = _evaluate_all(game, list(range(1 << n)))
     mi = {s: moebius_transform(None, s, values) for s in range(1 << n)}
     return InteractionValues(kind="mi", k=n, n=n, values=mi,
-                             call_count=game.call_count())
-
-
-def brute_force_sv(game: GameOracle, n: int) -> InteractionValues:
-    """Shapley values by the weighted marginal-contribution sum."""
-    if n > BRUTE_FORCE_SI_MAX:
-        raise ValueError(f"brute force is capped at n={BRUTE_FORCE_SI_MAX}, got {n}")
-    values = _all_values(game, n)
-    fact = [factorial(j) for j in range(n + 1)]
-    out: dict[int, float] = {}
-    for i in range(n):
-        rest = full_mask(n) & ~(1 << i)
-        total = 0.0
-        for t in iter_subsets(rest):
-            size = t.bit_count()
-            weight = fact[size] * fact[n - size - 1] / fact[n]
-            total += weight * (values[t | (1 << i)] - values[t])
-        out[1 << i] = total
-    return InteractionValues(kind="sv", k=1, n=n, values=out,
-                             call_count=game.call_count())
-
-
-def brute_force_sii(game: GameOracle, n: int, k: int) -> InteractionValues:
-    """Shapley interaction index for every set of size 1..k, by definition."""
-    if n > BRUTE_FORCE_SI_MAX:
-        raise ValueError(f"brute force is capped at n={BRUTE_FORCE_SI_MAX}, got {n}")
-    values = _all_values(game, n)
-    fact = [factorial(j) for j in range(n + 1)]
-    out: dict[int, float] = {}
-    grand = full_mask(n)
-    for size in range(1, k + 1):
-        for combo in combinations(range(n), size):
-            s_mask = mask_of(combo)
-            rest = grand & ~s_mask
-            total = 0.0
-            for t in iter_subsets(rest):
-                tsize = t.bit_count()
-                weight = fact[tsize] * fact[n - tsize - size] / fact[n - size + 1]
-                total += weight * discrete_derivative(values, s_mask, t)
-            out[s_mask] = total
-    return InteractionValues(kind="sii", k=k, n=n, values=out,
-                             call_count=game.call_count())
-
-
-def brute_force_stii(game: GameOracle, n: int, k: int) -> InteractionValues:
-    """Shapley-Taylor interactions by definition: Moebius values below the
-    top order, the weighted discrete-derivative sum at order k."""
-    if n > BRUTE_FORCE_SI_MAX:
-        raise ValueError(f"brute force is capped at n={BRUTE_FORCE_SI_MAX}, got {n}")
-    values = _all_values(game, n)
-    out: dict[int, float] = {}
-    grand = full_mask(n)
-    for size in range(1, k):
-        for combo in combinations(range(n), size):
-            s_mask = mask_of(combo)
-            out[s_mask] = moebius_transform(None, s_mask, values)
-    for combo in combinations(range(n), k):
-        s_mask = mask_of(combo)
-        rest = grand & ~s_mask
-        total = 0.0
-        for t in iter_subsets(rest):
-            total += discrete_derivative(values, s_mask, t) / comb(n - 1, t.bit_count())
-        out[s_mask] = total * k / n
-    return InteractionValues(kind="stii", k=k, n=n, values=out,
                              call_count=game.call_count())
 
 
@@ -140,16 +63,15 @@ def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
     spent = 0
     while spent + n + 1 <= budget:
         spent += n + 1
-        order = rng.permutation(n)
-        prefix = 0
-        before = game.evaluate(prefix)
+        order = rng.permutation(n).tolist()
+        prefixes = [0]
         for player in order:
-            prefix |= 1 << int(player)
-            after = game.evaluate(prefix)
+            prefixes.append(prefixes[-1] | 1 << player)
+        values = game.evaluate_batch(prefixes)
+        for player, before, after in zip(order, values, values[1:]):
             delta = after - before
             sums[player] += delta
             squares[player] += delta * delta
-            before = after
         rounds += 1
     means = sums / rounds
     stderr: dict[int, float] = {}
@@ -210,9 +132,9 @@ def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
         others = np.array([i for i in range(n) if not s_mask & (1 << i)], dtype=np.int64)
         t_size = int(rng.integers(0, len(others) + 1))
         t_mask = mask_of(int(j) for j in rng.permutation(others)[:t_size])
-        coalitions = [t_mask | sub for sub in iter_subsets(s_mask)]
-        values = dict(zip(coalitions, game.evaluate_batch(coalitions)))
-        sums[s_mask] += discrete_derivative(values, s_mask, t_mask)
+        subs = list(iter_subsets(s_mask))
+        shifted = dict(zip(subs, game.evaluate_batch([t_mask | sub for sub in subs])))
+        sums[s_mask] += moebius_transform(None, s_mask, shifted)  # Delta_S(T)
         draws[s_mask] += 1
         position = (position + 1) % len(targets)
 
@@ -235,8 +157,8 @@ def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,
         raise ValueError("the first model must use a linear readout")
     if model_mlp2.readout.kind != "mlp2":
         raise ValueError("the second model must use an mlp2 readout")
-    if g.n > BRUTE_FORCE_SI_MAX:
-        raise ValueError(f"audit is capped at n={BRUTE_FORCE_SI_MAX}, got {g.n}")
+    if g.n > AUDIT_MAX:
+        raise ValueError(f"audit is capped at n={AUDIT_MAX}, got {g.n}")
     if model_linear.num_layers != model_mlp2.num_layers:
         raise ValueError("models must share the conv layer count")
     ell = model_linear.num_layers

@@ -33,10 +33,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def contains(mask: int, i: int) -> bool:
-    return bool(mask & (1 << i))
-
-
 def is_subset(small: int, big: int) -> bool:
     return small & ~big == 0
 

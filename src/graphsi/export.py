@@ -7,6 +7,7 @@ temp-file-plus-rename so readers never see a half-written artifact.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -74,21 +75,8 @@ def _write_json(obj, out: list[str], indent: int, depth: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-            "\b": "\\b", "\f": "\\f"}
-
-
-def _escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+# Quotes, backslash and U+0000-U+001F escaped; everything else verbatim.
+_escape = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,25 +8,25 @@ import graphsi.game
 from graphsi.baselines import (
     audit_nonlinear_readout,
     brute_force_mi,
-    brute_force_sii,
-    brute_force_stii,
-    brute_force_sv,
     compare_estimators,
-    discrete_derivative,
     permutation_sampling_sii,
     permutation_sampling_sv,
 )
-from graphsi.coalitions import mask_of
+from graphsi.coalitions import iter_subsets, mask_of
 from graphsi.convert import convert_mi
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
 from graphsi.graph import khop_neighborhoods
-from graphsi.moebius import build_interaction_set, graphshapiq_exact
+from graphsi.moebius import build_interaction_set, graphshapiq_exact, moebius_transform
 from graphsi.nn import GnnModel, Mlp2Readout
 
-from helpers import DictGame, random_table
-from oracles import fast_moebius_oracle
+from helpers import DictGame, mask_to_set, random_table, table_as_nu
+from oracles import fast_moebius_oracle, shapley_oracle, sii_oracle, stii_oracle
+
+
+def brute_force_index(game, n, index, k):
+    return convert_mi(brute_force_mi(game, n), index, k)
 
 
 def er8_instance(readout="linear"):
@@ -73,13 +74,13 @@ def test_brute_force_agrees_with_sparse_exact_and_dp():
 
 
 def test_one_player_shapley_value():
-    sv = brute_force_sv(DictGame(1, {0: 0.25, 1: 2.0}), 1)
+    sv = brute_force_index(DictGame(1, {0: 0.25, 1: 2.0}), 1, "sv", 1)
     assert sv.values[0b1] == pytest.approx(1.75, abs=1e-12)
 
 
 def test_symmetric_players_get_equal_shares():
     table = {0b00: 0.0, 0b01: 1.0, 0b10: 1.0, 0b11: 3.0}
-    sv = brute_force_sv(DictGame(2, table), 2)
+    sv = brute_force_index(DictGame(2, table), 2, "sv", 1)
     assert sv.values[0b01] == pytest.approx(sv.values[0b10], abs=1e-12)
     assert sv.values[0b01] == pytest.approx(1.5, abs=1e-12)
 
@@ -88,51 +89,55 @@ def test_glove_game_shapley_values():
     # player 0 owns the left glove, 1 and 2 each a right one
     table = {t: 0.0 for t in range(8)}
     table[0b011] = table[0b101] = table[0b111] = 1.0
-    sv = brute_force_sv(DictGame(3, table), 3)
+    sv = brute_force_index(DictGame(3, table), 3, "sv", 1)
     assert sv.values[0b001] == pytest.approx(2 / 3, abs=1e-12)
     assert sv.values[0b010] == pytest.approx(1 / 6, abs=1e-12)
     assert sv.values[0b100] == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_brute_force_size_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at n=16"):
         brute_force_mi(DictGame(17, {}), 17)
-    with pytest.raises(ValueError):
-        brute_force_sv(DictGame(15, {}), 15)
-    with pytest.raises(ValueError):
-        brute_force_sii(DictGame(15, {}), 15, 2)
-    with pytest.raises(ValueError):
-        brute_force_stii(DictGame(15, {}), 15, 2)
 
 
 def test_direct_definitions_agree_with_mi_conversion():
-    # end-to-end check of the redistribution weights
+    # end-to-end check of the redistribution weights against the definitions
+    k = 3
     for n, seed in ((5, 73), (8, 74)):
         table = random_table(n, seed)
+        nu = table_as_nu(table)
         mi = brute_force_mi(DictGame(n, table), n)
-        sv = brute_force_sv(DictGame(n, table), n)
-        for t, v in convert_mi(mi, "sv", 1).values.items():
-            assert v == pytest.approx(sv.values[t], abs=1e-8)
-        k = 3
-        sii = brute_force_sii(DictGame(n, table), n, k)
-        for t, v in convert_mi(mi, "sii", k).values.items():
-            assert v == pytest.approx(sii.values[t], abs=1e-8)
-        stii = brute_force_stii(DictGame(n, table), n, k)
-        for t, v in convert_mi(mi, "stii", k).values.items():
-            assert v == pytest.approx(stii.values[t], abs=1e-8)
+        sv = convert_mi(mi, "sv", 1).values
+        assert sorted(sv) == [1 << i for i in range(n)]
+        for i in range(n):
+            assert sv[1 << i] == pytest.approx(shapley_oracle(nu, n, i), abs=1e-8)
+        sii = convert_mi(mi, "sii", k).values
+        assert len(sii) == sum(comb(n, r) for r in range(1, k + 1))
+        for t, v in sii.items():
+            assert v == pytest.approx(sii_oracle(nu, n, mask_to_set(t)), abs=1e-8)
+        stii = convert_mi(mi, "stii", k).values
+        want = stii_oracle(nu, n, k)
+        assert {mask_to_set(t) for t in stii} == set(want)
+        for t, v in stii.items():
+            assert v == pytest.approx(want[mask_to_set(t)], abs=1e-8)
 
 
 def test_pairwise_derivative_recursion():
+    # Delta_S(T) is the Moebius sum of the game shifted by T, as the SII sampler takes it
     n = 6
     values = random_table(n, seed=75)
+
+    def derivative(s, t):
+        return moebius_transform(None, s, {sub: values[t | sub] for sub in iter_subsets(s)})
+
     for i, j in ((0, 1), (2, 5)):
         s = (1 << i) | (1 << j)
         rest = [t for t in range(1 << n) if not t & s]
         for t in rest:
             joint = values[t | s] - values[t]
-            di = discrete_derivative(values, 1 << i, t)
-            dj = discrete_derivative(values, 1 << j, t)
-            dij = discrete_derivative(values, s, t)
+            di = derivative(1 << i, t)
+            dj = derivative(1 << j, t)
+            dij = derivative(s, t)
             assert dij == pytest.approx(joint - di - dj, abs=1e-12)
 
 
@@ -142,7 +147,7 @@ def test_pairwise_derivative_recursion():
 def test_sv_sampler_statistical_gate():
     n = 6
     table = random_table(n, seed=71)
-    truth = brute_force_sv(DictGame(n, table), n)
+    truth = brute_force_index(DictGame(n, table), n, "sv", 1)
     hits = 0
     for seed in range(20):
         est, stderr = permutation_sampling_sv(DictGame(n, table), 200_000, seed)
@@ -155,7 +160,7 @@ def test_sv_sampler_statistical_gate():
 def test_sv_sampler_mean_is_unbiased():
     n = 6
     table = random_table(n, seed=71)
-    truth = brute_force_sv(DictGame(n, table), n)
+    truth = brute_force_index(DictGame(n, table), n, "sv", 1)
     samples = np.zeros((500, n))
     for seed in range(500):
         est, _ = permutation_sampling_sv(DictGame(n, table), 280, seed)
@@ -207,7 +212,7 @@ def test_sii_sampler_informed_zeros_are_exact():
 def test_sii_sampler_informed_filter_usually_wins():
     g, model = er8_instance()
     iset = build_interaction_set(khop_neighborhoods(g, 1))
-    truth = brute_force_sii(GraphGame(model, g), 8, 2)
+    truth = brute_force_index(GraphGame(model, g), 8, "sii", 2)
 
     def mse(est):
         return sum((est.get(t) - truth.values[t]) ** 2
@@ -226,7 +231,7 @@ def test_sii_sampler_informed_filter_usually_wins():
 def test_sii_sampler_order_one_estimates_shapley_values():
     n = 5
     table = random_table(n, seed=72)
-    truth = brute_force_sv(DictGame(n, table), n)
+    truth = brute_force_index(DictGame(n, table), n, "sv", 1)
     est = permutation_sampling_sii(DictGame(n, table), 1, 60_000, seed=9)
     assert est.kind == "sii" and set(est.values) == {1 << i for i in range(n)}
     for i in range(n):
@@ -339,3 +344,14 @@ def test_compare_estimators_forwards_each_coalition_once(demo_dir, monkeypatch):
         want.append((f"graphshapiq_l{lam}", own.call_count_, 0, mse))
     assert rows == want
     assert [budget for _, budget, _, _ in rows] == [17, 40, 77, 110, 129, 136, 136]
+
+    # k = 1: each permutation's n + 1 prefixes go to the model as one stack
+    monkeypatch.setattr(graphsi.game, "forward_graph", counting)
+    forwards.clear()
+    compare_estimators(model, graph, 1, [], [0])
+    without_sampler = len(forwards)
+    forwards.clear()
+    rows = compare_estimators(model, graph, 1, [136], [0])
+    assert rows[-1][:3] == ("permutation_sv", 136, 0)
+    assert len(forwards) - without_sampler <= 136 // 9  # at most one stack per permutation
+    assert len(forwards) < sum(forwards)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from graphsi.coalitions import (
     MAX_PLAYERS,
-    contains,
     full_mask,
     is_subset,
     iter_members,
@@ -44,12 +43,6 @@ def test_iter_subsets_is_the_power_set(mask):
 @given(masks, masks)
 def test_is_subset_matches_sets(a, b):
     assert is_subset(a, b) == set(iter_members(a)).issubset(iter_members(b))
-
-
-@given(masks)
-def test_contains_matches_members(mask):
-    for i in range(12):
-        assert contains(mask, i) == (i in iter_members(mask))
 
 
 def test_full_mask():

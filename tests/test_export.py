@@ -95,6 +95,14 @@ def test_dumps_json_escapes_control_characters():
     assert "\\u0000" in text and "\\u001f" in text
     assert json.loads(text)["s"] == "\x00\x1f"
 
+    short = {0x08: "\\b", 0x09: "\\t", 0x0A: "\\n", 0x0C: "\\f", 0x0D: "\\r"}
+    for code in range(0x20):
+        want = short.get(code, f"\\u{code:04x}")
+        assert dumps_json(chr(code)) == f'"{want}"\n'
+    # quote and backslash escaped; DEL and non-ASCII letters written as they are
+    value = '"\\\x7f\u00e9'
+    assert dumps_json({value: value}).encode() == b'{\n  "\\"\\\\\x7f\xc3\xa9": "\\"\\\\\x7f\xc3\xa9"\n}\n'
+
 
 # ---------------------------------------------------------------- atomic writes
 
