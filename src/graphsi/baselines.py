@@ -1,7 +1,7 @@
 """Exhaustive oracles, permutation samplers, the estimator comparison, the readout audit.
 
-The brute-force Moebius map evaluates the full power set and runs the
-package's one inclusion-exclusion sum over it; every index follows from
+The brute-force Moebius map evaluates the full power set and transforms
+it as one field, as the sparse pipeline does; every index follows from
 it through `convert_mi`, the same linear maps the sparse pipeline uses.
 The term-by-term SV/SII/STII definitions live only in the test oracles.
 The samplers draw discrete derivatives with the exact Shapley
@@ -18,13 +18,13 @@ from typing import Container
 
 import numpy as np
 
-from .coalitions import iter_subsets, mask_of, sort_key
+from .coalitions import full_mask, iter_subsets, mask_of, sort_key
 from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
 from .graph import Graph, khop_neighborhoods
 from .interactions import InteractionValues
-from .moebius import (DEFAULT_CEILING, _evaluate_all, build_interaction_set,
+from .moebius import (DEFAULT_CEILING, _evaluate_all, _moebius_map, build_interaction_set,
                       graphshapiq_approx, moebius_transform)
 from .validation import ensure_graph, ensure_model
 
@@ -33,11 +33,11 @@ AUDIT_MAX = 14
 
 
 def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
-    """Exact Moebius interactions of every subset, by inclusion-exclusion."""
+    """Exact Moebius interactions of every subset: the whole player set is one field."""
     if n > BRUTE_FORCE_MI_MAX:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
-    values = _evaluate_all(game, list(range(1 << n)))
-    mi = {s: moebius_transform(None, s, values) for s in range(1 << n)}
+    everything = list(range(1 << n))
+    mi = _moebius_map(_evaluate_all(game, everything), everything, [full_mask(n)])
     return InteractionValues(kind="mi", k=n, n=n, values=mi,
                              call_count=game.call_count())
 

@@ -8,18 +8,27 @@ the Shapley value is k-SII at k=1. The k-SII weights are assembled in
 exact rational arithmetic (Bernoulli numbers cancel catastrophically in
 floats) and realized to float64 once.
 
-Cost is linear in the number of stored interactions times the subsets
-enumerated inside each support set, never in 2^n.
+A support set of more than DIRECT_MAX members whose whole power set is
+in the support, and which no larger such set holds, is converted as one
+field: for each order s, its weighted Moebius table goes through one
+superset-sum butterfly and the size-s entries are read off (the ranked
+zeta transform of Bjorklund, Husfeldt, Kaski & Koivisto 2007), k*h*2^h
+operations for a field of h members. Every other set spreads its value
+over its subsets of size 1..k one by one, C(|S~|, <= k) terms; that
+covers small fields and the oversized fields of truncated runs, which
+have no table. The cost is never 2^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
-from .coalitions import iter_members
+import numpy as np
+
+from .coalitions import DIRECT_MAX, field_masks, iter_members
 from .interactions import InteractionValues
 
 
@@ -71,6 +80,60 @@ _WEIGHTS = {
 }
 
 
+def _convert_fields(values: dict[int, float], weight, k: int,
+                    out: dict[int, float]) -> np.ndarray:
+    """Add the share of every tabulated field to out; flag, in map order, the sets they own.
+
+    Sets of more than DIRECT_MAX members are visited largest first (ties:
+    larger mask); one that lies inside no set visited before becomes a
+    field when 2^h does not exceed the support and its whole power set is
+    in the support. A set owned by an earlier field enters the table as
+    0. The subsets of a visited set without a table, such as an oversized
+    field of a truncated run, are left to the per-set loop: tabulating
+    each of its small full subsets apart costs more than it saves.
+    """
+    n_sets = len(values)
+    sizes = np.fromiter(map(int.bit_count, values), dtype=np.uint8, count=n_sets)
+    owned = np.zeros(n_sets, dtype=bool)
+    untabled = np.zeros(n_sets, dtype=bool)  # inside a visited set that has no table
+    big = np.flatnonzero(sizes > DIRECT_MAX)
+    if not len(big):
+        return owned
+    keys = np.fromiter(values, dtype=np.uint64, count=n_sets)
+    big = big[np.lexsort((keys[big], sizes[big]))[::-1]]
+    by_mask = found = None  # built at the first set small enough for a table
+    for p in big:
+        if owned[p] or untabled[p]:
+            continue
+        h, field = int(sizes[p]), int(keys[p])
+        # the sets one member short are a cheap first test of the power set
+        tabled = 1 << h <= n_sets and all((field ^ 1 << i) in values for i in iter_members(field))
+        if tabled:
+            if by_mask is None:
+                by_mask = np.argsort(keys)  # no subset mask exceeds its field's: lookups stay in range
+                found = np.fromiter(values.values(), dtype=float, count=n_sets)
+            masks = field_masks(field)
+            at = by_mask[np.searchsorted(keys, masks, sorter=by_mask)]
+            tabled = np.array_equal(keys[at], masks)
+        if not tabled:
+            untabled |= (keys & ~keys[p]) == 0
+            continue
+        mine = np.where(owned[at], 0.0, found[at])
+        owned[at] = True
+        local = sizes[at]
+        for size in range(1, min(k, h) + 1):
+            w = np.array([weight(size, t, k) if t >= size else 0.0 for t in range(h + 1)])
+            table = w[local]
+            table *= mine
+            for j in range(h):
+                view = table.reshape(-1, 2, 1 << j)
+                view[:, 0, :] += view[:, 1, :]
+            pick = np.flatnonzero(local == size)
+            for key, value in zip(masks[pick].tolist(), table[pick].tolist()):
+                out[key] = out.get(key, 0.0) + value
+    return owned
+
+
 def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
     """The requested index at order k; "mi" returns the input unchanged."""
     if mi.kind != "mi":
@@ -85,7 +148,8 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
         raise ValueError(f"order k must be in 1..{mi.n}, got {k}")
     weight = _WEIGHTS[index]
     out: dict[int, float] = {}
-    for s_tilde, value in mi.values.items():
+    owned = _convert_fields(mi.values, weight, k, out)
+    for s_tilde, value in compress(mi.values.items(), ~owned):
         bits = [1 << i for i in iter_members(s_tilde)]
         for size in range(1, min(k, len(bits)) + 1):
             w = weight(size, len(bits), k)

@@ -10,15 +10,26 @@ The truncated variant caps the interaction order at lambda, evaluates
 the surviving sets plus each full receptive field, and repairs the
 efficiency gap so the recovered values still sum to the full
 prediction.
+
+Cost of the transform: each maximal field of h > DIRECT_MAX members
+(h <= lambda in truncated runs) gets one table of its 2^h values and one
+in-place subset butterfly (Kennes & Smets 1990), h*2^h operations. A set
+that lies in no such field keeps the per-set inclusion-exclusion sum,
+2^|S| terms. Overlapping fields need no owner: the butterfly touches a
+set's entry only in the passes for its own bits, in ascending order, so
+every field that holds the set computes the same float.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 
+import numpy as np
+
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
-from .coalitions import full_mask, is_subset, iter_members, iter_subsets, sort_key
+from .coalitions import (DIRECT_MAX, field_masks, full_mask, is_subset, iter_members,
+                         iter_subsets, sort_key)
 from .errors import BudgetExceeded, NonlinearReadout
 from .game import GameOracle
 from .graph import NeighborhoodIndex
@@ -115,6 +126,29 @@ def _evaluate_all(game: GameOracle, coalitions) -> dict[int, float]:
     return dict(zip(coalitions, game.evaluate_batch(coalitions)))
 
 
+def _moebius_map(values: dict[int, float], kept: list[int], fields) -> dict[int, float]:
+    """m on every kept set, in kept order.
+
+    Each field of more than DIRECT_MAX members, whose whole power set
+    must be in kept, is transformed as one table; the other sets take
+    moebius_transform's per-set sum over `values`.
+    """
+    mi: dict[int, float] = dict.fromkeys(kept)
+    for field in fields:
+        if field.bit_count() <= DIRECT_MAX:
+            continue
+        masks = field_masks(field).tolist()
+        table = np.fromiter(map(values.__getitem__, masks), dtype=float, count=len(masks))
+        for j in range(field.bit_count()):
+            view = table.reshape(-1, 2, 1 << j)
+            view[:, 1, :] -= view[:, 0, :]
+        mi.update(zip(masks, table.tolist()))
+    for s, m in mi.items():
+        if m is None:
+            mi[s] = moebius_transform(None, s, values)
+    return mi
+
+
 def _check_readout(game) -> None:
     model = getattr(game, "model", None)
     if model is not None and getattr(model.readout, "kind", "linear") != "linear":
@@ -133,9 +167,9 @@ def _grand_value(game: GameOracle, n: int) -> float:
     return game.evaluate(full_mask(n))
 
 
-def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: list[int],
-                  oversized: list[int], k: int, index: str, lam: int | None,
-                  ) -> tuple[InteractionValues, InteractionValues]:
+def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: list[int],
+                  kept: list[int], oversized: list[int], k: int, index: str,
+                  lam: int | None) -> tuple[InteractionValues, InteractionValues]:
     """Evaluate kept + oversized in one batch, transform the kept sets, convert.
 
     Each oversized field, smallest first, gets what the recovery identity
@@ -144,13 +178,21 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: list[int],
     """
     n = len(hoods.hoods)
     values = _evaluate_all(game, kept + oversized)
-    mi_values = {s: moebius_transform(None, s, values) for s in kept}
-    for hood in oversized:
-        explained = sum(v for t, v in mi_values.items() if is_subset(t, hood))
-        mi_values[hood] = values[hood] - explained
+    fields = [h for h in maximal if lam is None or h.bit_count() <= lam]
+    mi_values = _moebius_map(values, kept, fields)
     if oversized:
+        size = len(mi_values) + len(oversized)
+        keys = np.fromiter(chain(mi_values, oversized), dtype=np.uint64, count=size)
+        found = np.fromiter(chain(mi_values.values(), repeat(0.0, len(oversized))),
+                            dtype=float, count=size)
+        for i, hood in enumerate(oversized, start=len(mi_values)):
+            inside = (keys[:i] & ~np.uint64(hood)) == 0
+            # cumsum adds left to right in map order, as a running sum would; np.sum is pairwise
+            explained = float(np.cumsum(found[:i][inside])[-1])
+            mi_values[hood] = found[i] = values[hood] - explained
         star = min(oversized, key=lambda h: (-h.bit_count(), h))
         mi_values[star] += _grand_value(game, n) - sum(mi_values.values())
+    del values  # free the game values before the conversion, which needs only the map
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
                            ell=hoods.ell, lam=lam, call_count=game.call_count())
     return mi, convert.convert_mi(mi, index, k)
@@ -174,7 +216,9 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     iset = build_interaction_set(hoods, ceiling)
-    return _interactions(game, hoods, list(iset.members), [], k, index, None)
+    maximal, kept = list(iset.maximal_hoods), list(iset.members)
+    del iset  # free its member lookup set: the peak memory of a run falls in what follows
+    return _interactions(game, hoods, maximal, kept, [], k, index, None)
 
 
 def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,
@@ -194,6 +238,7 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
         raise ValueError(f"lambda must be in 1..{n}, got {lam}")
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    kept = _support(_unique_maximal(hoods.hoods), lam)
+    maximal = _unique_maximal(hoods.hoods)
     oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
-    return _interactions(game, hoods, kept, oversized, k, index, lam)
+    return _interactions(game, hoods, maximal, _support(maximal, lam), oversized,
+                         k, index, lam)

@@ -4,6 +4,8 @@ import pytest
 
 from graphsi.coalitions import full_mask, is_subset, mask_of
 from graphsi.convert import (
+    _WEIGHTS,
+    _convert_fields,
     bernoulli_numbers,
     convert_mi,
     efficiency_check,
@@ -297,17 +299,43 @@ def scaled_mi(n: int, seed: int, hoods=None) -> InteractionValues:
     return mi_map(n, values)
 
 
+def overlapping_fields_mi(seed: int) -> InteractionValues:
+    """Two full fields of 7 and 6 members sharing two, plus a lone 9-member
+    set holding neither, whose power set is mostly absent."""
+    mi = scaled_mi(12, seed, hoods=(0x07F, 0x7E0))
+    mi.values[0xF9E] = 0.75
+    return mi
+
+
 @pytest.mark.parametrize("index", ["sv", "sii", "ksii", "stii"])
 def test_conversions_within_rounding_bound_of_exact_rationals(index):
-    n = 6
-    tables = [scaled_mi(n, seed=71), scaled_mi(n, seed=72),
-              scaled_mi(n, seed=73, hoods=(0b000111, 0b011110, 0b110001))]
-    for mi in tables:
+    fields = {t for t in range(1 << 12) if is_subset(t, 0x07F) or is_subset(t, 0x7E0)}
+    tables = [  # (map, orders, the sets a tabulated field owns)
+        (scaled_mi(6, seed=71), range(1, 7), set(range(64))),
+        (scaled_mi(6, seed=72), range(1, 7), set(range(64))),
+        (scaled_mi(6, seed=73, hoods=(0b000111, 0b011110, 0b110001)), range(1, 7), set()),
+        (overlapping_fields_mi(seed=74), range(1, 4), fields),
+    ]
+    for mi, orders, tabulated in tables:
+        owned = _convert_fields(mi.values, _WEIGHTS[index], 1, {})
+        assert {t for t, flag in zip(mi.values, owned) if flag} == tabulated
         moebius = {mask_to_set(t): v for t, v in mi.values.items()}
-        for k in ((1,) if index == "sv" else range(1, n + 1)):
+        for k in ((1,) if index == "sv" else orders):
             got = convert_mi(mi, index, k)
-            want = conversion_oracle(moebius, n, index, k)
+            want = conversion_oracle(moebius, mi.n, index, k)
             assert {mask_to_set(t) for t in got.values} <= set(want)
             for s, (exact, magnitude, terms) in want.items():
                 err = abs(Fraction(got.get(mask_of(s))) - exact)
                 assert err <= gamma(terms + 1) * magnitude, (index, k, sorted(s))
+
+
+def test_subsets_of_a_set_without_table_stay_on_the_loop():
+    # a truncated run's shape: an 8-member oversized field and its kept
+    # subsets of at most 5 members, each 5-subset with its whole power set
+    values = {t: float(t) for t in range(256) if t.bit_count() <= 5}
+    values[0xFF] = -1.0
+    assert not _convert_fields(values, _WEIGHTS["ksii"], 2, {}).any()
+    # the same subsets with no set above them are fields of their own
+    del values[0xFF]
+    owned = _convert_fields(values, _WEIGHTS["ksii"], 2, {})
+    assert owned.all()

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from graphsi.coalitions import full_mask, iter_subsets, mask_of, sort_key
+import graphsi.moebius as moebius
+from graphsi.baselines import brute_force_mi
+from graphsi.coalitions import DIRECT_MAX, field_masks, full_mask, iter_subsets, mask_of, sort_key
 from graphsi.errors import BudgetExceeded, NonlinearReadout
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
@@ -16,6 +20,7 @@ from graphsi.moebius import (
 from helpers import DictGame, mask_to_set, random_table, table_as_nu
 from oracles import (
     fast_moebius_oracle,
+    gamma,
     interaction_set_oracle,
     subsets_of,
     truncated_mi_oracle,
@@ -30,6 +35,18 @@ def full_hoods(n: int) -> NeighborhoodIndex:
 def path4_instance(**kwargs):
     g, model = generate_instance("path", 4, 3, 13, "gcn", 1, 4, **kwargs)
     return g, model, khop_neighborhoods(g, 1)
+
+
+def star14_instance():
+    _, model = generate_instance("path", 2, 3, 41, "gin", 1, 4)
+    g = random_graph("path", 14, 3, seed=41)
+    star = make_graph(14, [(0, i) for i in range(1, 14)], g.features.tolist())
+    return star, model, khop_neighborhoods(star, 1)
+
+
+def tree30_instance():
+    g, model = generate_instance("tree", 30, 3, 0, "gcn", 2, 4)
+    return g, model, khop_neighborhoods(g, 2)
 
 
 # -- interaction set ---------------------------------------------------------
@@ -130,6 +147,83 @@ def test_transform_agrees_with_subset_sum_dp(n):
     dp = fast_moebius_oracle([table[t] for t in range(1 << n)])
     for t in range(1 << n):
         assert moebius_transform(None, t, table) == pytest.approx(dp[t], abs=1e-10)
+
+
+# -- field butterfly ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("instance", [star14_instance, tree30_instance])
+def test_tabulated_fields_within_rounding_bound(instance):
+    g, model, hoods = instance()
+    mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    probe = GraphGame(model, g)
+    fields = [f for f in build_interaction_set(hoods).maximal_hoods if f.bit_count() > DIRECT_MAX]
+    assert fields
+    for field in fields:
+        masks = field_masks(field).tolist()
+        nu = probe.evaluate_batch(masks)
+        exact = fast_moebius_oracle([Fraction(v) for v in nu])  # the same sums, in rationals
+        floats = fast_moebius_oracle(nu)
+        bound = gamma(field.bit_count()) * sum(Fraction(abs(v)) for v in nu)
+        for mask, want, oracle in zip(masks, exact, floats):
+            assert abs(Fraction(mi.values[mask]) - want) <= bound
+            assert abs(Fraction(mi.values[mask]) - Fraction(oracle)) <= 2 * bound
+
+
+def test_overlapping_fields_agree_bit_for_bit():
+    g, model, hoods = tree30_instance()
+    mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    probe = GraphGame(model, g)
+    alone = {}
+    for field in build_interaction_set(hoods).maximal_hoods:
+        if field.bit_count() > DIRECT_MAX:
+            masks = field_masks(field).tolist()
+            alone[field] = dict(zip(masks, fast_moebius_oracle(probe.evaluate_batch(masks))))
+    shared = 0
+    for a, first in alone.items():
+        for b, second in alone.items():
+            if a < b:
+                for mask in first.keys() & second.keys():
+                    assert mi.values[mask] == first[mask] == second[mask]
+                    shared += mask.bit_count() >= 2
+    assert shared > 0
+
+
+def test_per_set_sum_serves_only_small_fields(monkeypatch):
+    calls: list[int] = []
+    per_set = moebius.moebius_transform
+
+    def counted(game, coalition, values=None):
+        calls.append(coalition)
+        return per_set(game, coalition, values)
+
+    monkeypatch.setattr(moebius, "moebius_transform", counted)
+    g, model, hoods = star14_instance()
+    graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    assert calls == []
+
+    g, model, hoods = path4_instance()
+    mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    assert len(calls) == 12
+    assert calls == list(mi.values)
+
+    calls.clear()
+    g, model = generate_instance("er", 12, 3, 27, "gin", 1, 4, edge_prob=0.4)
+    hoods = khop_neighborhoods(g, 1)
+    oversized = {h for h in hoods.hoods if h.bit_count() > 3}
+    assert max(h.bit_count() for h in oversized) > DIRECT_MAX
+    mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
+    assert calls == [t for t in mi.values if t not in oversized]
+
+
+def test_brute_force_mi_is_one_field():
+    for n in (4, 6):
+        table = random_table(n, seed=40 + n)
+        mi = brute_force_mi(DictGame(n, table), n)
+        dp = fast_moebius_oracle([table[t] for t in range(1 << n)])
+        direct = [moebius_transform(None, t, table) for t in range(1 << n)]
+        assert list(mi.values) == list(range(1 << n))
+        assert list(mi.values.values()) == (direct if n <= DIRECT_MAX else dp)
 
 
 # -- exact sparse computation ------------------------------------------------
@@ -299,3 +393,39 @@ def test_truncated_call_count_is_kept_plus_oversized():
     oversized = {h for h in hoods.hoods if h.bit_count() > lam}
     assert game.call_count() == len(kept | oversized)
     assert set(mi_hat.values) == kept | oversized
+
+
+def nested_oversized_instance():
+    """Hub 0 sees 1..8, and 1-2, 2-3 close triangles, so at lambda = 2 the
+    oversized fields {0,1,2} and {0,2,3} sit inside {0,1,2,3}, which sits
+    inside node 0's field. Hub 8 adds 9..14: its field is not the one that
+    absorbs tau, and it holds dozens of kept subsets, well past the eight
+    at which numpy's pairwise sum departs from a running one (on these
+    weights it does, at both lambdas)."""
+    _, model = generate_instance("path", 2, 3, 6, "gcn", 1, 4)
+    feats = random_graph("path", 15, 3, seed=6).features.tolist()
+    edges = [(0, i) for i in range(1, 9)] + [(1, 2), (2, 3)] + [(8, i) for i in range(9, 15)]
+    g = make_graph(15, edges, feats)
+    return g, model, khop_neighborhoods(g, 1)
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_surrogates_match_a_running_sum(lam):
+    g, model, hoods = nested_oversized_instance()
+    oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
+    assert any(a != b and a & ~b == 0 for a in oversized for b in oversized)
+    mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=lam, k=2)
+    probe = GraphGame(model, g)
+    # the recovery identity as a plain left-to-right loop over the map so far
+    want = {t: v for t, v in mi.values.items() if t not in oversized}
+    for hood in oversized:
+        explained = 0.0
+        for t, v in want.items():
+            if t & ~hood == 0:
+                explained += v
+        want[hood] = probe.evaluate(hood) - explained
+    star = min(oversized, key=lambda h: (-h.bit_count(), h))
+    want[star] += probe.nu_full - sum(want.values())
+    assert list(mi.values) == list(want)
+    for hood in oversized:
+        assert mi.values[hood] == want[hood]
