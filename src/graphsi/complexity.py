@@ -88,6 +88,17 @@ def _pow2_times(n: int, exponent: int) -> int | str:
     return n << exponent
 
 
+def degree_bound(g: Graph, ell: int) -> int | str | None:
+    """n * 2^((d_max^(ell+1)-1)/(d_max-1)), saturated: the bound on
+    sum_i 2^|N_i| from the maximum degree alone, since no ell-hop
+    neighborhood holds more than 1 + d_max + ... + d_max^ell nodes.
+    None when d_max <= 1, where that geometric sum does not apply."""
+    d_max = max(g.degree(i) for i in range(g.n))
+    if d_max <= 1:
+        return None
+    return _pow2_times(g.n, (d_max ** (ell + 1) - 1) // (d_max - 1))
+
+
 def estimate_calls(g: Graph, ell: int) -> CallEstimate:
     """The full complexity bound chain for an exact run on g at range ell.
 
@@ -100,7 +111,6 @@ def estimate_calls(g: Graph, ell: int) -> CallEstimate:
     sizes = [h.bit_count() for h in hoods.hoods]
     n = g.n
     n_max = max(sizes)
-    d_max = max(g.degree(i) for i in range(n))
 
     if n_max > 63:
         bound_sum: int | str = SATURATED
@@ -108,10 +118,9 @@ def estimate_calls(g: Graph, ell: int) -> CallEstimate:
         bound_sum = _saturate(sum(1 << s for s in sizes))
     bound_nmax = _pow2_times(n, n_max)
 
-    if d_max <= 1:
-        bound_dmax: int | str = INAPPLICABLE
-    else:
-        bound_dmax = _pow2_times(n, (d_max ** (ell + 1) - 1) // (d_max - 1))
+    bound_dmax = degree_bound(g, ell)
+    if bound_dmax is None:
+        bound_dmax = INAPPLICABLE
 
     if n_max > ENUMERATION_MAX_HOOD:
         counted = None

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .coalitions import sort_key
 
@@ -20,10 +21,11 @@ class InteractionSet:
 
     members: tuple[int, ...]
     maximal_hoods: tuple[int, ...] = ()
-    _lookup: frozenset = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", frozenset(self.members))
+    @cached_property
+    def _lookup(self) -> frozenset:
+        # Built on the first membership test: an exact run never makes one.
+        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -22,6 +22,7 @@ every field that holds the set computes the same float.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain, combinations, repeat
 from math import comb
 
@@ -126,7 +127,7 @@ def _evaluate_all(game: GameOracle, coalitions) -> dict[int, float]:
     return dict(zip(coalitions, game.evaluate_batch(coalitions)))
 
 
-def _moebius_map(values: dict[int, float], kept: list[int], fields) -> dict[int, float]:
+def _moebius_map(values: dict[int, float], kept: Sequence[int], fields) -> dict[int, float]:
     """m on every kept set, in kept order.
 
     Each field of more than DIRECT_MAX members, whose whole power set
@@ -167,8 +168,8 @@ def _grand_value(game: GameOracle, n: int) -> float:
     return game.evaluate(full_mask(n))
 
 
-def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: list[int],
-                  kept: list[int], oversized: list[int], k: int, index: str,
+def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: Sequence[int],
+                  kept: Sequence[int], oversized: list[int], k: int, index: str,
                   lam: int | None) -> tuple[InteractionValues, InteractionValues]:
     """Evaluate kept + oversized in one batch, transform the kept sets, convert.
 
@@ -177,7 +178,7 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: list[int]
     smallest bitmask) also takes the gap tau to nu(N). Exact runs have none.
     """
     n = len(hoods.hoods)
-    values = _evaluate_all(game, kept + oversized)
+    values = _evaluate_all(game, [*kept, *oversized])
     fields = [h for h in maximal if lam is None or h.bit_count() <= lam]
     mi_values = _moebius_map(values, kept, fields)
     if oversized:
@@ -216,9 +217,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     iset = build_interaction_set(hoods, ceiling)
-    maximal, kept = list(iset.maximal_hoods), list(iset.members)
-    del iset  # free its member lookup set: the peak memory of a run falls in what follows
-    return _interactions(game, hoods, maximal, kept, [], k, index, None)
+    return _interactions(game, hoods, iset.maximal_hoods, iset.members, [], k, index, None)
 
 
 def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,

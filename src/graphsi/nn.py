@@ -271,20 +271,24 @@ def default_baseline(g: Graph) -> np.ndarray:
 def masked_features(g: Graph, baseline: np.ndarray, coalitions) -> np.ndarray:
     """Stack (B, n, d0) of realized matrices X^(T), one per coalition T in
     the sequence: row i of X^(T) is x_i when i is in T, else the baseline."""
+    return _masked(g.features, baseline, coalitions)
+
+
+def _masked(features: np.ndarray, baseline: np.ndarray, coalitions) -> np.ndarray:
     bits = np.array(coalitions, dtype=np.uint64)
-    keep = (bits[:, None] >> np.arange(g.n, dtype=np.uint64)) & np.uint64(1)
-    return np.where(keep[:, :, None] == 1, g.features, baseline)
+    keep = (bits[:, None] >> np.arange(len(features), dtype=np.uint64)) & np.uint64(1)
+    return np.where(keep[:, :, None] == 1, features, baseline)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _conv_stack(model: GnnModel, g: Graph, x: np.ndarray) -> np.ndarray:
+def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != model.d_in:
         raise DimensionMismatch(
             f"layers[0] expects input width {model.d_in}, features have {x.shape[-1]}")
-    adj, a_hat = _graph_matrices(g)
     h = x
     last = len(model.layers) - 1
     for idx, layer in enumerate(model.layers):
@@ -307,7 +311,7 @@ def _apply_readout(readout, pooled: np.ndarray) -> np.ndarray:
 def forward_graph(model: GnnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     """Graph-level output (logits) for a realized feature matrix (n, d0),
     or one row of logits per matrix of a (B, n, d0) stack."""
-    h = _conv_stack(model, g, x)
+    h = _conv_stack(model, *_graph_matrices(g), x)
     pooled = h.sum(axis=-2) if model.pooling == "sum" else h.mean(axis=-2)
     # One vector-matrix product per pooled row: a single (B, d) @ (d, c)
     # product rounds differently from the (d,) @ (d, c) of a lone matrix.
@@ -320,4 +324,24 @@ def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray
     vector for one matrix, one row per matrix of a stack."""
     if not (0 <= i < g.n):
         raise IndexError(f"node index {i} out of range for n={g.n}")
-    return _conv_stack(model, g, x)[..., i, :].copy()  # a view would pin the whole stack
+    h = _conv_stack(model, *_graph_matrices(g), x)
+    return h[..., i, :].copy()  # a view would pin the whole stack
+
+
+def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, members: list[int],
+                  center: int, local) -> np.ndarray:
+    """Node center's embedding after the last conv layer, one row per local
+    coalition L of the ball `members` (ascending node indices, holding
+    every node within model.num_layers hops of center): bit j of L keeps
+    the features of members[j], the other ball nodes take the baseline.
+
+    The conv layers run on the full graph's adjacency and A_hat restricted
+    to the ball, so degrees stay those of the full graph. Rows at the
+    ball's edge miss neighbours outside it; after layer l the rows within
+    num_layers - l hops of center are still exact, and center's last row
+    reads no others.
+    """
+    adj, a_hat = _graph_matrices(g)
+    ball = np.ix_(members, members)
+    x = _masked(g.features[members], baseline, local)
+    return _conv_stack(model, adj[ball], a_hat[ball], x)[:, members.index(center), :]

@@ -7,6 +7,7 @@ import pytest
 from graphsi.cli import build_parser, main
 from graphsi.export import dumps_json
 from graphsi.graph import load_graph, make_graph
+from graphsi.nn import load_model
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +132,15 @@ def test_budget_ceiling_exit_code(er8_args, capsys):
     rc = main(["explain", *er8_args, "--ceiling", "16"])
     assert rc == 3
     assert "--lambda" in capsys.readouterr().err
+
+
+def test_budget_message_shows_the_degree_bound(er8_args, demo_dir, capsys):
+    g = load_graph(demo_dir / "er8_graph.json")
+    ell = load_model(demo_dir / "er8_model.json").num_layers
+    d_max = max(g.degree(i) for i in range(g.n))
+    bound = g.n * 2 ** sum(d_max ** j for j in range(ell + 1))
+    assert main(["explain", *er8_args, "--ceiling", "16"]) == 3
+    assert f"<= degree bound = {bound} > ceiling 16" in capsys.readouterr().err
 
 
 def test_nonlinear_readout_exit_code(path4_args, demo_dir, capsys):

@@ -4,10 +4,12 @@ import pytest
 
 from graphsi.errors import NonlinearReadout, ParseError
 from graphsi.explainer import GraphInteractionExplainer
+from graphsi.game import GraphGame
 from graphsi.generate import generate_instance
 from graphsi.graph import load_graph
-from graphsi.moebius import DEFAULT_CEILING
+from graphsi.moebius import DEFAULT_CEILING, graphshapiq_exact
 from graphsi.nn import load_model
+from oracles import interaction_set_oracle, khop_oracle
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +124,43 @@ def test_call_count_is_the_forwards_actually_run(demo_dir, monkeypatch, normaliz
     assert construction == 1
     assert sum(stacks) == ex.call_count_ == ex.interaction_set_size_
     assert len(stacks) < sum(stacks)  # coalitions were forwarded in stacks
+
+
+def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
+    import graphsi.game
+
+    g, model = generate_instance("tree", 48, 3, 7, "gin", 2, 4)
+    graph_rows, ball_rows = [], []
+    real_graph, real_ball = graphsi.game.forward_graph, graphsi.game._forward_ball
+
+    def counting_graph(model, g, x):
+        graph_rows.append(len(x) if x.ndim == 3 else 1)
+        return real_graph(model, g, x)
+
+    def counting_ball(model, g, baseline, members, center, local):
+        ball_rows.append(len(local))
+        return real_ball(model, g, baseline, members, center, local)
+
+    monkeypatch.setattr(graphsi.game, "forward_graph", counting_graph)
+    monkeypatch.setattr(graphsi.game, "_forward_ball", counting_ball)
+    ex = GraphInteractionExplainer(model, index="ksii").fit(g)
+    balls = khop_oracle(g.n, g.edges, model.num_layers)
+    assert ex.call_count_ == ex.interaction_set_size_ == len(interaction_set_oracle(balls))
+    assert graph_rows == [1]  # the construction pass; every coalition came from the tables
+    assert sum(ball_rows) == sum(2 ** len(ball) for ball in balls)
+
+
+def test_node_tables_follow_the_model_depth_not_ell():
+    # 2-hop balls on a path hold 5 nodes, the 1-hop fields explained here 3
+    g, model = generate_instance("path", 40, 3, 11, "gin", 2, 4)
+    ex = GraphInteractionExplainer(model, index="mi", ell=1).fit(g)
+    assert ex.game_._tables is not None
+    dense = GraphGame(model, g)
+    dense._table_work = None  # keep this one on the dense stack
+    mi, _ = graphshapiq_exact(dense, ex.hoods_, g.n, index="mi")
+    assert mi.values.keys() == ex.moebius_.values.keys()
+    tol = 1e-12 * max(1.0, abs(dense.nu_full))
+    assert max(abs(v - ex.moebius_.values[t]) for t, v in mi.values.items()) <= tol
 
 
 def test_fitted_attributes_truncated(path4):

@@ -14,6 +14,7 @@ from graphsi.graph import khop_neighborhoods, make_graph
 from graphsi.moebius import graphshapiq_exact
 from graphsi.nn import (
     GcnLayer,
+    GinLayer,
     GnnModel,
     LinearReadout,
     forward_graph,
@@ -21,6 +22,7 @@ from graphsi.nn import (
     masked_features,
 )
 from graphsi.validation import ensure_baseline
+from oracles import fast_moebius_oracle
 
 
 def demo_game(**kwargs) -> GraphGame:
@@ -201,6 +203,63 @@ def test_single_node_stack_bit_identical(kind):
         x = _lone_matrix(g, game.baseline, t)
         assert value == float(forward_graph(model, g, x)[game.target])
         assert (embedding == forward_node(model, g, x, 0)).all()
+
+
+# -- node tables -------------------------------------------------------------
+
+
+def _biased_model(kinds, pooling: str, seed: int, d0: int = 3, hidden: int = 4) -> GnnModel:
+    """Conv layers of the given kinds in order, with random weights, biases
+    and GIN epsilons, and a linear readout with a random bias."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    layers, width = [], d0
+    for kind in kinds:
+        if kind == "gcn":
+            layers.append(GcnLayer(weight=rng.normal(size=(width, hidden)),
+                                   bias=rng.normal(size=hidden)))
+        else:
+            layers.append(GinLayer(
+                epsilon=float(rng.uniform(-0.5, 0.5)),
+                w1=rng.normal(size=(width, hidden)), b1=rng.normal(size=hidden),
+                w2=rng.normal(size=(hidden, hidden)), b2=rng.normal(size=hidden)))
+        width = hidden
+    readout = LinearReadout(weight=rng.normal(size=(width, 2)), bias=rng.normal(size=2))
+    return GnnModel(layers=tuple(layers), pooling=pooling, readout=readout)
+
+
+def _table_graph(shape: str, seed: int):
+    rng = np.random.Generator(np.random.Philox(seed))
+    if shape == "isolated":  # a path 0-1-2-3-4 and node 5 alone
+        return make_graph(6, [(i, i + 1) for i in range(4)], rng.normal(size=(6, 3)))
+    if shape == "single":
+        return make_graph(1, [], rng.normal(size=(1, 3)))
+    return random_graph(shape, 7, 3, seed, edge_prob=0.4)
+
+
+@pytest.mark.parametrize("seed,kinds,pooling,shape", [
+    (1, ("gin",), "sum", "er"),
+    (2, ("gcn",), "mean", "path"),
+    (3, ("gcn", "gcn"), "mean", "tree"),
+    (4, ("gin", "gcn", "gin"), "sum", "path"),
+    (5, ("gcn", "gin"), "mean", "isolated"),
+    (6, ("gcn", "gin", "gcn"), "mean", "er"),
+    (7, ("gin", "gin"), "sum", "single"),
+])
+def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
+    g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
+    every = list(range(1 << g.n))
+    dense = GraphGame(model, g)
+    want = dense.evaluate_batch(every)
+    assert dense._tables is None  # graphs this small stay on the dense stack
+    tabled = GraphGame(model, g)
+    tabled._tables = tabled._node_tables()
+    got = tabled.evaluate_batch(every)
+    tol = 1e-12 * max(1.0, abs(dense.nu_full))
+    assert max(abs(a - b) for a, b in zip(got, want)) <= tol
+
+    mi, _ = graphshapiq_exact(tabled, khop_neighborhoods(g, model.num_layers), 1, index="sv")
+    oracle = fast_moebius_oracle(want)
+    assert max(abs(mi.values.get(t, 0.0) - m) for t, m in enumerate(oracle)) <= tol
 
 
 def test_repeated_evaluations_bitwise_identical(rng):
