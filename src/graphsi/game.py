@@ -78,9 +78,9 @@ class _MaskedGame:
 
     def _values(self, coalitions: list[int]) -> list:
         """Memoized values in input order; each new coalition is evaluated once."""
-        for t in coalitions:
-            if t & ~self.grand:
-                raise ValueError(f"coalition {bin(t)} has members outside 0..{self.n_players - 1}")
+        if coalitions and (min(coalitions) < 0 or max(coalitions) > self.grand):
+            bad = next(t for t in coalitions if t & ~self.grand)
+            raise ValueError(f"coalition {bin(bad)} has members outside 0..{self.n_players - 1}")
         with self._lock:
             memo = self._memo
             misses = list(dict.fromkeys(t for t in coalitions if t not in memo))

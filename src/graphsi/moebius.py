@@ -73,13 +73,15 @@ def _support(maximal: list[int], lam: int) -> list[int]:
 
     A subset is a combination of its field's member bits, so its mask is
     their sum. lam = n_max gives the union of the fields' power sets.
+    Collecting the subsets by size and sorting each size by mask gives the
+    sort_key order without a key call per member.
     """
-    members: set[int] = set()
+    by_size: list[set[int]] = [set() for _ in range(lam + 1)]
     for hood in maximal:
         bits = [1 << i for i in iter_members(hood)]
         for size in range(min(lam, len(bits)) + 1):
-            members.update(map(sum, combinations(bits, size)))
-    return sorted(members, key=sort_key)
+            by_size[size].update(map(sum, combinations(bits, size)))
+    return [m for same_size in by_size for m in sorted(same_size)]
 
 
 def build_interaction_set(hoods: NeighborhoodIndex,

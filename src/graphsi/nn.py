@@ -8,7 +8,12 @@ audit and the sparse exact solver refuses to run on it.
 All arithmetic is float64. 32-bit accumulation loses the tight
 invariance tolerances on deeper stacks. The forwards take one realized
 feature matrix (n, d0) or a stack of them (B, n, d0); each matrix of a
-stack gets the same bits it would get alone.
+stack gets the same bits it would get alone. The conv layers broadcast
+over the stack. The readout runs once per forward on the pooled rows as
+a (B, 1, d) stack: NumPy computes each (1, d) @ (d, c) slice with the
+vector-matrix kernel that a lone (d,) row gets, whereas one
+(B, d) @ (d, c) product uses the matrix-matrix kernel and rounds
+differently.
 """
 
 from __future__ import annotations
@@ -271,12 +276,15 @@ def default_baseline(g: Graph) -> np.ndarray:
 def masked_features(g: Graph, baseline: np.ndarray, coalitions) -> np.ndarray:
     """Stack (B, n, d0) of realized matrices X^(T), one per coalition T in
     the sequence: row i of X^(T) is x_i when i is in T, else the baseline."""
-    return _masked(g.features, baseline, coalitions)
+    return _masked(g.features, baseline, coalitions, np.arange(g.n))
 
 
-def _masked(features: np.ndarray, baseline: np.ndarray, coalitions) -> np.ndarray:
+def _masked(features: np.ndarray, baseline: np.ndarray, coalitions,
+            bit_of_row: np.ndarray) -> np.ndarray:
+    """Row r of each matrix is features[r] when bit bit_of_row[r] of the
+    coalition is set, else the baseline."""
     bits = np.array(coalitions, dtype=np.uint64)
-    keep = (bits[:, None] >> np.arange(len(features), dtype=np.uint64)) & np.uint64(1)
+    keep = (bits[:, None] >> bit_of_row.astype(np.uint64)) & np.uint64(1)
     return np.where(keep[:, :, None] == 1, features, baseline)
 
 
@@ -285,17 +293,24 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
+                x: np.ndarray, keep: list[int] | None = None) -> np.ndarray:
+    """Last-layer node embeddings of x, (n, d) or (B, n, d).
+
+    keep, when given, holds per layer the number of leading rows that layer
+    computes; every row they read must lie among the rows the layer before
+    kept (all n rows before layer 0).
+    """
     if x.shape[-1] != model.d_in:
         raise DimensionMismatch(
             f"layers[0] expects input width {model.d_in}, features have {x.shape[-1]}")
     h = x
     last = len(model.layers) - 1
     for idx, layer in enumerate(model.layers):
+        rows, cols = (keep[idx] if keep else None), h.shape[-2]
         if isinstance(layer, GcnLayer):
-            h = a_hat @ h @ layer.weight + layer.bias
+            h = a_hat[:rows, :cols] @ h @ layer.weight + layer.bias
         else:
-            agg = (1.0 + layer.epsilon) * h + adj @ h
+            agg = (1.0 + layer.epsilon) * h[..., :rows, :] + adj[:rows, :cols] @ h
             h = _relu(agg @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
         if idx != last:
             h = _relu(h)
@@ -313,10 +328,8 @@ def forward_graph(model: GnnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     or one row of logits per matrix of a (B, n, d0) stack."""
     h = _conv_stack(model, *_graph_matrices(g), x)
     pooled = h.sum(axis=-2) if model.pooling == "sum" else h.mean(axis=-2)
-    # One vector-matrix product per pooled row: a single (B, d) @ (d, c)
-    # product rounds differently from the (d,) @ (d, c) of a lone matrix.
-    rows = [_apply_readout(model.readout, p) for p in pooled.reshape(-1, pooled.shape[-1])]
-    return np.reshape(rows, pooled.shape[:-1] + (model.d_out,))
+    # One-row matrices keep the vector-matrix kernel (module docstring).
+    return _apply_readout(model.readout, pooled[..., None, :])[..., 0, :]
 
 
 def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray:
@@ -336,12 +349,23 @@ def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, members: list
     the features of members[j], the other ball nodes take the baseline.
 
     The conv layers run on the full graph's adjacency and A_hat restricted
-    to the ball, so degrees stay those of the full graph. Rows at the
-    ball's edge miss neighbours outside it; after layer l the rows within
-    num_layers - l hops of center are still exact, and center's last row
-    reads no others.
+    to the ball, so degrees stay those of the full graph. A layer's row r
+    hops from center reads the previous layer's rows within r + 1 hops, so
+    the ball's rows are ordered by hop distance from center and layer l
+    computes only the leading rows within num_layers - 1 - l hops: every
+    row a later layer reads, each exact because all it reads lies in the
+    ball. The last layer computes center's row alone.
     """
     adj, a_hat = _graph_matrices(g)
-    ball = np.ix_(members, members)
-    x = _masked(g.features[members], baseline, local)
-    return _conv_stack(model, adj[ball], a_hat[ball], x)[:, members.index(center), :]
+    depth = model.num_layers
+    local_adj = adj[np.ix_(members, members)]
+    hop = np.full(len(members), depth)
+    hop[members.index(center)] = 0
+    for k in range(1, depth):
+        hop[(hop == depth) & local_adj[hop == k - 1].any(axis=0)] = k
+    order = np.argsort(hop, kind="stable")
+    nodes = np.asarray(members)[order]
+    ball = np.ix_(nodes, nodes)
+    keep = [int((hop < depth - idx).sum()) for idx in range(depth)]
+    x = _masked(g.features[nodes], baseline, local, order)
+    return _conv_stack(model, adj[ball], a_hat[ball], x, keep)[:, 0, :]

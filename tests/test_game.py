@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import graphsi.game
-from graphsi.coalitions import full_mask, mask_of
+from graphsi.coalitions import full_mask, iter_members, mask_of
 from graphsi.errors import ParseError
 from graphsi.game import GraphGame, NodeGame
 from graphsi.generate import generate_instance, random_graph
@@ -17,6 +18,10 @@ from graphsi.nn import (
     GinLayer,
     GnnModel,
     LinearReadout,
+    _conv_stack,
+    _forward_ball,
+    _graph_matrices,
+    default_baseline,
     forward_graph,
     forward_node,
     masked_features,
@@ -84,6 +89,10 @@ def test_evaluate_rejects_out_of_range_coalition():
         game.evaluate(1 << game.n_players)
     with pytest.raises(ValueError):
         game.evaluate_batch([0, 1 << game.n_players])
+    too_big = 1 << game.n_players
+    for batch, first_bad in (([0, 3, -3, 1, too_big], -3), ([1, too_big, 2, -1], too_big)):
+        with pytest.raises(ValueError, match=f"coalition {re.escape(bin(first_bad))} has"):
+            game.evaluate_batch(batch)
 
 
 # -- batching and caching ----------------------------------------------------
@@ -236,7 +245,7 @@ def _table_graph(shape: str, seed: int):
     return random_graph(shape, 7, 3, seed, edge_prob=0.4)
 
 
-@pytest.mark.parametrize("seed,kinds,pooling,shape", [
+TABLE_CASES = [
     (1, ("gin",), "sum", "er"),
     (2, ("gcn",), "mean", "path"),
     (3, ("gcn", "gcn"), "mean", "tree"),
@@ -244,7 +253,10 @@ def _table_graph(shape: str, seed: int):
     (5, ("gcn", "gin"), "mean", "isolated"),
     (6, ("gcn", "gin", "gcn"), "mean", "er"),
     (7, ("gin", "gin"), "sum", "single"),
-])
+]
+
+
+@pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
 def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
     g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
     every = list(range(1 << g.n))
@@ -260,6 +272,24 @@ def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
     mi, _ = graphshapiq_exact(tabled, khop_neighborhoods(g, model.num_layers), 1, index="sv")
     oracle = fast_moebius_oracle(want)
     assert max(abs(mi.values.get(t, 0.0) - m) for t, m in enumerate(oracle)) <= tol
+
+
+@pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
+def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, shape):
+    g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
+    baseline = default_baseline(g)
+    adj, a_hat = _graph_matrices(g)
+    tol = 1e-12 * max(1.0, abs(GraphGame(model, g).nu_full))
+    for i, ball in enumerate(khop_neighborhoods(g, model.num_layers).hoods):
+        members = list(iter_members(ball))
+        local = range(1 << len(members))
+        x = np.array([[g.features[v] if t >> j & 1 else baseline for j, v in enumerate(members)]
+                      for t in local])
+        restricted = np.ix_(members, members)
+        want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, members.index(i)]
+        got = _forward_ball(model, g, baseline, members, i, local)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol
 
 
 def test_repeated_evaluations_bitwise_identical(rng):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import graphsi.nn
 from graphsi.errors import ParseError
 from graphsi.generate import generate_instance, random_graph, random_model
 from graphsi.graph import khop_neighborhoods, make_graph
@@ -126,6 +128,39 @@ def test_forward_matches_scalar_arithmetic_oracle(kind, readout, layers, pooling
     want = gnn_forward_oracle(model.to_json_dict(), g.n, g.edges,
                               g.features.tolist())
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("readout,d_out", [("linear", 1), ("linear", 3), ("mlp2", 2)])
+@pytest.mark.parametrize("pooling", ["sum", "mean"])
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+def test_stacked_forward_equals_each_matrix_alone(kind, pooling, readout, d_out):
+    g = random_graph("er", 9, 3, seed=23, edge_prob=0.4)
+    model = dataclasses.replace(
+        random_model(kind, 3, 2, 16, seed=47, d_out=d_out, readout=readout), pooling=pooling)
+    rng = np.random.Generator(np.random.Philox(8))
+    masks = [int(t) for t in rng.choice(1 << g.n, size=40, replace=False)]
+    x = masked_features(g, default_baseline(g), masks)
+    stacked = forward_graph(model, g, x)
+    assert stacked.shape == (len(masks), d_out)
+    for row, matrix in zip(stacked, x):
+        assert (row == forward_graph(model, g, matrix)).all()  # no tolerance
+
+
+def test_readout_runs_once_per_forward(monkeypatch):
+    g, model = generate_instance("er", 8, 3, 31, "gin", 2, 4, edge_prob=0.4)
+    calls = []
+    real = graphsi.nn._apply_readout
+
+    def counting(readout, pooled):
+        calls.append(pooled.shape)
+        return real(readout, pooled)
+
+    monkeypatch.setattr(graphsi.nn, "_apply_readout", counting)
+    x = masked_features(g, default_baseline(g), range(64))
+    for matrices in (g.features, x[:1], x[:7], x):
+        calls.clear()
+        forward_graph(model, g, matrices)
+        assert len(calls) == 1
 
 
 # -- baseline and masking ----------------------------------------------------
