@@ -5,10 +5,10 @@ This keeps power-set work allocation-free and makes subset iteration a
 two-line loop. Only n <= 64 is supported by the engine; callers reject
 larger graphs at parse time.
 
-A field (a receptive field, or any mask whose whole power set is at
-hand) of more than DIRECT_MAX members is handled as one array of 2^h
-values instead of set by set: local index L stands for the global mask
-that places L's bit j on the field's j-th member in ascending order.
+A family of masks is one uint64 array; pair_index pairs each member that
+holds node bit j with its mask without j. Over a down-closed family a
+butterfly on those pairs needs no 2^h table: n*|F| operations per pass
+(trimmed Moebius inversion, Bjorklund, Husfeldt, Kaski & Koivisto 2008).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from typing import Iterator
 import numpy as np
 
 MAX_PLAYERS = 64
-# Largest field kept on per-set loops. Above it the Moebius transform and
-# the index conversion run array butterflies over the field's 2^h table;
-# at or below it the per-set loops are as fast and keep their bits.
+# Largest set kept on per-set loops: the transform's per-set sum for a set
+# under no larger field (it keeps the bits), the conversion's subset loop
+# for a support of such sets. At most 2^4 terms beat the NumPy passes.
 DIRECT_MAX = 4
 
 
@@ -67,9 +67,43 @@ def sort_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-def field_masks(field: int) -> np.ndarray:
-    """Global mask of every local index of a field, as uint64, local order."""
-    masks = np.zeros(1 << field.bit_count(), dtype=np.uint64)
-    for j, member in enumerate(iter_members(field)):
-        masks[1 << j: 2 << j] = masks[: 1 << j] | np.uint64(1 << member)
-    return masks
+def _unique_maximal(masks) -> list[int]:
+    """Drop masks contained in another mask; keep one copy of each survivor."""
+    unique = sorted(set(masks), key=sort_key, reverse=True)  # big first
+    kept: list[int] = []
+    for m in unique:
+        if not any(is_subset(m, big) for big in kept):
+            kept.append(m)
+    return kept
+
+
+def pair_index(keys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (rows, partners) for each bit set in some of the distinct uint64 keys, low bit first.
+
+    rows are the positions of the keys that hold the bit, partners those of
+    the keys without it (len(keys) if absent). Keys below 4*len(keys) are
+    found in a position table, others by binary search over the sorted keys:
+    on 2^14 sets (2 vCPU VM) the table takes 1.1 ms against 4.8 ms, and it
+    stays faster up to 128*len(keys); the cap holds it to 32 bytes per set.
+    """
+    absent = len(keys)
+    union = int(np.bitwise_or.reduce(keys, initial=0))
+    table = union < 4 * absent
+    if table:
+        keys = keys.astype(np.intp)
+        where = np.full(union + 1, absent)
+        where[keys] = np.arange(absent)
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+    octets = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    for byte in range((union.bit_length() + 7) // 8):
+        held = np.unpackbits(octets[:, byte], bitorder="little").reshape(-1, 8).T.copy().view(bool)
+        for j in iter_members(union >> 8 * byte & 255):
+            rows = np.flatnonzero(held[j])
+            wanted = keys[rows] ^ (1 << 8 * byte + j)
+            if table:
+                yield rows, where[wanted]
+            else:
+                at = np.searchsorted(keys, wanted)  # wanted lies below keys[rows], so in range
+                yield order[rows], np.where(keys[at] == wanted, order[at], absent)

@@ -13,8 +13,8 @@ import io
 import math
 from typing import NamedTuple
 
+from .coalitions import _unique_maximal
 from .graph import Graph, graph_stats, khop_neighborhoods
-from .moebius import _unique_maximal
 
 SATURATION_LIMIT = 2 ** 63 - 1
 SATURATED = "saturated"

@@ -8,15 +8,13 @@ the Shapley value is k-SII at k=1. The k-SII weights are assembled in
 exact rational arithmetic (Bernoulli numbers cancel catastrophically in
 floats) and realized to float64 once.
 
-A support set of more than DIRECT_MAX members whose whole power set is
-in the support, and which no larger such set holds, is converted as one
-field: for each order s, its weighted Moebius table goes through one
-superset-sum butterfly and the size-s entries are read off (the ranked
-zeta transform of Bjorklund, Husfeldt, Kaski & Koivisto 2007), k*h*2^h
-operations for a field of h members. Every other set spreads its value
-over its subsets of size 1..k one by one, C(|S~|, <= k) terms; that
-covers small fields and the oversized fields of truncated runs, which
-have no table. The cost is never 2^n.
+When the support holds a set of more than DIRECT_MAX members, its largest
+down-closed part D takes the ranked zeta transform (Bjorklund, Husfeldt,
+Kaski & Koivisto 2007) as in trimmed Moebius inversion: each order s <= k
+weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node bit j sums it down
+and the size-s entries are read off, n*|D| operations per pass. Sets off D
+(oversized fields of truncated runs, maps with gaps) and supports of small
+sets take the loop over subsets, C(|S~|, <= k) terms each.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .coalitions import DIRECT_MAX, field_masks, iter_members
+from .coalitions import DIRECT_MAX, iter_members, pair_index
 from .interactions import InteractionValues
 
 
@@ -80,58 +78,34 @@ _WEIGHTS = {
 }
 
 
-def _convert_fields(values: dict[int, float], weight, k: int,
-                    out: dict[int, float]) -> np.ndarray:
-    """Add the share of every tabulated field to out; flag, in map order, the sets they own.
-
-    Sets of more than DIRECT_MAX members are visited largest first (ties:
-    larger mask); one that lies inside no set visited before becomes a
-    field when 2^h does not exceed the support and its whole power set is
-    in the support. A set owned by an earlier field enters the table as
-    0. The subsets of a visited set without a table, such as an oversized
-    field of a truncated run, are left to the per-set loop: tabulating
-    each of its small full subsets apart costs more than it saves.
+def _convert_family(values: dict[int, float], weight, k: int,
+                    out: dict[int, float]) -> list[bool]:
+    """Write into out every index value of D, the down-closed part of the
+    support, and flag in map order the sets outside D, left to the loop.
+    A set is in D when all its subsets are: an AND-butterfly over the pair
+    index, run with the sums, decides it (an absent set reads as False).
     """
-    n_sets = len(values)
-    sizes = np.fromiter(map(int.bit_count, values), dtype=np.uint8, count=n_sets)
-    owned = np.zeros(n_sets, dtype=bool)
-    untabled = np.zeros(n_sets, dtype=bool)  # inside a visited set that has no table
-    big = np.flatnonzero(sizes > DIRECT_MAX)
-    if not len(big):
-        return owned
-    keys = np.fromiter(values, dtype=np.uint64, count=n_sets)
-    big = big[np.lexsort((keys[big], sizes[big]))[::-1]]
-    by_mask = found = None  # built at the first set small enough for a table
-    for p in big:
-        if owned[p] or untabled[p]:
-            continue
-        h, field = int(sizes[p]), int(keys[p])
-        # the sets one member short are a cheap first test of the power set
-        tabled = 1 << h <= n_sets and all((field ^ 1 << i) in values for i in iter_members(field))
-        if tabled:
-            if by_mask is None:
-                by_mask = np.argsort(keys)  # no subset mask exceeds its field's: lookups stay in range
-                found = np.fromiter(values.values(), dtype=float, count=n_sets)
-            masks = field_masks(field)
-            at = by_mask[np.searchsorted(keys, masks, sorter=by_mask)]
-            tabled = np.array_equal(keys[at], masks)
-        if not tabled:
-            untabled |= (keys & ~keys[p]) == 0
-            continue
-        mine = np.where(owned[at], 0.0, found[at])
-        owned[at] = True
-        local = sizes[at]
-        for size in range(1, min(k, h) + 1):
-            w = np.array([weight(size, t, k) if t >= size else 0.0 for t in range(h + 1)])
-            table = w[local]
-            table *= mine
-            for j in range(h):
-                view = table.reshape(-1, 2, 1 << j)
-                view[:, 0, :] += view[:, 1, :]
-            pick = np.flatnonzero(local == size)
-            for key, value in zip(masks[pick].tolist(), table[pick].tolist()):
-                out[key] = out.get(key, 0.0) + value
-    return owned
+    keys = np.fromiter(values, dtype=np.uint64, count=len(values))
+    found = np.fromiter(values.values(), dtype=float, count=len(values))
+    sizes = np.fromiter(map(int.bit_count, values), dtype=np.uint8, count=len(values))
+    top = int(sizes.max())
+    orders = min(k, top)  # one table row per order; the last column takes flows to absent sets
+    w = np.array([[weight(s, t, k) if t >= s else 0.0 for t in range(top + 1)]
+                  for s in range(1, orders + 1)])
+    table = np.zeros((orders, len(keys) + 1))
+    inside = np.append(np.ones(len(keys), dtype=bool), False)
+    for _ in range(2):  # a second pass when D has gaps, the sets outside it starting at 0
+        np.take(w, sizes, axis=1, out=table[:, :-1])
+        table[:, :-1] *= np.where(inside[:-1], found, 0.0)
+        for rows, partners in pair_index(keys):
+            inside[rows] &= inside[partners]
+            for column in table:
+                column[partners] += column[rows]
+        if inside[:-1].all():
+            break
+    pick = np.flatnonzero(inside[:-1] & (sizes >= 1) & (sizes <= orders))
+    out.update(zip(keys[pick].tolist(), table[sizes[pick] - 1, pick].tolist()))
+    return (~inside[:-1]).tolist()
 
 
 def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
@@ -148,8 +122,10 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
         raise ValueError(f"order k must be in 1..{mi.n}, got {k}")
     weight = _WEIGHTS[index]
     out: dict[int, float] = {}
-    owned = _convert_fields(mi.values, weight, k, out)
-    for s_tilde, value in compress(mi.values.items(), ~owned):
+    looped = mi.values.items()
+    if any(s.bit_count() > DIRECT_MAX for s in reversed(mi.values)):
+        looped = compress(looped, _convert_family(mi.values, weight, k, out))
+    for s_tilde, value in looped:
         bits = [1 << i for i in iter_members(s_tilde)]
         for size in range(1, min(k, len(bits)) + 1):
             w = weight(size, len(bits), k)

@@ -9,9 +9,8 @@ exact-or-truncated run together.
 
 from __future__ import annotations
 
-from .complexity import degree_bound
 from .convert import efficiency_check
-from .errors import BudgetExceeded, ParseError
+from .errors import ParseError
 from .export import build_si_graph, to_dot
 from .game import GraphGame
 from .graph import khop_neighborhoods
@@ -91,12 +90,7 @@ class GraphInteractionExplainer:
         hoods = khop_neighborhoods(g, ell)
         k = self._resolve_order(g.n)
         if self.lam is None:
-            try:
-                mi, si = graphshapiq_exact(game, hoods, k, index=self.index,
-                                           ceiling=self.ceiling)
-            except BudgetExceeded as exc:  # the bounds from hoods alone; add the graph's
-                raise BudgetExceeded(exc.bound_sum, exc.bound_nmax, degree_bound(g, ell),
-                                     exc.ceiling, exc.suggested_lambda) from None
+            mi, si = graphshapiq_exact(game, hoods, k, index=self.index, ceiling=self.ceiling)
             self.interaction_set_size_ = len(mi.values)
         else:
             lam = check_positive_int(self.lam, "lambda")

@@ -11,42 +11,33 @@ the surviving sets plus each full receptive field, and repairs the
 efficiency gap so the recovered values still sum to the full
 prediction.
 
-Cost of the transform: each maximal field of h > DIRECT_MAX members
-(h <= lambda in truncated runs) gets one table of its 2^h values and one
-in-place subset butterfly (Kennes & Smets 1990), h*2^h operations. A set
-that lies in no such field keeps the per-set inclusion-exclusion sum,
-2^|S| terms. Overlapping fields need no owner: the butterfly touches a
-set's entry only in the passes for its own bits, in ascending order, so
-every field that holds the set computes the same float.
+Cost of the transform: the kept family is down-closed, so one trimmed
+butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008) does it without
+2^h tables, m[S] -= m[S ^ j] on every set holding node bit j for each j
+in ascending order: n*|F| operations per pass, and as a set's entry
+changes only in the passes for its own bits, no field owns a set. A set
+under no maximal field of more than DIRECT_MAX members then takes the
+per-set sum, 2^|S| terms, and keeps its bits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
 
 import numpy as np
 
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
-from .coalitions import (DIRECT_MAX, field_masks, full_mask, is_subset, iter_members,
-                         iter_subsets, sort_key)
+from .coalitions import (DIRECT_MAX, _unique_maximal, full_mask, iter_members, iter_subsets,
+                         pair_index, sort_key)
+from .complexity import degree_bound
 from .errors import BudgetExceeded, NonlinearReadout
 from .game import GameOracle
 from .graph import NeighborhoodIndex
 from .interactions import InteractionSet, InteractionValues
 
 DEFAULT_CEILING = 2 ** 24
-
-
-def _unique_maximal(masks) -> list[int]:
-    """Drop masks contained in another mask; keep one copy of each survivor."""
-    unique = sorted(set(masks), key=sort_key, reverse=True)  # big first
-    kept: list[int] = []
-    for m in unique:
-        if not any(is_subset(m, big) for big in kept):
-            kept.append(m)
-    return kept
 
 
 def suggest_lambda(hoods: NeighborhoodIndex, ceiling: int) -> int:
@@ -130,24 +121,23 @@ def _evaluate_all(game: GameOracle, coalitions) -> dict[int, float]:
 
 
 def _moebius_map(values: dict[int, float], kept: Sequence[int], fields) -> dict[int, float]:
-    """m on every kept set, in kept order.
-
-    Each field of more than DIRECT_MAX members, whose whole power set
-    must be in kept, is transformed as one table; the other sets take
-    moebius_transform's per-set sum over `values`.
+    """m on every kept set, in kept order, from the butterfly over the
+    down-closed kept family; a set under no field of more than DIRECT_MAX
+    members takes moebius_transform's per-set sum over `values` instead.
     """
-    mi: dict[int, float] = dict.fromkeys(kept)
-    for field in fields:
-        if field.bit_count() <= DIRECT_MAX:
-            continue
-        masks = field_masks(field).tolist()
-        table = np.fromiter(map(values.__getitem__, masks), dtype=float, count=len(masks))
-        for j in range(field.bit_count()):
-            view = table.reshape(-1, 2, 1 << j)
-            view[:, 1, :] -= view[:, 0, :]
-        mi.update(zip(masks, table.tolist()))
-    for s, m in mi.items():
-        if m is None:
+    big = [np.uint64(f) for f in fields if f.bit_count() > DIRECT_MAX]
+    if not big:
+        return {s: moebius_transform(None, s, values) for s in kept}
+    keys = np.fromiter(kept, dtype=np.uint64, count=len(kept))
+    m = np.fromiter(map(values.__getitem__, kept), dtype=float, count=len(kept))
+    for rows, partners in pair_index(keys):
+        m[rows] -= m[partners]
+    mi = dict(zip(kept, m.tolist()))
+    if len(big) < len(fields):
+        under = np.zeros(len(keys), dtype=bool)
+        for field in big:
+            under |= (keys & ~field) == 0
+        for s in compress(kept, (~under).tolist()):
             mi[s] = moebius_transform(None, s, values)
     return mi
 
@@ -181,8 +171,7 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: Sequence[
     """
     n = len(hoods.hoods)
     values = _evaluate_all(game, [*kept, *oversized])
-    fields = [h for h in maximal if lam is None or h.bit_count() <= lam]
-    mi_values = _moebius_map(values, kept, fields)
+    mi_values = _moebius_map(values, kept, maximal)
     if oversized:
         size = len(mi_values) + len(oversized)
         keys = np.fromiter(chain(mi_values, oversized), dtype=np.uint64, count=size)
@@ -212,13 +201,19 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     exactly zero and never materialized.
 
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and
-    BudgetExceeded when the interaction set is too large.
+    BudgetExceeded, with a graph game's degree bound, past the ceiling.
     """
     _check_readout(game)
     n = len(hoods.hoods)
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    iset = build_interaction_set(hoods, ceiling)
+    try:
+        iset = build_interaction_set(hoods, ceiling)
+    except BudgetExceeded as exc:
+        if not hasattr(game, "graph"):
+            raise
+        raise BudgetExceeded(exc.bound_sum, exc.bound_nmax, degree_bound(game.graph, hoods.ell),
+                             exc.ceiling, exc.suggested_lambda) from None
     return _interactions(game, hoods, iset.maximal_hoods, iset.members, [], k, index, None)
 
 

@@ -30,9 +30,10 @@ def subsets_of(players):
 
 
 def moebius_oracle(nu, coalition) -> float:
-    """m(S) = sum over T below S of (-1)^(|S|-|T|) nu(T)."""
+    """m(S) = sum over T below S of (-1)^(|S|-|T|) nu(T); exact when nu
+    returns Fractions."""
     s = len(coalition)
-    total = 0.0
+    total = 0
     for t in subsets_of(coalition):
         term = nu(frozenset(t))
         total += term if (s - len(t)) % 2 == 0 else -term
@@ -58,6 +59,15 @@ def fast_moebius_oracle(values: list[float]) -> list[float]:
             if mask & bit:
                 out[mask] -= out[mask ^ bit]
     return out
+
+
+def field_masks(field: int) -> list[int]:
+    """Global mask of every local index of a field, in local order: bit j
+    of a local index stands for the field's j-th member in ascending order."""
+    masks = [0]
+    for member in (i for i in range(field.bit_length()) if field >> i & 1):
+        masks += [m | 1 << member for m in masks]
+    return masks
 
 
 def fast_zeta_oracle(moebius: list[float]) -> list[float]:

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from graphsi.coalitions import full_mask, is_subset, mask_of
+import graphsi.convert
+from graphsi.coalitions import full_mask, is_subset, iter_subsets, mask_of
 from graphsi.convert import (
-    _WEIGHTS,
-    _convert_fields,
     bernoulli_numbers,
     convert_mi,
     efficiency_check,
@@ -307,35 +306,48 @@ def overlapping_fields_mi(seed: int) -> InteractionValues:
     return mi
 
 
+def assert_within_rounding_bound(mi: InteractionValues, index: str, orders) -> None:
+    moebius = {mask_to_set(t): v for t, v in mi.values.items()}
+    for k in ((1,) if index == "sv" else orders):
+        got = convert_mi(mi, index, k)
+        want = conversion_oracle(moebius, mi.n, index, k)
+        assert {mask_to_set(t) for t in got.values} <= set(want)
+        for s, (exact, magnitude, terms) in want.items():
+            err = abs(Fraction(got.get(mask_of(s))) - exact)
+            assert err <= gamma(terms + 1) * magnitude, (index, k, sorted(s))
+
+
 @pytest.mark.parametrize("index", ["sv", "sii", "ksii", "stii"])
 def test_conversions_within_rounding_bound_of_exact_rationals(index):
-    fields = {t for t in range(1 << 12) if is_subset(t, 0x07F) or is_subset(t, 0x7E0)}
-    tables = [  # (map, orders, the sets a tabulated field owns)
-        (scaled_mi(6, seed=71), range(1, 7), set(range(64))),
-        (scaled_mi(6, seed=72), range(1, 7), set(range(64))),
-        (scaled_mi(6, seed=73, hoods=(0b000111, 0b011110, 0b110001)), range(1, 7), set()),
-        (overlapping_fields_mi(seed=74), range(1, 4), fields),
+    tables = [  # (map, orders)
+        (scaled_mi(6, seed=71), range(1, 7)),
+        (scaled_mi(6, seed=72), range(1, 7)),
+        (scaled_mi(6, seed=73, hoods=(0b000111, 0b011110, 0b110001)), range(1, 7)),
+        (overlapping_fields_mi(seed=74), range(1, 4)),
     ]
-    for mi, orders, tabulated in tables:
-        owned = _convert_fields(mi.values, _WEIGHTS[index], 1, {})
-        assert {t for t, flag in zip(mi.values, owned) if flag} == tabulated
-        moebius = {mask_to_set(t): v for t, v in mi.values.items()}
-        for k in ((1,) if index == "sv" else orders):
-            got = convert_mi(mi, index, k)
-            want = conversion_oracle(moebius, mi.n, index, k)
-            assert {mask_to_set(t) for t in got.values} <= set(want)
-            for s, (exact, magnitude, terms) in want.items():
-                err = abs(Fraction(got.get(mask_of(s))) - exact)
-                assert err <= gamma(terms + 1) * magnitude, (index, k, sorted(s))
+    for mi, orders in tables:
+        assert_within_rounding_bound(mi, index, orders)
 
 
-def test_subsets_of_a_set_without_table_stay_on_the_loop():
-    # a truncated run's shape: an 8-member oversized field and its kept
-    # subsets of at most 5 members, each 5-subset with its whole power set
-    values = {t: float(t) for t in range(256) if t.bit_count() <= 5}
+@pytest.mark.parametrize("index", ["sv", "sii", "ksii", "stii"])
+def test_gapped_sets_take_the_loop(index, monkeypatch):
+    # every set of at most 5 of 8 members and the power set of the first 7,
+    # less {0..4}: its supersets hold a gap, the 7-member one only below
+    # its sets one member short; 0xFF lacks its 6- and 7-member subsets
+    values = {t: 0.37 * t - 20.0 for t in range(256) if t.bit_count() <= 5 or t < 0x80}
     values[0xFF] = -1.0
-    assert not _convert_fields(values, _WEIGHTS["ksii"], 2, {}).any()
-    # the same subsets with no set above them are fields of their own
-    del values[0xFF]
-    owned = _convert_fields(values, _WEIGHTS["ksii"], 2, {})
-    assert owned.all()
+    del values[0x1F]
+    gapped = {t for t in values if any(sub and sub not in values for sub in iter_subsets(t))}
+    assert gapped == {0x3F, 0x5F, 0x7F, 0xFF}
+    looped: set[int] = set()
+    loop = graphsi.convert.combinations
+
+    def recorded(bits, size):
+        looped.add(sum(bits))
+        return loop(bits, size)
+
+    monkeypatch.setattr(graphsi.convert, "combinations", recorded)
+    mi = mi_map(8, values)
+    convert_mi(mi, index, 1 if index == "sv" else 2)
+    assert looped == gapped
+    assert_within_rounding_bound(mi, index, (1, 2, 3))

@@ -4,7 +4,8 @@ import pytest
 
 import graphsi.moebius as moebius
 from graphsi.baselines import brute_force_mi
-from graphsi.coalitions import DIRECT_MAX, field_masks, full_mask, iter_subsets, mask_of, sort_key
+from graphsi.coalitions import DIRECT_MAX, full_mask, iter_subsets, mask_of, sort_key
+from graphsi.complexity import degree_bound
 from graphsi.errors import BudgetExceeded, NonlinearReadout
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
@@ -20,6 +21,7 @@ from graphsi.moebius import (
 from helpers import DictGame, mask_to_set, random_table, table_as_nu
 from oracles import (
     fast_moebius_oracle,
+    field_masks,
     gamma,
     interaction_set_oracle,
     subsets_of,
@@ -111,6 +113,21 @@ def test_budget_guard_raises_with_fallback_order():
     assert suggest_lambda(hoods, 1 << 10) == exc.suggested_lambda
 
 
+def test_exact_run_on_a_graph_game_carries_the_degree_bound():
+    g, model = generate_instance("er", 10, 3, 5, "gin", 1, 4, edge_prob=0.5)
+    hoods = khop_neighborhoods(g, 1)
+    with pytest.raises(BudgetExceeded) as err:
+        graphshapiq_exact(GraphGame(model, g), hoods, k=2, ceiling=64)
+    bound = degree_bound(g, 1)
+    assert isinstance(bound, int) and err.value.bound_dmax == bound
+    assert f"<= degree bound = {bound} > ceiling 64" in str(err.value)
+    assert err.value.suggested_lambda == suggest_lambda(hoods, 64)
+    table = DictGame(10, {t: 0.0 for t in range(1 << 10)})  # no graph, so no degree bound
+    with pytest.raises(BudgetExceeded) as err:
+        graphshapiq_exact(table, hoods, k=2, ceiling=64)
+    assert err.value.bound_dmax is None
+
+
 # -- Moebius transform -------------------------------------------------------
 
 
@@ -160,7 +177,7 @@ def test_tabulated_fields_within_rounding_bound(instance):
     fields = [f for f in build_interaction_set(hoods).maximal_hoods if f.bit_count() > DIRECT_MAX]
     assert fields
     for field in fields:
-        masks = field_masks(field).tolist()
+        masks = field_masks(field)
         nu = probe.evaluate_batch(masks)
         exact = fast_moebius_oracle([Fraction(v) for v in nu])  # the same sums, in rationals
         floats = fast_moebius_oracle(nu)
@@ -177,7 +194,7 @@ def test_overlapping_fields_agree_bit_for_bit():
     alone = {}
     for field in build_interaction_set(hoods).maximal_hoods:
         if field.bit_count() > DIRECT_MAX:
-            masks = field_masks(field).tolist()
+            masks = field_masks(field)
             alone[field] = dict(zip(masks, fast_moebius_oracle(probe.evaluate_batch(masks))))
     shared = 0
     for a, first in alone.items():
@@ -207,13 +224,17 @@ def test_per_set_sum_serves_only_small_fields(monkeypatch):
     assert len(calls) == 12
     assert calls == list(mi.values)
 
+    # truncated: the kept subsets of large oversized hoods take the butterfly
     calls.clear()
     g, model = generate_instance("er", 12, 3, 27, "gin", 1, 4, edge_prob=0.4)
     hoods = khop_neighborhoods(g, 1)
     oversized = {h for h in hoods.hoods if h.bit_count() > 3}
-    assert max(h.bit_count() for h in oversized) > DIRECT_MAX
+    big = [h for h in hoods.hoods if h.bit_count() > DIRECT_MAX]
     mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
-    assert calls == [t for t in mi.values if t not in oversized]
+    small_only = [t for t in mi.values
+                  if t not in oversized and not any(t & ~h == 0 for h in big)]
+    assert calls == small_only
+    assert 0 < len(small_only) < len(mi.values) - len(oversized)
 
 
 def test_brute_force_mi_is_one_field():
