@@ -18,7 +18,7 @@ from typing import Container
 
 import numpy as np
 
-from .coalitions import full_mask, iter_subsets, mask_of, sort_key
+from .coalitions import iter_subsets, mask_of, sort_key
 from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
@@ -37,7 +37,7 @@ def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
     if n > BRUTE_FORCE_MI_MAX:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
     everything = list(range(1 << n))
-    mi = _moebius_map(_evaluate_all(game, everything), everything, [full_mask(n)])
+    mi = _moebius_map(_evaluate_all(game, everything), everything)
     return InteractionValues(kind="mi", k=n, n=n, values=mi,
                              call_count=game.call_count())
 

@@ -8,13 +8,13 @@ the Shapley value is k-SII at k=1. The k-SII weights are assembled in
 exact rational arithmetic (Bernoulli numbers cancel catastrophically in
 floats) and realized to float64 once.
 
-When the support holds a set of more than DIRECT_MAX members, its largest
-down-closed part D takes the ranked zeta transform (Bjorklund, Husfeldt,
-Kaski & Koivisto 2007) as in trimmed Moebius inversion: each order s <= k
-weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node bit j sums it down
-and the size-s entries are read off, n*|D| operations per pass. Sets off D
-(oversized fields of truncated runs, maps with gaps) and supports of small
-sets take the loop over subsets, C(|S~|, <= k) terms each.
+As in the transform, coalitions.small_family picks the route. A small
+support takes the loop over subsets, C(|S~|, <= k) terms per set. A large
+one gives its largest down-closed part D the ranked zeta transform of
+trimmed Moebius inversion (Bjorklund, Husfeldt, Kaski & Koivisto 2007):
+each order s <= k weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node
+bit j sums it down and the size-s entries are read off, n*|D| operations
+per pass; its sets off D (oversized truncated fields, gaps) take the loop.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .coalitions import DIRECT_MAX, iter_members, pair_index
+from .coalitions import iter_members, pair_index, small_family
 from .interactions import InteractionValues
 
 
@@ -123,7 +123,7 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
     weight = _WEIGHTS[index]
     out: dict[int, float] = {}
     looped = mi.values.items()
-    if any(s.bit_count() > DIRECT_MAX for s in reversed(mi.values)):
+    if not small_family(reversed(mi.values)):
         looped = compress(looped, _convert_family(mi.values, weight, k, out))
     for s_tilde, value in looped:
         bits = [1 << i for i in iter_members(s_tilde)]

@@ -11,26 +11,26 @@ the surviving sets plus each full receptive field, and repairs the
 efficiency gap so the recovered values still sum to the full
 prediction.
 
-Cost of the transform: the kept family is down-closed, so one trimmed
-butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008) does it without
-2^h tables, m[S] -= m[S ^ j] on every set holding node bit j for each j
-in ascending order: n*|F| operations per pass, and as a set's entry
-changes only in the passes for its own bits, no field owns a set. A set
-under no maximal field of more than DIRECT_MAX members then takes the
-per-set sum, 2^|S| terms, and keeps its bits.
+Cost of the transform: each run takes one of two routes, decided by
+coalitions.small_family over the evaluated sets. A large run (some set
+of more than DIRECT_MAX members) transforms its down-closed kept family
+with one trimmed butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008),
+m[S] -= m[S ^ j] on every set holding node bit j for each j in ascending
+order: n*|F| operations per pass and no 2^h table. A small run gives
+each set its per-set sum, 2^|S| <= 16 terms, without NumPy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 
 import numpy as np
 
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
-from .coalitions import (DIRECT_MAX, _unique_maximal, full_mask, iter_members, iter_subsets,
-                         pair_index, sort_key)
+from .coalitions import (_unique_maximal, full_mask, iter_members, iter_subsets, pair_index,
+                         small_family, sort_key)
 from .complexity import degree_bound
 from .errors import BudgetExceeded, NonlinearReadout
 from .game import GameOracle
@@ -44,7 +44,8 @@ def suggest_lambda(hoods: NeighborhoodIndex, ceiling: int) -> int:
     """Largest order cap whose evaluation count provably fits the ceiling.
 
     The truncated run evaluates at most sum_i C(|N_i|, <= lam) sets plus
-    one per distinct oversized neighborhood.
+    one per distinct oversized neighborhood. When no cap fits, returns 1,
+    the cheapest run, whose count still exceeds the ceiling.
     """
     sizes = [h.bit_count() for h in hoods.hoods]
     n_max = max(sizes)
@@ -120,26 +121,18 @@ def _evaluate_all(game: GameOracle, coalitions) -> dict[int, float]:
     return dict(zip(coalitions, game.evaluate_batch(coalitions)))
 
 
-def _moebius_map(values: dict[int, float], kept: Sequence[int], fields) -> dict[int, float]:
-    """m on every kept set, in kept order, from the butterfly over the
-    down-closed kept family; a set under no field of more than DIRECT_MAX
-    members takes moebius_transform's per-set sum over `values` instead.
+def _moebius_map(values: dict[int, float], kept: Sequence[int]) -> dict[int, float]:
+    """m on every kept set, in kept order. A small run (no evaluated set of
+    more than DIRECT_MAX members) takes moebius_transform's per-set sum over
+    `values`; any other takes the butterfly over the down-closed kept family.
     """
-    big = [np.uint64(f) for f in fields if f.bit_count() > DIRECT_MAX]
-    if not big:
+    if small_family(reversed(values)):
         return {s: moebius_transform(None, s, values) for s in kept}
     keys = np.fromiter(kept, dtype=np.uint64, count=len(kept))
     m = np.fromiter(map(values.__getitem__, kept), dtype=float, count=len(kept))
     for rows, partners in pair_index(keys):
         m[rows] -= m[partners]
-    mi = dict(zip(kept, m.tolist()))
-    if len(big) < len(fields):
-        under = np.zeros(len(keys), dtype=bool)
-        for field in big:
-            under |= (keys & ~field) == 0
-        for s in compress(kept, (~under).tolist()):
-            mi[s] = moebius_transform(None, s, values)
-    return mi
+    return dict(zip(kept, m.tolist()))
 
 
 def _check_readout(game) -> None:
@@ -160,9 +153,9 @@ def _grand_value(game: GameOracle, n: int) -> float:
     return game.evaluate(full_mask(n))
 
 
-def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: Sequence[int],
-                  kept: Sequence[int], oversized: list[int], k: int, index: str,
-                  lam: int | None) -> tuple[InteractionValues, InteractionValues]:
+def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int],
+                  oversized: list[int], k: int, index: str, lam: int | None,
+                  ) -> tuple[InteractionValues, InteractionValues]:
     """Evaluate kept + oversized in one batch, transform the kept sets, convert.
 
     Each oversized field, smallest first, gets what the recovery identity
@@ -171,7 +164,7 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, maximal: Sequence[
     """
     n = len(hoods.hoods)
     values = _evaluate_all(game, [*kept, *oversized])
-    mi_values = _moebius_map(values, kept, maximal)
+    mi_values = _moebius_map(values, kept)
     if oversized:
         size = len(mi_values) + len(oversized)
         keys = np.fromiter(chain(mi_values, oversized), dtype=np.uint64, count=size)
@@ -214,7 +207,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
             raise
         raise BudgetExceeded(exc.bound_sum, exc.bound_nmax, degree_bound(game.graph, hoods.ell),
                              exc.ceiling, exc.suggested_lambda) from None
-    return _interactions(game, hoods, iset.maximal_hoods, iset.members, [], k, index, None)
+    return _interactions(game, hoods, iset.members, [], k, index, None)
 
 
 def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,
@@ -236,5 +229,4 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     maximal = _unique_maximal(hoods.hoods)
     oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
-    return _interactions(game, hoods, maximal, _support(maximal, lam), oversized,
-                         k, index, lam)
+    return _interactions(game, hoods, _support(maximal, lam), oversized, k, index, lam)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphsi.coalitions import DIRECT_MAX, _unique_maximal, iter_subsets, sort_key
+from graphsi.coalitions import DIRECT_MAX, iter_subsets, small_family, sort_key
 from graphsi.convert import convert_mi
 from graphsi.interactions import InteractionValues
 from graphsi.moebius import _moebius_map
@@ -34,23 +34,23 @@ def families(draw):
     # six orders of magnitude, so the transform's terms cancel
     nu = dict(zip(family, (rng.normal(size=len(family)) * 10.0 ** rng.integers(-3, 3, len(family))
                            ).tolist()))
-    return n, _unique_maximal(masks), family, nu
+    return n, family, nu
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(families(), st.data())
 def test_family_transform_and_conversion_within_rounding_bounds(case, data):
-    n, fields, family, nu = case
-    mi = _moebius_map(nu, family, fields)
+    n, family, nu = case
+    mi = _moebius_map(nu, family)
     assert list(mi) == family
-    big = [f for f in fields if f.bit_count() > DIRECT_MAX]
+    small = small_family(family)
     exact_nu = {mask_to_set(t): Fraction(v) for t, v in nu.items()}
     for s, value in mi.items():
         members = mask_to_set(s)
         exact = moebius_oracle(exact_nu.__getitem__, members)
         magnitude = sum(abs(exact_nu[mask_to_set(t)]) for t in iter_subsets(s))
-        # one rounding per butterfly pass over S's bits; 2^|S| - 1 for the per-set sum
-        depth = len(members) if any(s & ~f == 0 for f in big) else (1 << len(members)) - 1
+        # one rounding per butterfly pass over S's bits; 2^|S| - 1 for a small family's per-set sum
+        depth = (1 << len(members)) - 1 if small else len(members)
         assert abs(Fraction(value) - exact) <= gamma(depth) * magnitude
 
     gaps = data.draw(st.sets(st.sampled_from(family), max_size=3))

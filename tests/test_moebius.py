@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import graphsi.convert as convert
 import graphsi.moebius as moebius
 from graphsi.baselines import brute_force_mi
 from graphsi.coalitions import DIRECT_MAX, full_mask, iter_subsets, mask_of, sort_key
@@ -9,7 +10,7 @@ from graphsi.complexity import degree_bound
 from graphsi.errors import BudgetExceeded, NonlinearReadout
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
-from graphsi.graph import NeighborhoodIndex, khop_neighborhoods, make_graph
+from graphsi.graph import NeighborhoodIndex, khop_neighborhoods, load_graph, make_graph
 from graphsi.moebius import (
     build_interaction_set,
     graphshapiq_approx,
@@ -17,6 +18,7 @@ from graphsi.moebius import (
     moebius_transform,
     suggest_lambda,
 )
+from graphsi.nn import load_model
 
 from helpers import DictGame, mask_to_set, random_table, table_as_nu
 from oracles import (
@@ -206,7 +208,7 @@ def test_overlapping_fields_agree_bit_for_bit():
     assert shared > 0
 
 
-def test_per_set_sum_serves_only_small_fields(monkeypatch):
+def test_per_set_sum_serves_only_small_fields(monkeypatch, demo_dir):
     calls: list[int] = []
     per_set = moebius.moebius_transform
 
@@ -224,17 +226,48 @@ def test_per_set_sum_serves_only_small_fields(monkeypatch):
     assert len(calls) == 12
     assert calls == list(mi.values)
 
-    # truncated: the kept subsets of large oversized hoods take the butterfly
+    # mixed runs, with fields on both sides of DIRECT_MAX, take the butterfly for every set
     calls.clear()
+    g, model = load_graph(demo_dir / "er8_graph.json"), load_model(demo_dir / "er8_model.json")
+    hoods = khop_neighborhoods(g, model.num_layers)
+    sizes = {h.bit_count() for h in hoods.hoods}
+    assert min(sizes) <= DIRECT_MAX < max(sizes)
+    graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    assert calls == []
+
     g, model = generate_instance("er", 12, 3, 27, "gin", 1, 4, edge_prob=0.4)
     hoods = khop_neighborhoods(g, 1)
-    oversized = {h for h in hoods.hoods if h.bit_count() > 3}
-    big = [h for h in hoods.hoods if h.bit_count() > DIRECT_MAX]
-    mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
-    small_only = [t for t in mi.values
-                  if t not in oversized and not any(t & ~h == 0 for h in big)]
-    assert calls == small_only
-    assert 0 < len(small_only) < len(mi.values) - len(oversized)
+    graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
+    assert calls == []
+
+    # truncated with every field small: each kept set takes the per-set sum
+    g, model = generate_instance("path", 6, 3, 5, "gcn", 1, 4)
+    hoods = khop_neighborhoods(g, 1)
+    oversized = {h for h in hoods.hoods if h.bit_count() > 2}
+    mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=2, k=2)
+    assert oversized and calls == [t for t in mi.values if t not in oversized]
+
+
+def test_small_runs_never_build_the_pair_index(monkeypatch):
+    built: list[int] = []
+    real = moebius.pair_index
+
+    def counted(keys):
+        built.append(len(keys))
+        return real(keys)
+
+    monkeypatch.setattr(moebius, "pair_index", counted)
+    monkeypatch.setattr(convert, "pair_index", counted)
+    g, model = generate_instance("tree", 20, 3, 0, "gcn", 1, 4)
+    tree = (g, model, khop_neighborhoods(g, 1))
+    for g, model, hoods in (path4_instance(), tree):
+        assert max(h.bit_count() for h in hoods.hoods) <= DIRECT_MAX
+        for index in ("mi", "sv", "sii", "ksii", "stii"):
+            graphshapiq_exact(GraphGame(model, g), hoods, 1 if index == "sv" else 2, index)
+    assert built == []
+    g, model, hoods = star14_instance()
+    graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    assert built  # a large run takes the butterflies
 
 
 def test_brute_force_mi_is_one_field():
