@@ -10,17 +10,21 @@ chunked (B, n, d0) stacks, which give every coalition the same bits as
 a forward of its matrix alone. The number of distinct evaluated
 coalitions is the unit of every complexity claim here.
 
-A GraphGame with a linear readout on more than NODE_TABLES_MIN nodes
-may instead split into node games (GraphSHAP-IQ, arXiv 2501.16944):
-nu(T) = b + sum_i w . h_i(T & N_i), where h_i is node i's last-layer
-embedding and N_i its model.num_layers-hop ball, divided by n under mean
-pooling. It then forwards each ball's 2^|N_i| local coalitions once and
-fills every memo miss from those tables. These values agree with the
-dense stack to rounding (about 1e-14 relative), not bit for bit.
+A GraphGame with a linear readout may instead split into node games
+(GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i w . h_i(T & N_i),
+where h_i is node i's last-layer embedding and N_i its
+model.num_layers-hop ball, divided by n under mean pooling. It then
+forwards each ball's 2^|N_i| local coalitions once and fills every memo
+miss from those tables. Which evaluator runs is decided by counted work
+(the cost constants below). A ball forward reads its first conv layer
+off the coalition bits, as an affine function of them. These values
+agree with the dense stack to rounding (about 1e-14 relative), not bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Protocol
 
@@ -50,11 +54,28 @@ class GameOracle(Protocol):
 # much larger than the CPU cache run slower per row.
 _CHUNK_BYTES = 512 * 1024
 
-# Node count above which a GraphGame may evaluate from node tables. Each
-# table costs a fixed few forwards, so on MUTAG-sized graphs (10-28 nodes)
-# the dense stack is faster; the demo graphs, whose outputs are pinned bit
-# for bit, also stay below it.
-NODE_TABLES_MIN = 32
+# Costs of the two GraphGame evaluators, in one unit: a multiply-add of a
+# dense layer's aggregation, of which one coalition's matrix needs n^2.
+# - Dense stack: num_layers (n^2 + _MATRIX_COST) per coalition. Its fixed
+#   part is per matrix, not per chunk: a stacked conv layer runs NumPy's
+#   kernels once per matrix of the stack.
+# - Node tables: _TABLE_COST per node and conv layer (each layer of a ball
+#   forward is a few NumPy calls, whatever the ball) plus _BALL_ROW_COST
+#   per ball row and member, sum_i 2^|N_i| |N_i| sum_l keep_l, where keep_l
+#   counts the rows conv layer l computes (node i's nodes within
+#   num_layers - 1 - l hops).
+# The constants were fitted once to a timing run on one core (the least of
+# 3 runs of best of 7; a unit took about 1.8 ns) that evaluated all of I
+# both ways on 65 instances: stars of 6-15 nodes, trees, paths and ER
+# graphs of 6-64 nodes under 1-3 layers, and 10 molecule-sized trees, GIN
+# and GCN. They are rounded from a least-squares fit of each evaluator's
+# time, moved toward the middle of the range that picks the faster
+# evaluator wherever one is faster by more than 25%: there, the cost of
+# the evaluator not taken is at least 1.38 times the other (tree20 under 2
+# layers comes closest).
+_MATRIX_COST = 700
+_TABLE_COST = 40_000
+_BALL_ROW_COST = 8
 
 
 class _MaskedGame:
@@ -116,11 +137,14 @@ class GraphGame(_MaskedGame):
     this selects the sole component). That construction pass is not a
     coalition evaluation and does not enter call_count.
 
-    Node tables replace the dense stack from the first batch whose dense
-    work |misses| n^2 exceeds the tables' whole-table ball work
-    sum_i 2^|N_i| |N_i|^2, when the readout is linear and the graph has
-    more than NODE_TABLES_MIN nodes. call_count still counts distinct
-    coalitions, not the ball rows forwarded.
+    Node tables replace the dense stack from the first batch they cost
+    less than: that batch's dense work, num_layers (n^2 + _MATRIX_COST) per
+    new coalition, against _TABLE_COST per node and layer plus
+    _BALL_ROW_COST per trimmed ball row and member. A batch whose dense
+    work is below the tables' fixed part alone stays dense without a look
+    at the balls, so small graphs never compute them. Only a linear
+    readout splits. call_count still counts distinct coalitions, not the
+    ball rows forwarded.
 
     Args:
         model: loaded GnnModel
@@ -138,10 +162,9 @@ class GraphGame(_MaskedGame):
         self.target = int(np.argmax(full_out))  # argmax takes the lowest index on ties
         self._raw_full = float(full_out[self.target])
         self._tables = None
-        self._table_work = None  # stays None where node tables never apply
-        if model.readout.kind == "linear" and graph.n > NODE_TABLES_MIN:
-            sizes = [ball.bit_count() for ball in self._balls()]
-            self._table_work = sum((1 << h) * h * h for h in sizes)
+        # Node tables' cost, computed when a batch first passes the cheap bound;
+        # inf keeps the dense stack (nonlinear readouts never split).
+        self._table_cost = None if model.readout.kind == "linear" else math.inf
 
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
@@ -151,14 +174,34 @@ class GraphGame(_MaskedGame):
         # range the caller explains at.
         return khop_neighborhoods(self.graph, self.model.num_layers).hoods
 
+    def _kept_rows(self) -> list[list[int]]:
+        """Per node i, the rows each conv layer of i's ball forward computes
+        (_forward_ball's trim): layer l keeps i's nodes within
+        num_layers - 1 - l hops."""
+        depth = self.model.num_layers
+        inner = [khop_neighborhoods(self.graph, hops).hoods for hops in range(depth - 1, 0, -1)]
+        return [[hoods[i].bit_count() for hoods in inner] + [1] for i in range(self.n_players)]
+
     def _fill(self, misses: list[int]) -> list[float]:
-        n = self.n_players
-        if (self._tables is None and self._table_work is not None
-                and self._table_work < len(misses) * n * n):
+        if self._tables is None and self._tables_pay(len(misses)):
             self._tables = self._node_tables()
         if self._tables is None:
             return super()._fill(misses)
         return self._table_values(misses)
+
+    def _tables_pay(self, count: int) -> bool:
+        """Whether building node tables costs less than forwarding count
+        new coalitions on the dense stack (constants above)."""
+        n, depth = self.n_players, self.model.num_layers
+        dense = count * depth * (n * n + _MATRIX_COST)
+        fixed = n * depth * _TABLE_COST
+        if dense <= fixed:  # decided without looking at the balls
+            return False
+        if self._table_cost is None:
+            work = sum((1 << ball.bit_count()) * ball.bit_count() * sum(rows)
+                       for ball, rows in zip(self._balls(), self._kept_rows()))
+            self._table_cost = fixed + _BALL_ROW_COST * work
+        return self._table_cost < dense
 
     def _node_tables(self) -> list[tuple[list[int], np.ndarray]]:
         """(ball members, table) per node i in order: table[L] is node i's
@@ -166,10 +209,12 @@ class GraphGame(_MaskedGame):
         members[j] kept for each bit j of L and the other ball nodes masked."""
         weight = self.model.readout.weight[:, self.target]
         tables = []
-        for i, ball in enumerate(self._balls()):
+        for i, (ball, kept) in enumerate(zip(self._balls(), self._kept_rows())):
             members = list(iter_members(ball))
             size = 1 << len(members)
-            rows = max(1, _CHUNK_BYTES // (8 * len(members) * self.model.width))
+            # widest array of a ball forward per row: the bits or layer 0's rows
+            widest = max(len(members), kept[0] * self.model.width)
+            rows = max(1, _CHUNK_BYTES // (8 * widest))
             table = np.concatenate([
                 _forward_ball(self.model, self.graph, self.baseline, members, i,
                               np.arange(start, min(start + rows, size))) @ weight

@@ -276,42 +276,52 @@ def default_baseline(g: Graph) -> np.ndarray:
 def masked_features(g: Graph, baseline: np.ndarray, coalitions) -> np.ndarray:
     """Stack (B, n, d0) of realized matrices X^(T), one per coalition T in
     the sequence: row i of X^(T) is x_i when i is in T, else the baseline."""
-    return _masked(g.features, baseline, coalitions, np.arange(g.n))
-
-
-def _masked(features: np.ndarray, baseline: np.ndarray, coalitions,
-            bit_of_row: np.ndarray) -> np.ndarray:
-    """Row r of each matrix is features[r] when bit bit_of_row[r] of the
-    coalition is set, else the baseline."""
     bits = np.array(coalitions, dtype=np.uint64)
-    keep = (bits[:, None] >> bit_of_row.astype(np.uint64)) & np.uint64(1)
-    return np.where(keep[:, :, None] == 1, features, baseline)
+    keep = (bits[:, None] >> np.arange(g.n, dtype=np.uint64)) & np.uint64(1)
+    return np.where(keep[:, :, None] == 1, g.features, baseline)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _rowwise(x: np.ndarray, weight: np.ndarray, flat: bool) -> np.ndarray:
+    """x @ weight; with flat, one 2-D product over all leading axes of x."""
+    if not flat:
+        return x @ weight
+    return (x.reshape(-1, x.shape[-1]) @ weight).reshape(*x.shape[:-1], weight.shape[1])
+
+
+def _gin_mlp(layer: GinLayer, agg: np.ndarray, flat: bool) -> np.ndarray:
+    return _rowwise(_relu(_rowwise(agg, layer.w1, flat) + layer.b1), layer.w2, flat) + layer.b2
+
+
 def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
-                x: np.ndarray, keep: list[int] | None = None) -> np.ndarray:
-    """Last-layer node embeddings of x, (n, d) or (B, n, d).
+                x: np.ndarray, keep: list[int] | None = None, first: int = 0) -> np.ndarray:
+    """Last-layer node embeddings of x, (n, d) or (B, n, d), running conv
+    layers first.. (x is then the ReLU'd output of layer first - 1).
 
     keep, when given, holds per layer the number of leading rows that layer
     computes; every row they read must lie among the rows the layer before
-    kept (all n rows before layer 0).
+    kept (all rows of x before layer first). The row-wise weight products
+    then run as one 2-D (B*rows, d) product each: on a (B, rows, d) stack
+    NumPy calls one small kernel per matrix. Without keep every matrix of a
+    stack keeps the bits of a lone forward.
     """
-    if x.shape[-1] != model.d_in:
+    if first == 0 and x.shape[-1] != model.d_in:
         raise DimensionMismatch(
             f"layers[0] expects input width {model.d_in}, features have {x.shape[-1]}")
     h = x
+    flat = keep is not None
     last = len(model.layers) - 1
-    for idx, layer in enumerate(model.layers):
+    for idx in range(first, len(model.layers)):
+        layer = model.layers[idx]
         rows, cols = (keep[idx] if keep else None), h.shape[-2]
         if isinstance(layer, GcnLayer):
-            h = a_hat[:rows, :cols] @ h @ layer.weight + layer.bias
+            h = _rowwise(a_hat[:rows, :cols] @ h, layer.weight, flat) + layer.bias
         else:
             agg = (1.0 + layer.epsilon) * h[..., :rows, :] + adj[:rows, :cols] @ h
-            h = _relu(agg @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
+            h = _gin_mlp(layer, agg, flat)
         if idx != last:
             h = _relu(h)
     return h
@@ -354,7 +364,8 @@ def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, members: list
     the ball's rows are ordered by hop distance from center and layer l
     computes only the leading rows within num_layers - 1 - l hops: every
     row a later layer reads, each exact because all it reads lies in the
-    ball. The last layer computes center's row alone.
+    ball. The last layer computes center's row alone. Layer 0 is read off
+    the bits of L (_affine_layer); no masked feature stack is built.
     """
     adj, a_hat = _graph_matrices(g)
     depth = model.num_layers
@@ -367,5 +378,35 @@ def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, members: list
     nodes = np.asarray(members)[order]
     ball = np.ix_(nodes, nodes)
     keep = [int((hop < depth - idx).sum()) for idx in range(depth)]
-    x = _masked(g.features[nodes], baseline, local, order)
-    return _conv_stack(model, adj[ball], a_hat[ball], x, keep)[:, 0, :]
+    adj, a_hat = adj[ball], a_hat[ball]
+    codes = np.asarray(local, dtype="<u8")
+    # column r: bit order[r] of each L, the one that keeps node nodes[r]
+    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")[:, order].astype(np.float64)
+    h = _affine_layer(model.layers[0], adj, a_hat, g.features[nodes], baseline, bits, keep[0])
+    if depth > 1:
+        h = _conv_stack(model, adj, a_hat, _relu(h), keep, first=1)
+    return h[:, 0, :]
+
+
+def _affine_layer(layer: GcnLayer | GinLayer, adj: np.ndarray, a_hat: np.ndarray, x: np.ndarray,
+                  baseline: np.ndarray, bits: np.ndarray, rows: int) -> np.ndarray:
+    """Conv layer 0 of a ball forward on its leading rows, (B, rows, d),
+    from the (B, m) 0/1 matrix of which ball nodes keep their features.
+
+    With C = (1 + eps) I + A (GIN) or A_hat (GCN) over the ball, row r of
+    C X(T) is (sum_j C_rj) baseline + sum_j bit_j C_rj (x_j - baseline),
+    so the aggregation is one (B, m) @ (m, rows * d) product. GCN folds its
+    weight into the deltas first.
+    """
+    if isinstance(layer, GcnLayer):
+        c = a_hat[:rows]
+        base, delta = baseline @ layer.weight, (x - baseline) @ layer.weight
+    else:
+        c = adj[:rows] + (1.0 + layer.epsilon) * np.eye(rows, len(x))
+        base, delta = baseline, x - baseline
+    coef = (c.T[:, :, None] * delta[:, None, :]).reshape(len(x), -1)
+    agg = (bits @ coef).reshape(len(bits), rows, -1) + c.sum(axis=1)[:, None] * base
+    if isinstance(layer, GcnLayer):
+        return agg + layer.bias
+    return _gin_mlp(layer, agg, flat=True)

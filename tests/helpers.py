@@ -3,6 +3,8 @@
 import numpy as np
 
 from graphsi.coalitions import iter_members, mask_of
+from graphsi.generate import random_model
+from graphsi.graph import make_graph
 
 
 class DictGame:
@@ -38,3 +40,11 @@ def table_as_nu(table):
 
 def mask_to_set(mask: int) -> frozenset:
     return frozenset(iter_members(mask))
+
+
+def star_instance(n: int = 14, seed: int = 3):
+    """(graph, model): a star with hub 0 under a 1-layer GIN of width 16, the
+    shape whose one n-node ball suits node tables best."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = make_graph(n, [(0, i) for i in range(1, n)], rng.normal(size=(n, 3)))
+    return g, random_model("gin", 3, 1, 16, seed)

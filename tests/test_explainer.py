@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from graphsi.generate import generate_instance
 from graphsi.graph import load_graph
 from graphsi.moebius import DEFAULT_CEILING, graphshapiq_exact
 from graphsi.nn import load_model
+from helpers import star_instance
 from oracles import interaction_set_oracle, khop_oracle
 
 
@@ -117,7 +119,11 @@ def test_call_count_is_the_forwards_actually_run(demo_dir, monkeypatch, normaliz
         forwards.append(len(x) if x.ndim == 3 else 1)
         return real(model, g, x)
 
+    def no_ball(*args):
+        raise AssertionError("er8 stays on the dense stack")
+
     monkeypatch.setattr(graphsi.game, "forward_graph", counting)
+    monkeypatch.setattr(graphsi.game, "_forward_ball", no_ball)
     ex = GraphInteractionExplainer(demo_dir / "er8_model.json", index="ksii",
                                    normalize=normalize).fit(demo_dir / "er8_graph.json")
     construction, *stacks = forwards  # one unmasked pass freezes the target
@@ -129,7 +135,6 @@ def test_call_count_is_the_forwards_actually_run(demo_dir, monkeypatch, normaliz
 def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
     import graphsi.game
 
-    g, model = generate_instance("tree", 48, 3, 7, "gin", 2, 4)
     graph_rows, ball_rows = [], []
     real_graph, real_ball = graphsi.game.forward_graph, graphsi.game._forward_ball
 
@@ -143,20 +148,27 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting_graph)
     monkeypatch.setattr(graphsi.game, "_forward_ball", counting_ball)
-    ex = GraphInteractionExplainer(model, index="ksii").fit(g)
-    balls = khop_oracle(g.n, g.edges, model.num_layers)
-    assert ex.call_count_ == ex.interaction_set_size_ == len(interaction_set_oracle(balls))
-    assert graph_rows == [1]  # the construction pass; every coalition came from the tables
-    assert sum(ball_rows) == sum(2 ** len(ball) for ball in balls)
+    for g, model in (generate_instance("tree", 48, 3, 7, "gin", 2, 4), star_instance()):
+        graph_rows.clear()
+        ball_rows.clear()
+        ex = GraphInteractionExplainer(model, index="ksii").fit(g)
+        balls = khop_oracle(g.n, g.edges, model.num_layers)
+        assert ex.call_count_ == ex.interaction_set_size_ == len(interaction_set_oracle(balls))
+        assert graph_rows == [1]  # the construction pass; every coalition came from the tables
+        assert sum(ball_rows) == sum(2 ** len(ball) for ball in balls)
 
 
-def test_node_tables_follow_the_model_depth_not_ell():
-    # 2-hop balls on a path hold 5 nodes, the 1-hop fields explained here 3
+def test_node_tables_follow_the_model_depth_not_ell(monkeypatch):
+    import graphsi.game
+
+    # 2-hop balls on a path hold 5 nodes, the 1-hop fields explained here 3;
+    # the 156 coalitions of I would stay on the dense stack at the fitted cost
+    monkeypatch.setattr(graphsi.game, "_TABLE_COST", 0)
     g, model = generate_instance("path", 40, 3, 11, "gin", 2, 4)
     ex = GraphInteractionExplainer(model, index="mi", ell=1).fit(g)
     assert ex.game_._tables is not None
     dense = GraphGame(model, g)
-    dense._table_work = None  # keep this one on the dense stack
+    dense._table_cost = math.inf  # keep this one on the dense stack
     mi, _ = graphshapiq_exact(dense, ex.hoods_, g.n, index="mi")
     assert mi.values.keys() == ex.moebius_.values.keys()
     tol = 1e-12 * max(1.0, abs(dense.nu_full))

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import graphsi.game
+import graphsi.nn
 from graphsi.coalitions import full_mask, iter_members, mask_of
 from graphsi.errors import ParseError
+from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame, NodeGame
 from graphsi.generate import generate_instance, random_graph
-from graphsi.graph import khop_neighborhoods, make_graph
+from graphsi.graph import khop_neighborhoods, load_graph, make_graph
 from graphsi.moebius import graphshapiq_exact
 from graphsi.nn import (
     GcnLayer,
@@ -24,9 +26,11 @@ from graphsi.nn import (
     default_baseline,
     forward_graph,
     forward_node,
+    load_model,
     masked_features,
 )
 from graphsi.validation import ensure_baseline
+from helpers import star_instance
 from oracles import fast_moebius_oracle
 
 
@@ -290,6 +294,51 @@ def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, 
         got = _forward_ball(model, g, baseline, members, i, local)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= tol
+
+
+# (case, node tables taken, balls costed): the evaluator a run takes under
+# the cost rule, on shapes where it is the faster one. The small runs are
+# decided by the cheap bound, before any ball is looked at.
+ROUTES = [("path4", False, False), ("er8", False, False), ("tree20", False, False),
+          ("path40", False, False), ("er48", False, True), ("star14", True, True),
+          ("tree64", True, True)]
+
+
+def _route_run(name: str, demo_dir) -> GraphInteractionExplainer:
+    if name in ("path4", "er8"):  # the demo graphs; path4's MI output is pinned
+        g = load_graph(demo_dir / f"{name}_graph.json")
+        model = load_model(demo_dir / f"{name}_model.json")
+    elif name == "star14":
+        g, model = star_instance()
+    else:  # a molecule-sized tree and a path, 1 layer; ER and a degree-3 tree, 2 layers
+        kind, n, layers, model_kind = {"tree20": ("tree", 20, 1, "gin"),
+                                       "path40": ("path", 40, 1, "gin"),
+                                       "er48": ("er", 48, 2, "gcn"),
+                                       "tree64": ("tree", 64, 2, "gin")}[name]
+        g, model = generate_instance(kind, n, 3, 9, model_kind, layers, 16, edge_prob=0.1)
+    if name == "er48":  # 2-hop balls of up to 34 nodes: a truncated run
+        assert max(h.bit_count() for h in khop_neighborhoods(g, 2).hoods) == 34
+        return GraphInteractionExplainer(model, lam=2).fit(g)
+    return GraphInteractionExplainer(model).fit(g)
+
+
+@pytest.mark.parametrize("name,tabled,costed", ROUTES)
+def test_cost_rule_takes_the_faster_evaluator(demo_dir, name, tabled, costed):
+    game = _route_run(name, demo_dir).game_
+    assert (game._tables is not None) == tabled
+    assert (game._table_cost is not None) == costed
+
+
+def test_ball_forwards_build_no_masked_stack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ball forward built a masked feature stack")
+
+    monkeypatch.setattr(graphsi.nn, "masked_features", refuse)
+    monkeypatch.setattr(graphsi.game, "masked_features", refuse)
+    for g, model in (star_instance(), generate_instance("tree", 64, 3, 9, "gin", 2, 16)):
+        tables = GraphGame(model, g)._node_tables()
+        assert [len(table) for _, table in tables] == [
+            2 ** h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods]
 
 
 def test_repeated_evaluations_bitwise_identical(rng):

@@ -1,13 +1,16 @@
 """Property tests of the whole pipeline on drawn graph instances.
 
 Instances come from generate_instance: path, cycle, tree and ER graphs of
-at most 10 nodes, GIN or GCN stacks of 1-2 layers, sum or mean pooling.
+at most 10 nodes, GIN, GCN or mixed stacks of 1-3 layers, sum or mean
+pooling. The two evaluators are also compared at a drawn baseline, with
+and without normalization.
 Each is small enough to evaluate the game on its whole power set, so the
 sparse results are held against the dense game and the exact-rational
 Moebius transform of the same floats.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +19,7 @@ from graphsi.coalitions import DIRECT_MAX, small_family
 from graphsi.convert import efficiency_check
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
-from graphsi.generate import generate_instance
+from graphsi.generate import generate_instance, random_model
 from graphsi.graph import khop_neighborhoods
 from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
 
@@ -25,7 +28,7 @@ from oracles import (fast_moebius_oracle, fast_zeta_oracle, gamma, interaction_s
 
 # An ER graph whose 1-hop fields lie on both sides of DIRECT_MAX, so the
 # exact run is mixed: tested on every run, whatever the draws cover.
-MIXED = ("er", 9, 4, "gin", 1, "sum")
+MIXED = ("er", 9, 4, ("gin",), "sum", None, False)
 
 
 @st.composite
@@ -33,19 +36,23 @@ def instances(draw):
     kind = draw(st.sampled_from(["path", "cycle", "tree", "er"]))
     n = draw(st.integers(min_value=3 if kind == "cycle" else 1, max_value=10))
     seed = draw(st.integers(min_value=0, max_value=2 ** 16))
-    model_kind = draw(st.sampled_from(["gin", "gcn"]))
-    layers = draw(st.integers(min_value=1, max_value=2))
+    kinds = tuple(draw(st.lists(st.sampled_from(["gin", "gcn"]), min_size=1, max_size=3)))
     pooling = draw(st.sampled_from(["sum", "mean"]))
-    return kind, n, seed, model_kind, layers, pooling
+    baseline = draw(st.none() | st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    normalize = draw(st.booleans())
+    return kind, n, seed, kinds, pooling, baseline, normalize
 
 
-def build(kind, n, seed, model_kind, layers, pooling):
-    g, model = generate_instance(kind, n, 3, seed, model_kind, layers, 4, edge_prob=0.4)
-    return g, dataclasses.replace(model, pooling=pooling)
+def build(kind, n, seed, kinds, pooling):
+    """Graph and model; conv layer l is GIN or GCN as kinds[l] says."""
+    g, gin = generate_instance(kind, n, 3, seed, "gin", len(kinds), 4, edge_prob=0.4)
+    gcn = random_model("gcn", 3, len(kinds), 4, seed)
+    layers = tuple((gin if k == "gin" else gcn).layers[idx] for idx, k in enumerate(kinds))
+    return g, dataclasses.replace(gin, layers=layers, pooling=pooling)
 
 
 def test_the_fixed_example_is_mixed():
-    g, model = build(*MIXED)
+    g, model = build(*MIXED[:5])
     sizes = {h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods}
     assert min(sizes) <= DIRECT_MAX < max(sizes)
 
@@ -54,17 +61,22 @@ def test_the_fixed_example_is_mixed():
 @given(instances())
 @example(MIXED)
 def test_pipeline_agrees_with_the_dense_power_set(case):
-    g, model = build(*case)
+    *shape, baseline, normalize = case
+    g, model = build(*shape)
     every = list(range(1 << g.n))
     dense = GraphGame(model, g)
-    dense._table_work = None  # the dense stack, whatever the size
+    dense._table_cost = math.inf  # the dense stack, whatever the size
     nu = dense.evaluate_batch(every)
     scale = max(1.0, abs(dense.nu_full))
 
-    # property 1: node tables against the dense stack on the whole power set
-    tabled = GraphGame(model, g)
+    # property 1: node tables against the dense stack on the whole power set,
+    # at the drawn baseline and normalization
+    forced = GraphGame(model, g, baseline, normalize)
+    forced._table_cost = math.inf
+    tabled = GraphGame(model, g, baseline, normalize)
     tabled._tables = tabled._node_tables()
-    assert max(abs(a - b) for a, b in zip(tabled.evaluate_batch(every), nu)) <= 1e-12 * scale
+    want, got = forced.evaluate_batch(every), tabled.evaluate_batch(every)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale
 
     # property 2: exact MI within the rounding bound on I and zero off it
     hoods = khop_neighborhoods(g, model.num_layers)

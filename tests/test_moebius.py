@@ -191,8 +191,9 @@ def test_tabulated_fields_within_rounding_bound(instance):
 
 def test_overlapping_fields_agree_bit_for_bit():
     g, model, hoods = tree30_instance()
-    mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
-    probe = GraphGame(model, g)
+    game = GraphGame(model, g)
+    mi, _ = graphshapiq_exact(game, hoods, k=2)
+    probe = game  # memo hits: the values the run used, whichever evaluator gave them
     alone = {}
     for field in build_interaction_set(hoods).maximal_hoods:
         if field.bit_count() > DIRECT_MAX:
