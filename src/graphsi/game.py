@@ -15,24 +15,26 @@ A GraphGame with a linear readout may instead split into node games
 where h_i is node i's last-layer embedding and N_i its
 model.num_layers-hop ball, divided by n under mean pooling. It then
 forwards each ball's 2^|N_i| local coalitions once and fills every memo
-miss from those tables. Which evaluator runs is decided by counted work
-(the cost constants below). A ball forward reads its first conv layer
-off the coalition bits, as an affine function of them. These values
+miss from those tables. graph.ball_layouts lays each ball out in hop
+order; the cost rule and the tables both read it, and bit j of a table
+index keeps the ball's j-th node. Which evaluator runs is
+decided by counted work (the cost constants below). A ball forward reads
+its first conv layer off the coalition bits, as an affine function of
+them. These values
 agree with the dense stack to rounding (about 1e-14 relative), not bit
 for bit.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Protocol
 
 import numpy as np
 
-from .coalitions import MAX_PLAYERS, full_mask, iter_members
+from .coalitions import MAX_PLAYERS, full_mask
 from .errors import ParseError, as_vector
-from .graph import Graph, khop_neighborhoods
+from .graph import Graph, ball_layouts
 from .nn import (GnnModel, _forward_ball, default_baseline, forward_graph, forward_node,
                  masked_features)
 
@@ -140,11 +142,11 @@ class GraphGame(_MaskedGame):
     Node tables replace the dense stack from the first batch they cost
     less than: that batch's dense work, num_layers (n^2 + _MATRIX_COST) per
     new coalition, against _TABLE_COST per node and layer plus
-    _BALL_ROW_COST per trimmed ball row and member. A batch whose dense
-    work is below the tables' fixed part alone stays dense without a look
-    at the balls, so small graphs never compute them. Only a linear
-    readout splits. call_count still counts distinct coalitions, not the
-    ball rows forwarded.
+    _BALL_ROW_COST per trimmed ball row and member, counted from the ball
+    layouts. A batch whose dense work is below the tables' fixed part
+    alone stays dense without a look at the balls, so small graphs never
+    lay them out. Only a linear readout splits. call_count still counts
+    distinct coalitions, not the ball rows forwarded.
 
     Args:
         model: loaded GnnModel
@@ -162,25 +164,9 @@ class GraphGame(_MaskedGame):
         self.target = int(np.argmax(full_out))  # argmax takes the lowest index on ties
         self._raw_full = float(full_out[self.target])
         self._tables = None
-        # Node tables' cost, computed when a batch first passes the cheap bound;
-        # inf keeps the dense stack (nonlinear readouts never split).
-        self._table_cost = None if model.readout.kind == "linear" else math.inf
 
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
-
-    def _balls(self) -> tuple[int, ...]:
-        # The model's depth sets what node i's embedding reads, whatever
-        # range the caller explains at.
-        return khop_neighborhoods(self.graph, self.model.num_layers).hoods
-
-    def _kept_rows(self) -> list[list[int]]:
-        """Per node i, the rows each conv layer of i's ball forward computes
-        (_forward_ball's trim): layer l keeps i's nodes within
-        num_layers - 1 - l hops."""
-        depth = self.model.num_layers
-        inner = [khop_neighborhoods(self.graph, hops).hoods for hops in range(depth - 1, 0, -1)]
-        return [[hoods[i].bit_count() for hoods in inner] + [1] for i in range(self.n_players)]
 
     def _fill(self, misses: list[int]) -> list[float]:
         if self._tables is None and self._tables_pay(len(misses)):
@@ -192,34 +178,34 @@ class GraphGame(_MaskedGame):
     def _tables_pay(self, count: int) -> bool:
         """Whether building node tables costs less than forwarding count
         new coalitions on the dense stack (constants above)."""
+        if self.model.readout.kind != "linear":  # only a linear readout splits
+            return False
         n, depth = self.n_players, self.model.num_layers
         dense = count * depth * (n * n + _MATRIX_COST)
         fixed = n * depth * _TABLE_COST
         if dense <= fixed:  # decided without looking at the balls
             return False
-        if self._table_cost is None:
-            work = sum((1 << ball.bit_count()) * ball.bit_count() * sum(rows)
-                       for ball, rows in zip(self._balls(), self._kept_rows()))
-            self._table_cost = fixed + _BALL_ROW_COST * work
-        return self._table_cost < dense
+        work = sum((1 << len(nodes)) * len(nodes) * sum(keep)
+                   for nodes, keep in ball_layouts(self.graph, depth))
+        return fixed + _BALL_ROW_COST * work < dense
 
     def _node_tables(self) -> list[tuple[list[int], np.ndarray]]:
-        """(ball members, table) per node i in order: table[L] is node i's
-        last-layer embedding projected on the target's readout column, with
-        members[j] kept for each bit j of L and the other ball nodes masked."""
+        """(ball nodes, table) per node i in order, the nodes in hop order
+        (graph.ball_layouts): table[L] is node i's last-layer embedding
+        projected on the target's readout column, with nodes[j] kept for
+        each bit j of L and the other ball nodes masked."""
         weight = self.model.readout.weight[:, self.target]
         tables = []
-        for i, (ball, kept) in enumerate(zip(self._balls(), self._kept_rows())):
-            members = list(iter_members(ball))
-            size = 1 << len(members)
+        for nodes, keep in ball_layouts(self.graph, self.model.num_layers):
+            size = 1 << len(nodes)
             # widest array of a ball forward per row: the bits or layer 0's rows
-            widest = max(len(members), kept[0] * self.model.width)
+            widest = max(len(nodes), keep[0] * self.model.width)
             rows = max(1, _CHUNK_BYTES // (8 * widest))
             table = np.concatenate([
-                _forward_ball(self.model, self.graph, self.baseline, members, i,
+                _forward_ball(self.model, self.graph, self.baseline, nodes, keep,
                               np.arange(start, min(start + rows, size))) @ weight
                 for start in range(0, size, rows)])
-            tables.append((members, table))
+            tables.append((nodes, table))
         return tables
 
     def _table_values(self, misses: list[int]) -> list[float]:
@@ -229,9 +215,9 @@ class GraphGame(_MaskedGame):
         # Row k holds bit k of every coalition, so a ball gathers whole rows.
         bits = np.unpackbits(keys.view(np.uint8).reshape(-1, 8).T, axis=0, bitorder="little")
         total = np.zeros(len(keys))
-        for members, table in self._tables:
+        for nodes, table in self._tables:
             # einsum casts in small buffers; @ would copy the rows to int64 first
-            total += table[np.einsum("j,jm->m", 1 << np.arange(len(members)), bits[members])]
+            total += table[np.einsum("j,jm->m", 1 << np.arange(len(nodes)), bits[nodes])]
         if self.model.pooling == "mean":
             total /= self.n_players
         return (total + self.model.readout.bias[self.target]).tolist()

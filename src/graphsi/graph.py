@@ -8,6 +8,8 @@ so they plug directly into the interaction machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,8 +21,9 @@ from .errors import ParseError, as_matrix, read_json
 class Graph:
     """Undirected simple graph with node features.
 
-    Identity-hashed (eq=False) so per-graph derived matrices can live in
-    weak caches.
+    Compared and hashed by identity (eq=False): the generated __eq__ would
+    compare feature arrays elementwise. Derived matrices are computed once
+    per graph and kept on the instance (matrices).
 
     Attributes:
         n: node count (>= 1)
@@ -45,6 +48,20 @@ class Graph:
     @property
     def d0(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (adjacency A, normalized A_hat = D^-1/2 (A+I) D^-1/2)."""
+        adj = np.zeros((self.n, self.n), dtype=np.float64)
+        for i, j in self.edges:
+            adj[i, j] = 1.0
+            adj[j, i] = 1.0
+        with_loops = adj + np.eye(self.n)
+        inv_sqrt_deg = 1.0 / np.sqrt(with_loops.sum(axis=1))
+        a_hat = with_loops * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+        adj.setflags(write=False)
+        a_hat.setflags(write=False)
+        return adj, a_hat
 
     def degree(self, i: int) -> int:
         return self.neighbor_masks[i].bit_count()
@@ -129,24 +146,42 @@ def load_graph(path) -> Graph:
     return graph_from_json(read_json(path, "graph"))
 
 
+def hop_rings(g: Graph, i: int, hops: int) -> list[int]:
+    """Node i's rings out to hops, as hops + 1 masks: ring k holds the nodes
+    exactly k hops from i, so ring 0 is i alone and rings past the last
+    reachable node are 0. The package's one breadth-first search."""
+    seen = ring = 1 << i
+    rings = [ring]
+    for _ in range(hops):
+        reached = 0
+        for j in iter_members(ring):
+            reached |= g.neighbor_masks[j]
+        ring = reached & ~seen
+        seen |= ring
+        rings.append(ring)
+    return rings
+
+
 def khop_neighborhoods(g: Graph, ell: int) -> NeighborhoodIndex:
-    """Closed ell-hop neighborhoods by breadth-first frontier expansion."""
+    """Closed ell-hop neighborhoods: the union of each node's hop rings."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    hoods = []
+    # the rings are disjoint, so their sum is their union
+    return NeighborhoodIndex(ell=ell, hoods=tuple(sum(hop_rings(g, i, ell)) for i in range(g.n)))
+
+
+def ball_layouts(g: Graph, hops: int) -> list[tuple[list[int], list[int]]]:
+    """Per node i, (nodes, keep) for its closed hops-hop ball. nodes lists the
+    ball by hop distance from i, ascending index within a hop, so nodes[0]
+    is i. keep[l] counts the nodes within hops - 1 - l hops: the leading
+    rows conv layer l of a hops-layer ball forward computes (keep[-1] == 1).
+    """
+    layouts = []
     for i in range(g.n):
-        hood = 1 << i
-        frontier = hood
-        for _ in range(ell):
-            reached = hood
-            for j in iter_members(frontier):
-                reached |= g.neighbor_masks[j]
-            frontier = reached & ~hood
-            hood = reached
-            if not frontier:
-                break
-        hoods.append(hood)
-    return NeighborhoodIndex(ell=ell, hoods=tuple(hoods))
+        rings = hop_rings(g, i, hops)
+        within = list(accumulate(ring.bit_count() for ring in rings))  # nodes within k hops
+        layouts.append(([j for ring in rings for j in iter_members(ring)], within[hops - 1::-1]))
+    return layouts
 
 
 def graph_stats(g: Graph, ell: int) -> tuple[int, int, float]:

@@ -18,7 +18,6 @@ differently.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,29 +244,6 @@ def load_model(path) -> GnnModel:
     return model_from_json(read_json(path, "weights"))
 
 
-# Derived per-graph matrices, keyed by graph identity.
-_ADJ_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[np.ndarray, np.ndarray]]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _graph_matrices(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(adjacency A, normalized A_hat) with A_hat = D^-1/2 (A+I) D^-1/2."""
-    cached = _ADJ_CACHE.get(g)
-    if cached is not None:
-        return cached
-    adj = np.zeros((g.n, g.n), dtype=np.float64)
-    for i, j in g.edges:
-        adj[i, j] = 1.0
-        adj[j, i] = 1.0
-    with_loops = adj + np.eye(g.n)
-    inv_sqrt_deg = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    a_hat = with_loops * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
-    adj.setflags(write=False)
-    a_hat.setflags(write=False)
-    _ADJ_CACHE[g] = (adj, a_hat)
-    return adj, a_hat
-
-
 def default_baseline(g: Graph) -> np.ndarray:
     """Componentwise mean of the node features."""
     return g.features.mean(axis=0)
@@ -336,7 +312,7 @@ def _apply_readout(readout, pooled: np.ndarray) -> np.ndarray:
 def forward_graph(model: GnnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     """Graph-level output (logits) for a realized feature matrix (n, d0),
     or one row of logits per matrix of a (B, n, d0) stack."""
-    h = _conv_stack(model, *_graph_matrices(g), x)
+    h = _conv_stack(model, *g.matrices, x)
     pooled = h.sum(axis=-2) if model.pooling == "sum" else h.mean(axis=-2)
     # One-row matrices keep the vector-matrix kernel (module docstring).
     return _apply_readout(model.readout, pooled[..., None, :])[..., 0, :]
@@ -347,44 +323,34 @@ def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray
     vector for one matrix, one row per matrix of a stack."""
     if not (0 <= i < g.n):
         raise IndexError(f"node index {i} out of range for n={g.n}")
-    h = _conv_stack(model, *_graph_matrices(g), x)
+    h = _conv_stack(model, *g.matrices, x)
     return h[..., i, :].copy()  # a view would pin the whole stack
 
 
-def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, members: list[int],
-                  center: int, local) -> np.ndarray:
-    """Node center's embedding after the last conv layer, one row per local
-    coalition L of the ball `members` (ascending node indices, holding
-    every node within model.num_layers hops of center): bit j of L keeps
-    the features of members[j], the other ball nodes take the baseline.
+def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: list[int],
+                  keep: list[int], local) -> np.ndarray:
+    """Embedding of the ball center nodes[0] after the last conv layer, one
+    row per local coalition L: bit j of L keeps the features of nodes[j],
+    the other ball nodes take the baseline.
 
-    The conv layers run on the full graph's adjacency and A_hat restricted
-    to the ball, so degrees stay those of the full graph. A layer's row r
-    hops from center reads the previous layer's rows within r + 1 hops, so
-    the ball's rows are ordered by hop distance from center and layer l
-    computes only the leading rows within num_layers - 1 - l hops: every
-    row a later layer reads, each exact because all it reads lies in the
-    ball. The last layer computes center's row alone. Layer 0 is read off
-    the bits of L (_affine_layer); no masked feature stack is built.
+    nodes and keep are the center's graph.ball_layouts entry at
+    model.num_layers hops: the ball by hop distance from the center, and
+    per conv layer the number of leading rows it computes. The conv layers
+    run on the full graph's adjacency and A_hat restricted to the ball, so
+    degrees stay those of the full graph. A layer's row r hops from the
+    center reads the previous layer's rows within r + 1 hops, so layer l
+    computes only the rows within num_layers - 1 - l hops: every row a later
+    layer reads, each exact because all it reads lies in the ball. The last
+    layer computes the center's row alone. Layer 0 is read off the bits of
+    L (_affine_layer); no masked feature stack is built.
     """
-    adj, a_hat = _graph_matrices(g)
-    depth = model.num_layers
-    local_adj = adj[np.ix_(members, members)]
-    hop = np.full(len(members), depth)
-    hop[members.index(center)] = 0
-    for k in range(1, depth):
-        hop[(hop == depth) & local_adj[hop == k - 1].any(axis=0)] = k
-    order = np.argsort(hop, kind="stable")
-    nodes = np.asarray(members)[order]
     ball = np.ix_(nodes, nodes)
-    keep = [int((hop < depth - idx).sum()) for idx in range(depth)]
-    adj, a_hat = adj[ball], a_hat[ball]
+    adj, a_hat = (matrix[ball] for matrix in g.matrices)
     codes = np.asarray(local, dtype="<u8")
-    # column r: bit order[r] of each L, the one that keeps node nodes[r]
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")[:, order].astype(np.float64)
+                         bitorder="little")[:, :len(nodes)].astype(np.float64)
     h = _affine_layer(model.layers[0], adj, a_hat, g.features[nodes], baseline, bits, keep[0])
-    if depth > 1:
+    if model.num_layers > 1:
         h = _conv_stack(model, adj, a_hat, _relu(h), keep, first=1)
     return h[:, 0, :]
 

@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -142,9 +141,9 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
         graph_rows.append(len(x) if x.ndim == 3 else 1)
         return real_graph(model, g, x)
 
-    def counting_ball(model, g, baseline, members, center, local):
+    def counting_ball(model, g, baseline, nodes, keep, local):
         ball_rows.append(len(local))
-        return real_ball(model, g, baseline, members, center, local)
+        return real_ball(model, g, baseline, nodes, keep, local)
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting_graph)
     monkeypatch.setattr(graphsi.game, "_forward_ball", counting_ball)
@@ -168,7 +167,7 @@ def test_node_tables_follow_the_model_depth_not_ell(monkeypatch):
     ex = GraphInteractionExplainer(model, index="mi", ell=1).fit(g)
     assert ex.game_._tables is not None
     dense = GraphGame(model, g)
-    dense._table_cost = math.inf  # keep this one on the dense stack
+    dense._tables_pay = lambda count: False  # keep this one on the dense stack
     mi, _ = graphshapiq_exact(dense, ex.hoods_, g.n, index="mi")
     assert mi.values.keys() == ex.moebius_.values.keys()
     tol = 1e-12 * max(1.0, abs(dense.nu_full))

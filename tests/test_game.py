@@ -8,12 +8,12 @@ import pytest
 
 import graphsi.game
 import graphsi.nn
-from graphsi.coalitions import full_mask, iter_members, mask_of
+from graphsi.coalitions import full_mask, mask_of
 from graphsi.errors import ParseError
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame, NodeGame
 from graphsi.generate import generate_instance, random_graph
-from graphsi.graph import khop_neighborhoods, load_graph, make_graph
+from graphsi.graph import ball_layouts, khop_neighborhoods, load_graph, make_graph
 from graphsi.moebius import graphshapiq_exact
 from graphsi.nn import (
     GcnLayer,
@@ -22,7 +22,6 @@ from graphsi.nn import (
     LinearReadout,
     _conv_stack,
     _forward_ball,
-    _graph_matrices,
     default_baseline,
     forward_graph,
     forward_node,
@@ -282,16 +281,15 @@ def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
 def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, shape):
     g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
     baseline = default_baseline(g)
-    adj, a_hat = _graph_matrices(g)
+    adj, a_hat = g.matrices
     tol = 1e-12 * max(1.0, abs(GraphGame(model, g).nu_full))
-    for i, ball in enumerate(khop_neighborhoods(g, model.num_layers).hoods):
-        members = list(iter_members(ball))
-        local = range(1 << len(members))
-        x = np.array([[g.features[v] if t >> j & 1 else baseline for j, v in enumerate(members)]
+    for nodes, keep in ball_layouts(g, model.num_layers):
+        local = range(1 << len(nodes))
+        x = np.array([[g.features[v] if t >> j & 1 else baseline for j, v in enumerate(nodes)]
                       for t in local])
-        restricted = np.ix_(members, members)
-        want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, members.index(i)]
-        got = _forward_ball(model, g, baseline, members, i, local)
+        restricted = np.ix_(nodes, nodes)
+        want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, 0]  # the center
+        got = _forward_ball(model, g, baseline, nodes, keep, local)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= tol
 
@@ -323,10 +321,18 @@ def _route_run(name: str, demo_dir) -> GraphInteractionExplainer:
 
 
 @pytest.mark.parametrize("name,tabled,costed", ROUTES)
-def test_cost_rule_takes_the_faster_evaluator(demo_dir, name, tabled, costed):
+def test_cost_rule_takes_the_faster_evaluator(demo_dir, monkeypatch, name, tabled, costed):
+    laid_out = []  # a ball layout is computed to cost the tables or to build them
+    real = graphsi.game.ball_layouts
+
+    def counting(g, hops):
+        laid_out.append(hops)
+        return real(g, hops)
+
+    monkeypatch.setattr(graphsi.game, "ball_layouts", counting)
     game = _route_run(name, demo_dir).game_
     assert (game._tables is not None) == tabled
-    assert (game._table_cost is not None) == costed
+    assert bool(laid_out) == costed
 
 
 def test_ball_forwards_build_no_masked_stack(monkeypatch):

@@ -7,8 +7,10 @@ from graphsi.coalitions import mask_of
 from graphsi.errors import ParseError
 from graphsi.generate import random_graph
 from graphsi.graph import (
+    ball_layouts,
     graph_from_json,
     graph_stats,
+    hop_rings,
     khop_neighborhoods,
     load_graph,
     make_graph,
@@ -164,6 +166,47 @@ def test_hoods_permutation_equivariant(rng):
     for i in range(g.n):
         expected = mask_of(perm[j] for j in mask_to_set(base[i]))
         assert moved[perm[i]] == expected
+
+
+# Path, cycle, tree and ER graphs, one with isolated nodes, and a single node.
+RING_GRAPHS = {
+    "path": random_graph("path", 7, 2, 1),
+    "cycle": random_graph("cycle", 8, 2, 2),
+    "tree": random_graph("tree", 10, 2, 3),
+    "er": random_graph("er", 9, 2, 4, edge_prob=0.25),
+    "isolated": make_graph(7, [(i, i + 1) for i in range(4)], np.zeros((7, 2))),
+    "single": make_graph(1, [], np.zeros((1, 2))),
+}
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+@pytest.mark.parametrize("name", RING_GRAPHS)
+def test_hop_rings_are_the_oracle_shells(name, hops):
+    g = RING_GRAPHS[name]
+    within = [khop_oracle(g.n, g.edges, k) for k in range(hops + 1)]
+    for i in range(g.n):
+        rings = hop_rings(g, i, hops)
+        assert len(rings) == hops + 1
+        for k, ring in enumerate(rings):
+            inner = within[k - 1][i] if k else frozenset()
+            assert mask_to_set(ring) == within[k][i] - inner
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("name", RING_GRAPHS)
+def test_ball_layouts_order_the_oracle_ball_by_hops(name, layers):
+    g = RING_GRAPHS[name]
+    within = [khop_oracle(g.n, g.edges, k) for k in range(layers + 1)]
+    layouts = ball_layouts(g, layers)
+    assert len(layouts) == g.n
+    for i, (nodes, keep) in enumerate(layouts):
+        assert nodes[0] == i
+        assert len(nodes) == len(set(nodes)) and set(nodes) == within[layers][i]
+        hop = [min(k for k in range(layers + 1) if v in within[k][i]) for v in nodes]
+        assert hop == sorted(hop)  # the oracle's hop distance never decreases
+        assert nodes == sorted(nodes, key=lambda v: (hop[nodes.index(v)], v))
+        assert keep == [len(within[layers - 1 - l][i]) for l in range(layers)]
+        assert keep[-1] == 1
 
 
 # -- stats -------------------------------------------------------------------
