@@ -22,11 +22,11 @@ from .coalitions import iter_subsets, mask_of, sort_key
 from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
-from .graph import Graph, khop_neighborhoods
+from .graph import Graph, ensure_graph, khop_neighborhoods
 from .interactions import InteractionValues
-from .moebius import (DEFAULT_CEILING, _evaluate_all, _moebius_map, build_interaction_set,
-                      graphshapiq_approx, moebius_transform)
-from .validation import ensure_graph, ensure_model
+from .moebius import (DEFAULT_CEILING, _moebius_map, build_interaction_set, graphshapiq_approx,
+                      moebius_transform)
+from .nn import ensure_model
 
 BRUTE_FORCE_MI_MAX = 16
 AUDIT_MAX = 14
@@ -37,7 +37,7 @@ def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
     if n > BRUTE_FORCE_MI_MAX:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
     everything = list(range(1 << n))
-    mi = _moebius_map(_evaluate_all(game, everything), everything)
+    mi = _moebius_map(dict(zip(everything, game.evaluate_batch(everything))), everything)
     return InteractionValues(kind="mi", k=n, n=n, values=mi,
                              call_count=game.call_count())
 

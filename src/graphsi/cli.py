@@ -24,7 +24,7 @@ from .generate import generate_instance
 from .graph import load_graph
 from .interactions import INDEX_KINDS
 from .moebius import DEFAULT_CEILING
-from .validation import ensure_baseline, ensure_model
+from .nn import ensure_baseline, ensure_model
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -34,7 +34,7 @@ EXIT_NONLINEAR = 4
 
 
 def _runtime_options(args) -> int:
-    """The exact-mode ceiling, resolved with the documented precedence."""
+    """The evaluation ceiling, resolved with the documented precedence."""
     cfg = {}
     if args.config:
         cfg = read_json(args.config, "config")
@@ -196,7 +196,7 @@ def cmd_audit_readout(args) -> int:
 
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ceiling", type=int, default=None,
-                        help="evaluation-budget guard for exact mode (env GRAPHSI_CEILING)")
+                        help="evaluation-budget guard (env GRAPHSI_CEILING)")
     parser.add_argument("--config", default=None,
                         help="JSON config file; precedence: flags > env > config")
 

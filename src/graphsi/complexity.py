@@ -61,12 +61,11 @@ def _union_powerset_size(masks: list[int], steps: list[int]) -> int:
     return total
 
 
-def count_interaction_set(maximal_hoods: list[int],
-                          step_budget: int = COUNT_STEP_BUDGET) -> int | None:
+def count_interaction_set(maximal_hoods: list[int]) -> int | None:
     """Exact |I| from the maximal receptive fields, or None if counting
-    would exceed step_budget recursion steps."""
+    would exceed COUNT_STEP_BUDGET recursion steps."""
     try:
-        return _union_powerset_size(maximal_hoods, [step_budget])
+        return _union_powerset_size(maximal_hoods, [COUNT_STEP_BUDGET])
     except _OutOfSteps:
         return None
 
@@ -141,33 +140,14 @@ def _row_calls(est: CallEstimate) -> tuple[int | str, bool]:
     return SATURATED, False
 
 
-def _fit_log_linear(xs: list[float], ys: list[float]) -> dict:
-    """Least-squares line with R^2; degenerate inputs are flagged, not fit."""
-    count = len(xs)
-    fit = {"count": count, "slope": None, "intercept": None,
-           "r2": None, "degenerate": True}
-    if count < 2:
-        return fit
-    mean_x = sum(xs) / count
-    mean_y = sum(ys) / count
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0.0 or var_y == 0.0:
-        return fit
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = cov / var_x
-    fit.update(slope=slope, intercept=mean_y - slope * mean_x,
-               r2=cov * cov / (var_x * var_y), degenerate=False)
-    return fit
-
-
 def scaling_study(graphs: list[Graph], ell_values: list[int], out=None,
                   ids: list[str] | None = None) -> tuple[list[dict], dict[int, dict]]:
     """One row per (graph, ell) plus a log-linear fit per ell.
 
     Rows carry graph_id, n, ell, calls, is_exact, density and the
     saving over the full power set in log10 units. The fit regresses
-    log10(calls) on n; a zero-variance column makes it degenerate.
+    log10(calls) on n; fewer than two rows or a zero-variance column
+    makes it degenerate.
     When `out` is a path or file object, rows are written there as CSV.
     """
     if ids is None:
@@ -186,11 +166,21 @@ def scaling_study(graphs: list[Graph], ell_values: list[int], out=None,
                          "calls": calls, "is_exact": is_exact,
                          "density": density, "speedup_log10": speedup})
 
+    from statistics import StatisticsError, correlation, linear_regression
+
     fits: dict[int, dict] = {}
     for ell in ell_values:
         pts = [(r["n"], math.log10(r["calls"])) for r in rows
                if r["ell"] == ell and isinstance(r["calls"], int)]
-        fits[ell] = _fit_log_linear([p[0] for p in pts], [p[1] for p in pts])
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        fit = fits[ell] = {"count": len(pts), "slope": None, "intercept": None,
+                           "r2": None, "degenerate": True}
+        try:
+            slope, intercept = linear_regression(xs, ys)
+            r2 = correlation(xs, ys) ** 2
+        except StatisticsError:  # fewer than two rows, or a constant column
+            continue
+        fit.update(slope=slope, intercept=intercept, r2=r2, degenerate=False)
 
     if out is not None:
         _write_csv(rows, out)

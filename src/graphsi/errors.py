@@ -86,5 +86,17 @@ class BudgetExceeded(RuntimeError):
         super().__init__(msg)
 
 
+class TruncatedBudgetExceeded(BudgetExceeded):
+    """A truncated run at an order cap lam > 1 whose evaluation bound, held in
+    bound_sum, exceeds the ceiling; the exact-mode chain does not apply."""
+
+    def __init__(self, lam: int, bound: int, ceiling: int, suggested_lambda: int):
+        RuntimeError.__init__(
+            self, f"evaluation budget exceeded: the lambda {lam} run evaluates up to "
+                  f"{bound} sets > ceiling {ceiling}; try --lambda {suggested_lambda}")
+        self.bound_sum, self.bound_nmax, self.bound_dmax = bound, None, None
+        self.ceiling, self.suggested_lambda = ceiling, suggested_lambda
+
+
 class NonlinearReadout(RuntimeError):
     """Exact sparse computation requested on a model whose readout is not linear."""

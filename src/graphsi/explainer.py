@@ -10,13 +10,20 @@ exact-or-truncated run together.
 from __future__ import annotations
 
 from .convert import efficiency_check
-from .errors import ParseError
+from .errors import ParseError, TruncatedBudgetExceeded
 from .export import build_si_graph, to_dot
 from .game import GraphGame
-from .graph import khop_neighborhoods
+from .graph import ensure_graph, khop_neighborhoods
 from .interactions import INDEX_KINDS
-from .moebius import DEFAULT_CEILING, graphshapiq_approx, graphshapiq_exact
-from .validation import check_positive_int, ensure_baseline, ensure_graph, ensure_model
+from .moebius import (DEFAULT_CEILING, graphshapiq_approx, graphshapiq_exact, suggest_lambda,
+                      truncated_bound)
+from .nn import ensure_baseline, ensure_model
+
+
+def check_positive_int(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParseError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 class GraphInteractionExplainer:
@@ -30,7 +37,8 @@ class GraphInteractionExplainer:
         lam: truncation order; None runs the exact computation
         baseline: "mean", a vector, or a path to a JSON array
         normalize: subtract nu(empty) from every game value
-        ceiling: evaluation-budget guard for the exact mode
+        ceiling: evaluation-budget guard: an exact run, or a truncated run
+            at lam > 1, whose evaluation bound exceeds it raises BudgetExceeded
 
     Fitted attributes: interactions_, moebius_, call_count_,
     interaction_set_size_ (exact mode), game_, hoods_,
@@ -96,6 +104,10 @@ class GraphInteractionExplainer:
             lam = check_positive_int(self.lam, "lambda")
             if lam > g.n:
                 raise ParseError(f"lambda {lam} exceeds the {g.n} nodes")
+            bound = truncated_bound(hoods, lam)
+            if lam > 1 and bound > self.ceiling:
+                raise TruncatedBudgetExceeded(lam, bound, self.ceiling,
+                                              suggest_lambda(hoods, self.ceiling))
             mi, si = graphshapiq_approx(game, hoods, lam, k, index=self.index)
             self.interaction_set_size_ = None
         self.graph_ = g

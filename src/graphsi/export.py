@@ -26,17 +26,18 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON with 17-digit floats and insertion-ordered keys."""
+def dumps_json(obj) -> str:
+    """Deterministic JSON with 17-digit floats, insertion-ordered keys and a
+    two-space indent."""
     pieces: list[str] = []
-    _write_json(obj, pieces, indent, 0)
+    _write_json(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write_json(obj, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+def _write_json(obj, out: list[str], depth: int) -> None:
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -58,7 +59,7 @@ def _write_json(obj, out: list[str], indent: int, depth: int) -> None:
             out.append(pad)
             out.append(_escape(str(key)))
             out.append(": ")
-            _write_json(value, out, indent, depth + 1)
+            _write_json(value, out, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -68,7 +69,7 @@ def _write_json(obj, out: list[str], indent: int, depth: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _write_json(value, out, indent, depth + 1)
+            _write_json(value, out, depth + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
     else:

@@ -12,8 +12,6 @@ import numpy as np
 from .graph import Graph, make_graph
 from .nn import GcnLayer, GinLayer, GnnModel, LinearReadout, Mlp2Readout
 
-GRAPH_KINDS = ("path", "cycle", "tree", "er")
-
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Counter-based generator: replicates across platforms for a fixed seed."""
@@ -30,23 +28,19 @@ def cycle_edges(n: int) -> list[tuple[int, int]]:
     return path_edges(n) + [(0, n - 1)]
 
 
-def random_tree_edges(n: int, rng: np.random.Generator,
-                      max_degree: int = 3) -> list[tuple[int, int]]:
-    """Random recursive tree with a degree cap: node i attaches to a uniform
-    earlier node that still has an open slot.
+def random_tree_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Random recursive tree of degree at most 3: node i attaches to a
+    uniform earlier node that still has an open slot.
 
     The cap keeps receptive fields small at every ell, which is the regime
     this library targets; an uncapped recursive tree grows log(n)-degree
     hubs whose neighborhoods dominate the call count. A slot is always
-    open: i attached nodes carry 2(i-1) degree total, under max_degree*i
-    whenever max_degree >= 2.
+    open: i attached nodes carry 2(i-1) degree total, under 3i.
     """
-    if n > 2 and max_degree < 2:
-        raise ValueError(f"max_degree must be >= 2 for n > 2, got {max_degree}")
     degree = [0] * n
     edges = []
     for i in range(1, n):
-        open_slots = [j for j in range(i) if degree[j] < max_degree]
+        open_slots = [j for j in range(i) if degree[j] < 3]
         j = open_slots[int(rng.integers(0, len(open_slots)))]
         edges.append((j, i))
         degree[j] += 1

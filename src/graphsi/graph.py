@@ -7,6 +7,7 @@ so they plug directly into the interaction machinery.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -144,6 +145,17 @@ def graph_from_json(obj) -> Graph:
 def load_graph(path) -> Graph:
     """Load a graph from a JSON file. Raises ParseError on any defect."""
     return graph_from_json(read_json(path, "graph"))
+
+
+def ensure_graph(source) -> Graph:
+    """A Graph from a Graph, a parsed JSON object, or a file path."""
+    if isinstance(source, Graph):
+        return source
+    if isinstance(source, dict):
+        return graph_from_json(source)
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        return load_graph(os.fspath(source))
+    raise ParseError(f"cannot interpret {type(source).__name__} as a graph")
 
 
 def hop_rings(g: Graph, i: int, hops: int) -> list[int]:

@@ -40,23 +40,26 @@ from .interactions import InteractionSet, InteractionValues
 DEFAULT_CEILING = 2 ** 24
 
 
+def truncated_bound(hoods: NeighborhoodIndex, lam: int) -> int:
+    """Evaluations a truncated run at order cap lam makes at most:
+    sum_i C(|N_i|, <= lam) sets plus one per distinct neighborhood."""
+    sizes = [h.bit_count() for h in hoods.hoods]
+    return (sum(sum(comb(h, j) for j in range(min(h, lam) + 1)) for h in sizes)
+            + len(set(hoods.hoods)))
+
+
 def suggest_lambda(hoods: NeighborhoodIndex, ceiling: int) -> int:
     """Largest order cap whose evaluation count provably fits the ceiling.
 
-    The truncated run evaluates at most sum_i C(|N_i|, <= lam) sets plus
-    one per distinct oversized neighborhood. When no cap fits, returns 1,
-    the cheapest run, whose count still exceeds the ceiling.
+    When no cap fits, returns 1, the cheapest run, whose count still
+    exceeds the ceiling.
     """
-    sizes = [h.bit_count() for h in hoods.hoods]
-    n_max = max(sizes)
+    n_max = max(h.bit_count() for h in hoods.hoods)
     best = 1
     for lam in range(1, n_max + 1):
-        cost = sum(sum(comb(h, j) for j in range(min(h, lam) + 1)) for h in sizes)
-        cost += len(set(hoods.hoods))
-        if cost <= ceiling:
-            best = lam
-        else:
+        if truncated_bound(hoods, lam) > ceiling:
             break
+        best = lam
     return best
 
 
@@ -104,7 +107,8 @@ def moebius_transform(game, coalition: int, values: dict[int, float] | None = No
     bug), otherwise evaluates every subset through the game in one batch.
     """
     if values is None:
-        values = _evaluate_all(game, list(iter_subsets(coalition)))
+        subsets = list(iter_subsets(coalition))
+        values = dict(zip(subsets, game.evaluate_batch(subsets)))
     s = coalition.bit_count()
     total = 0.0
     try:
@@ -115,10 +119,6 @@ def moebius_transform(game, coalition: int, values: dict[int, float] | None = No
         raise RuntimeError(
             f"internal error: subset {exc.args[0]!r} of {coalition:#x} was never evaluated") from exc
     return total
-
-
-def _evaluate_all(game: GameOracle, coalitions) -> dict[int, float]:
-    return dict(zip(coalitions, game.evaluate_batch(coalitions)))
 
 
 def _moebius_map(values: dict[int, float], kept: Sequence[int]) -> dict[int, float]:
@@ -163,7 +163,9 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
     smallest bitmask) also takes the gap tau to nu(N). Exact runs have none.
     """
     n = len(hoods.hoods)
-    values = _evaluate_all(game, [*kept, *oversized])
+    sets = [*kept, *oversized]
+    values = dict(zip(sets, game.evaluate_batch(sets)))
+    del sets
     mi_values = _moebius_map(values, kept)
     if oversized:
         size = len(mi_values) + len(oversized)

@@ -18,6 +18,7 @@ differently.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class GinLayer:
 
 @dataclass(frozen=True)
 class LinearReadout:
-    weight: np.ndarray  # d_ell x d_out
+    weight: np.ndarray  # d_in x d_out
     bias: np.ndarray
 
     kind = "linear"
@@ -116,10 +117,6 @@ class GnnModel:
     @property
     def d_in(self) -> int:
         return self.layers[0].d_in
-
-    @property
-    def d_ell(self) -> int:
-        return self.layers[-1].d_out
 
     @property
     def d_out(self) -> int:
@@ -244,9 +241,29 @@ def load_model(path) -> GnnModel:
     return model_from_json(read_json(path, "weights"))
 
 
+def ensure_model(source) -> GnnModel:
+    """A GnnModel from a GnnModel, a parsed JSON object, or a file path."""
+    if isinstance(source, GnnModel):
+        return source
+    if isinstance(source, dict):
+        return model_from_json(source)
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        return load_model(os.fspath(source))
+    raise ParseError(f"cannot interpret {type(source).__name__} as a model")
+
+
 def default_baseline(g: Graph) -> np.ndarray:
     """Componentwise mean of the node features."""
     return g.features.mean(axis=0)
+
+
+def ensure_baseline(spec, graph: Graph) -> np.ndarray:
+    """Masking vector from "mean", an array-like, or a JSON file of numbers."""
+    if spec is None or (isinstance(spec, str) and spec == "mean"):
+        return default_baseline(graph)
+    if isinstance(spec, (str, bytes)) or hasattr(spec, "__fspath__"):
+        spec = read_json(os.fspath(spec), "baseline")
+    return as_vector(spec, "baseline", graph.d0)
 
 
 def masked_features(g: Graph, baseline: np.ndarray, coalitions) -> np.ndarray:

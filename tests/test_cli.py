@@ -134,6 +134,18 @@ def test_budget_ceiling_exit_code(er8_args, capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam,code", [(2, 3), (1, 0)])
+def test_lambda_past_the_ceiling_exits_3_before_evaluating(er8_args, tmp_path, capsys,
+                                                          lam, code):
+    # lambda = 1 is the cheapest run there is, so it runs whatever the ceiling
+    out = tmp_path / "out.json"
+    argv = ["explain", *er8_args, "--lambda", str(lam), "--ceiling", "16", "--out", str(out)]
+    assert main(argv) == code
+    assert out.exists() == (code == 0)
+    if code == 3:
+        assert capsys.readouterr().err.endswith("> ceiling 16; try --lambda 1\n")
+
+
 def test_budget_message_shows_the_degree_bound(er8_args, demo_dir, capsys):
     g = load_graph(demo_dir / "er8_graph.json")
     ell = load_model(demo_dir / "er8_model.json").num_layers

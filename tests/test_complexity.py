@@ -3,6 +3,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from graphsi import complexity
 from graphsi.complexity import (
     INAPPLICABLE,
     NOT_ENUMERATED,
@@ -110,9 +111,11 @@ def test_count_equals_materialized_union(masks):
     assert count_interaction_set(maximal) == want
 
 
-def test_count_gives_up_within_the_step_budget():
+def test_count_gives_up_within_the_step_budget(monkeypatch):
     masks = _unique_maximal([(0b111111 << i) & 0xFFF for i in range(7)])
-    assert count_interaction_set(masks, step_budget=2) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(complexity, "COUNT_STEP_BUDGET", 2)
+        assert count_interaction_set(masks) is None
     assert isinstance(count_interaction_set(masks), int)
 
 

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from graphsi.errors import NonlinearReadout, ParseError
+from graphsi.errors import BudgetExceeded, NonlinearReadout, ParseError
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance
-from graphsi.graph import load_graph
-from graphsi.moebius import DEFAULT_CEILING, graphshapiq_exact
+from graphsi.graph import khop_neighborhoods, load_graph
+from graphsi.moebius import DEFAULT_CEILING, graphshapiq_exact, truncated_bound
 from graphsi.nn import load_model
 from helpers import star_instance
 from oracles import interaction_set_oracle, khop_oracle
@@ -181,6 +181,40 @@ def test_fitted_attributes_truncated(path4):
     assert ex.moebius_.lam == 1
     assert abs(ex.efficiency_residual_) < 1e-8
     assert ex.interactions_.kind == "ksii"
+
+
+def test_truncated_run_past_the_ceiling_suggests_a_lambda_that_fits(demo_dir):
+    weights = demo_dir / "er8_model.json"
+    graph = load_graph(demo_dir / "er8_graph.json")
+    with pytest.raises(BudgetExceeded) as err:
+        GraphInteractionExplainer(weights, lam=2, ceiling=5).fit(graph)
+    exc = err.value
+    assert exc.suggested_lambda == 1 and exc.ceiling == 5
+    bound = truncated_bound(khop_neighborhoods(graph, load_model(weights).num_layers), 2)
+    assert exc.bound_sum == bound
+    assert str(exc).endswith(f"up to {bound} sets > ceiling 5; try --lambda 1")
+    # lambda = 1 is the cheapest run there is, so it runs whatever the ceiling
+    assert GraphInteractionExplainer(weights, lam=1, ceiling=5).fit(graph).call_count_ > 5
+
+
+def test_truncated_guard_stops_before_any_evaluation(monkeypatch):
+    # 48-node ER graph under a 2-layer GCN, as in the truncated benchmark
+    # workload: lambda = 3 fits 2^24 evaluations, lambda = 8 would need ~1.4e8
+    g, model = generate_instance("er", 48, 3, 0, "gcn", 2, 4, edge_prob=0.10)
+    games = []
+
+    class RecordedGame(GraphGame):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            games.append(self)
+
+    monkeypatch.setattr("graphsi.explainer.GraphGame", RecordedGame)
+    with pytest.raises(BudgetExceeded) as err:
+        GraphInteractionExplainer(model, lam=8).fit(g)
+    assert err.value.bound_sum > DEFAULT_CEILING
+    assert 3 <= err.value.suggested_lambda < 8
+    assert [game.call_count() for game in games] == [0]
+    assert truncated_bound(khop_neighborhoods(g, 2), 3) <= DEFAULT_CEILING
 
 
 def test_ell_override_widens_neighborhoods(path4):

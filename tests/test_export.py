@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphsi.coalitions import full_mask
 from graphsi.export import (
     EXPORT_PRUNE,
     atomic_write_text,
@@ -14,11 +13,9 @@ from graphsi.export import (
     format_float,
     to_dot,
 )
-from graphsi.game import GraphGame
-from graphsi.generate import generate_instance
-from graphsi.graph import khop_neighborhoods, make_graph
+from graphsi.explainer import GraphInteractionExplainer
+from graphsi.graph import make_graph
 from graphsi.interactions import InteractionValues
-from graphsi.moebius import graphshapiq_exact
 
 
 def si_values(n, values, kind="ksii", k=2, **meta):
@@ -173,22 +170,23 @@ def test_build_si_graph_metadata_fields():
     }
 
 
-def test_si_graph_efficiency_from_pipeline():
-    g, model = generate_instance("er", 7, 3, 51, "gcn", 1, 4, edge_prob=0.4)
-    game = GraphGame(model, g)
-    hoods = khop_neighborhoods(g, 1)
-    mi, si = graphshapiq_exact(game, hoods, k=2)
-    nu_full = game.evaluate(full_mask(7))
-    nu_empty = game.evaluate(0)
-    residual = si.total() + nu_empty - nu_full
-    doc = build_si_graph(si, nu_full, nu_empty, residual)
-    total = sum(n["value"] for n in doc["nodes"])
-    total += sum(h["value"] for h in doc["hyperedges"])
-    assert math.isclose(total + doc["metadata"]["nu_empty"],
-                        doc["metadata"]["nu_N"], abs_tol=1e-6)
-    # serialization keeps every float bit-for-bit
-    back = json.loads(dumps_json(doc))
-    assert back == doc
+def test_si_graph_efficiency_from_pipeline(demo_dir):
+    for index in ("mi", "sv", "sii", "ksii", "stii"):
+        for lam in (None, 1):
+            explainer = GraphInteractionExplainer(demo_dir / "er8_model.json", index=index,
+                                                  lam=lam)
+            doc = explainer.fit(demo_dir / "er8_graph.json").to_export()
+            meta = doc["metadata"]
+            total = sum(n["value"] for n in doc["nodes"])
+            total += sum(h["value"] for h in doc["hyperedges"])
+            gap = total + meta["nu_empty"] - meta["nu_N"]
+            if index == "sii":  # not an efficient index: the document reports its gap
+                assert abs(gap) > 1e-3
+                assert math.isclose(abs(gap), meta["efficiency_residual"], rel_tol=1e-9)
+            else:
+                assert abs(gap) <= 1e-9 * max(1.0, abs(meta["nu_N"]))
+            # serialization keeps every float bit-for-bit
+            assert json.loads(dumps_json(doc)) == doc
 
 
 # ---------------------------------------------------------------- DOT rendering

@@ -23,12 +23,12 @@ from graphsi.nn import (
     _conv_stack,
     _forward_ball,
     default_baseline,
+    ensure_baseline,
     forward_graph,
     forward_node,
     load_model,
     masked_features,
 )
-from graphsi.validation import ensure_baseline
 from helpers import star_instance
 from oracles import fast_moebius_oracle
 
@@ -429,7 +429,7 @@ def test_node_game_evaluates_embeddings():
     t = mask_of([0, 2, 4])
     want = forward_node(model, g, masked_features(g, node.baseline, [t])[0], 2)
     np.testing.assert_array_equal(node.evaluate(t), want)
-    assert node.evaluate(t).shape == (model.d_ell,)
+    assert node.evaluate(t).shape == (model.layers[-1].d_out,)
     node.evaluate(t)
     assert node.call_count() == 1
 

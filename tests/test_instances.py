@@ -37,7 +37,9 @@ def instances(draw):
     kind = draw(st.sampled_from(["path", "cycle", "tree", "er"]))
     n = draw(st.integers(min_value=3 if kind == "cycle" else 1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2 ** 16))
-    kinds = tuple(draw(st.lists(st.sampled_from(["gin", "gcn"]), min_size=1, max_size=3)))
+    # the depth first, uniformly: a list strategy would draw mostly one-layer stacks
+    depth = draw(st.integers(min_value=1, max_value=3))
+    kinds = tuple(draw(st.sampled_from(["gin", "gcn"])) for _ in range(depth))
     pooling = draw(st.sampled_from(["sum", "mean"]))
     baseline = draw(st.none() | st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
     normalize = draw(st.booleans())
