@@ -23,16 +23,24 @@ its first conv layer off the coalition bits, as an affine function of
 them. These values
 agree with the dense stack to rounding (about 1e-14 relative), not bit
 for bit.
+
+The Moebius transform is linear too, so an exact run at the model's depth
+takes its Moebius values straight from the tables (table_moebius):
+m(S) = sum over the balls holding S of each table's transform at S, and
+m(empty) = nu(empty). Reading nu from the tables one coalition at a time
+(_table_values) then serves only the memo: nu(empty), samplers that share
+the game, and runs at another ell.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
 
-from .coalitions import MAX_PLAYERS, full_mask
+from .coalitions import MAX_PLAYERS, full_mask, mask_of
 from .errors import ParseError, as_vector
 from .graph import Graph, ball_layouts
 from .nn import (GnnModel, _forward_ball, default_baseline, forward_graph, forward_node,
@@ -146,7 +154,9 @@ class GraphGame(_MaskedGame):
     layouts. A batch whose dense work is below the tables' fixed part
     alone stays dense without a look at the balls, so small graphs never
     lay them out. Only a linear readout splits. call_count still counts
-    distinct coalitions, not the ball rows forwarded.
+    distinct coalitions, not the ball rows forwarded. An exact run at the
+    model's depth puts the same rule to |I| before it evaluates anything,
+    and on the tables takes table_moebius (moebius.graphshapiq_exact).
 
     Args:
         model: loaded GnnModel
@@ -164,6 +174,7 @@ class GraphGame(_MaskedGame):
         self.target = int(np.argmax(full_out))  # argmax takes the lowest index on ties
         self._raw_full = float(full_out[self.target])
         self._tables = None
+        self._determined = None  # (|I|, ball masks) once table_moebius ran
 
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
@@ -185,9 +196,12 @@ class GraphGame(_MaskedGame):
         fixed = n * depth * _TABLE_COST
         if dense <= fixed:  # decided without looking at the balls
             return False
-        work = sum((1 << len(nodes)) * len(nodes) * sum(keep)
-                   for nodes, keep in ball_layouts(self.graph, depth))
+        work = sum((1 << len(nodes)) * len(nodes) * sum(keep) for nodes, keep in self._layouts)
         return fixed + _BALL_ROW_COST * work < dense
+
+    @cached_property
+    def _layouts(self) -> list[tuple[list[int], list[int]]]:
+        return ball_layouts(self.graph, self.model.num_layers)
 
     def _node_tables(self) -> list[tuple[list[int], np.ndarray]]:
         """(ball nodes, table) per node i in order, the nodes in hop order
@@ -196,7 +210,7 @@ class GraphGame(_MaskedGame):
         each bit j of L and the other ball nodes masked."""
         weight = self.model.readout.weight[:, self.target]
         tables = []
-        for nodes, keep in ball_layouts(self.graph, self.model.num_layers):
+        for nodes, keep in self._layouts:
             size = 1 << len(nodes)
             # widest array of a ball forward per row: the bits or layer 0's rows
             widest = max(len(nodes), keep[0] * self.model.width)
@@ -221,6 +235,58 @@ class GraphGame(_MaskedGame):
         if self.model.pooling == "mean":
             total /= self.n_players
         return (total + self.model.readout.bias[self.target]).tolist()
+
+    def table_moebius(self) -> dict[int, float]:
+        """Moebius values on I, the union of the balls' power sets, in canonical
+        order, from the node tables (built if need be).
+
+        Balls of one size go together: their tables, stacked, take the dense
+        subset butterfly, and their local indices become global masks (and
+        set sizes) by doubling. The values are summed by global mask, by
+        ascending ball size and then node (divided by n under mean pooling).
+        m(empty) is nu(empty), read through the memo. From then on
+        call_count counts I as evaluated.
+        """
+        with self._lock:
+            if self._tables is None:
+                self._tables = self._node_tables()
+        by_size: dict[int, list] = {}
+        for nodes, table in self._tables:
+            by_size.setdefault(len(nodes), []).append((nodes, table))
+        values, masks, sizes = [], [], []
+        for h, balls in sorted(by_size.items()):
+            stack = np.stack([table for _, table in balls])  # a copy: the tables stay as built
+            members = np.array([nodes for nodes, _ in balls], dtype="<u8").reshape(len(balls), h)
+            glob, size = np.zeros((len(balls), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
+            for j in range(h):
+                v = stack.reshape(len(balls), -1, 2, 1 << j)
+                v[:, :, 1, :] -= v[:, :, 0, :]
+                glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])], axis=1)
+                size = np.concatenate([size, size + 1])
+            values.append(stack.ravel())
+            masks.append(glob.ravel())
+            sizes.append(np.tile(size, len(balls)))
+        keys, where = np.unique(np.concatenate(masks), return_inverse=True)
+        sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
+        if self.model.pooling == "mean":
+            sums /= self.n_players
+        count = np.empty(len(keys), dtype=np.uint8)
+        count[where] = np.concatenate(sizes)
+        order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
+        mi = dict(zip(keys[order].tolist(), sums[order].tolist()))
+        mi[0] = 0.0 if self.normalize else self._values([0])[0]
+        with self._lock:
+            self._determined = (len(mi), {mask_of(nodes) for nodes, _ in self._tables})
+        return mi
+
+    def call_count(self) -> int:
+        """Distinct coalitions evaluated, counting every member of I once
+        table_moebius has determined them."""
+        if self._determined is None:
+            return super().call_count()
+        size, balls = self._determined
+        with self._lock:
+            return size + sum(all(t & ~ball for ball in balls) for t in self._memo)
 
     def evaluate_batch(self, coalitions) -> list[float]:
         """Values in input order; the empty coalition is forwarded last when normalizing."""

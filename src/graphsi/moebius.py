@@ -11,6 +11,12 @@ the surviving sets plus each full receptive field, and repairs the
 efficiency gap so the recovered values still sum to the full
 prediction.
 
+An exact run at the model's depth that the game's cost rule sends to node
+tables evaluates nothing set by set: GraphGame.table_moebius sums each
+ball's transformed table by global mask, and I is counted
+(complexity.count_interaction_set), never enumerated. Every other run
+evaluates its family and transforms it here.
+
 Cost of the transform: each run takes one of two routes, decided by
 coalitions.small_family over the evaluated sets. A large run (some set
 of more than DIRECT_MAX members) transforms its down-closed kept family
@@ -31,9 +37,9 @@ import numpy as np
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
 from .coalitions import (_unique_maximal, full_mask, iter_members, iter_subsets, pair_index,
                          small_family, sort_key)
-from .complexity import degree_bound
+from .complexity import count_interaction_set, degree_bound
 from .errors import BudgetExceeded, NonlinearReadout
-from .game import GameOracle
+from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
 from .interactions import InteractionSet, InteractionValues
 
@@ -79,6 +85,17 @@ def _support(maximal: list[int], lam: int) -> list[int]:
     return [m for same_size in by_size for m in sorted(same_size)]
 
 
+def _check_ceiling(hoods: NeighborhoodIndex, ceiling: int) -> int:
+    """sum_i 2^|N_i|, which bounds |I|; past the ceiling, raises
+    BudgetExceeded carrying the bound chain and a workable lambda."""
+    sizes = [h.bit_count() for h in hoods.hoods]
+    bound_sum = sum(1 << s for s in sizes)
+    if bound_sum > ceiling:
+        raise BudgetExceeded(bound_sum, len(sizes) << max(sizes), None, ceiling,
+                             suggested_lambda=suggest_lambda(hoods, ceiling))
+    return bound_sum
+
+
 def build_interaction_set(hoods: NeighborhoodIndex,
                           ceiling: int = DEFAULT_CEILING) -> InteractionSet:
     """Union of the power sets of all receptive fields, canonically ordered.
@@ -87,15 +104,9 @@ def build_interaction_set(hoods: NeighborhoodIndex,
     BudgetExceeded carrying the bound chain and a workable lambda, so
     callers can fall back to the truncated computation.
     """
-    sizes = [h.bit_count() for h in hoods.hoods]
-    n = len(sizes)
-    n_max = max(sizes)
-    bound_sum = sum(1 << s for s in sizes)
-    bound_nmax = n * (1 << n_max)
-    if bound_sum > ceiling:
-        raise BudgetExceeded(bound_sum, bound_nmax, None, ceiling,
-                             suggested_lambda=suggest_lambda(hoods, ceiling))
+    _check_ceiling(hoods, ceiling)
     maximal = _unique_maximal(hoods.hoods)
+    n_max = max(h.bit_count() for h in hoods.hoods)
     return InteractionSet(members=tuple(_support(maximal, n_max)),
                           maximal_hoods=tuple(maximal))
 
@@ -162,7 +173,6 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
     leaves unexplained by the values assigned so far; the largest (ties:
     smallest bitmask) also takes the gap tau to nu(N). Exact runs have none.
     """
-    n = len(hoods.hoods)
     sets = [*kept, *oversized]
     values = dict(zip(sets, game.evaluate_batch(sets)))
     del sets
@@ -178,11 +188,35 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
             explained = float(np.cumsum(found[:i][inside])[-1])
             mi_values[hood] = found[i] = values[hood] - explained
         star = min(oversized, key=lambda h: (-h.bit_count(), h))
-        mi_values[star] += _grand_value(game, n) - sum(mi_values.values())
+        mi_values[star] += _grand_value(game, len(hoods.hoods)) - sum(mi_values.values())
     del values  # free the game values before the conversion, which needs only the map
+    return _converted(game, hoods, mi_values, k, index, lam)
+
+
+def _converted(game: GameOracle, hoods: NeighborhoodIndex, mi_values: dict[int, float], k: int,
+               index: str, lam: int | None) -> tuple[InteractionValues, InteractionValues]:
+    n = len(hoods.hoods)
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
                            ell=hoods.ell, lam=lam, call_count=game.call_count())
     return mi, convert.convert_mi(mi, index, k)
+
+
+def _tables_take(game: GameOracle, hoods: NeighborhoodIndex, bound: int, ceiling: int) -> bool:
+    """Whether an exact run reads its Moebius values off the game's node
+    tables: a GraphGame whose balls are the fields (ell is the model's
+    depth) and whose cost rule sends |I| new coalitions to the tables, as
+    its first batch would. The rule only grows with the count, so the
+    bound (>= |I|) settles most dense runs before I is counted; a count
+    that gives up falls back to enumerating I.
+    """
+    if not isinstance(game, GraphGame) or hoods.ell != game.model.num_layers:
+        return False
+    if not game._tables_pay(bound):
+        return False
+    count = count_interaction_set(_unique_maximal(hoods.hoods))
+    if count is None:
+        count = len(build_interaction_set(hoods, ceiling).members)
+    return game._tables_pay(count)
 
 
 def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index: str = "ksii",
@@ -195,20 +229,28 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     the requested index at order k. Interactions outside the set are
     exactly zero and never materialized.
 
+    A GraphGame that the cost rule sends to node tables at the model's
+    depth gives the Moebius values straight from its tables instead
+    (GraphGame.table_moebius); call_count still reports |I|.
+
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and
-    BudgetExceeded, with a graph game's degree bound, past the ceiling.
+    BudgetExceeded, with a graph game's degree bound, past the ceiling,
+    before anything is evaluated.
     """
     _check_readout(game)
     n = len(hoods.hoods)
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     try:
-        iset = build_interaction_set(hoods, ceiling)
+        bound = _check_ceiling(hoods, ceiling)
     except BudgetExceeded as exc:
         if not hasattr(game, "graph"):
             raise
         raise BudgetExceeded(exc.bound_sum, exc.bound_nmax, degree_bound(game.graph, hoods.ell),
                              exc.ceiling, exc.suggested_lambda) from None
+    if _tables_take(game, hoods, bound, ceiling):
+        return _converted(game, hoods, game.table_moebius(), k, index, None)
+    iset = build_interaction_set(hoods, ceiling)
     return _interactions(game, hoods, iset.members, [], k, index, None)
 
 

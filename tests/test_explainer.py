@@ -157,6 +157,63 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
         assert sum(ball_rows) == sum(2 ** len(ball) for ball in balls)
 
 
+def _table_cases():
+    """A 48-node degree-3 tree under a 2-layer GIN and the 14-node star:
+    exact runs the cost rule sends to node tables."""
+    return (generate_instance("tree", 48, 3, 7, "gin", 2, 4), star_instance())
+
+
+def test_table_runs_stop_before_any_ball_forward_past_the_ceiling(monkeypatch):
+    import graphsi.game
+
+    def refuse(*args):
+        raise AssertionError("a node table was built past the ceiling")
+
+    monkeypatch.setattr(graphsi.game, "_forward_ball", refuse)
+    for g, model in _table_cases():
+        balls = khop_oracle(g.n, g.edges, model.num_layers)
+        bound = sum(2 ** len(ball) for ball in balls)
+        with pytest.raises(BudgetExceeded) as err:
+            GraphInteractionExplainer(model, ceiling=bound - 1).fit(g)
+        assert err.value.bound_sum == bound and err.value.ceiling == bound - 1
+        assert err.value.bound_dmax is not None  # the graph game's degree bound joins the chain
+
+
+def test_table_runs_fall_back_to_enumerating_i_when_the_count_gives_up(monkeypatch):
+    import graphsi.complexity
+    import graphsi.moebius
+
+    enumerated = []
+    real = graphsi.moebius.build_interaction_set
+
+    def counting(hoods, ceiling):
+        enumerated.append(hoods.ell)
+        return real(hoods, ceiling)
+
+    monkeypatch.setattr(graphsi.moebius, "build_interaction_set", counting)
+    g, model = _table_cases()[0]  # the star's one field would be counted in a single step
+    counted = GraphInteractionExplainer(model, index="mi").fit(g)
+    assert enumerated == []  # |I| was counted, and the tables gave MI
+    monkeypatch.setattr(graphsi.complexity, "COUNT_STEP_BUDGET", 1)
+    listed = GraphInteractionExplainer(model, index="mi").fit(g)
+    assert enumerated == [2]
+    assert listed.game_._tables is not None
+    assert list(listed.moebius_.values.items()) == list(counted.moebius_.values.items())
+    assert listed.call_count_ == counted.call_count_ == listed.interaction_set_size_
+
+
+def test_table_runs_count_later_evaluations_outside_i():
+    g, model = _table_cases()[0]
+    ex = GraphInteractionExplainer(model, index="mi").fit(g)
+    game, size = ex.game_, ex.interaction_set_size_
+    assert game._memo.keys() == {0}  # nu(empty) for the efficiency check; I came from the tables
+    inside = max(ex.moebius_.values)
+    outside = next(1 << i | 1 << j for i in range(g.n) for j in range(i)
+                   if (1 << i | 1 << j) not in ex.moebius_.values)
+    game.evaluate_batch([inside, outside, inside])
+    assert game.call_count() == size + 1
+
+
 def test_node_tables_follow_the_model_depth_not_ell(monkeypatch):
     import graphsi.game
 

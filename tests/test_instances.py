@@ -84,12 +84,20 @@ def test_pipeline_agrees_with_the_dense_power_set(case):
     # also in a run explained at the drawn ell: the balls follow the model's depth
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GraphGame, "_tables_pay", lambda self, count: True)
-        run = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
-                                        normalize=normalize).fit(g).game_
+        ex = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
+                                       normalize=normalize).fit(g)
+    run = ex.game_
     assert run._tables is not None
     seen = list(run._memo)
     assert max(abs(a - b) for a, b in zip(run.evaluate_batch(seen),
                                           forced.evaluate_batch(seen))) <= 1e-12 * scale
+    if ell == model.num_layers:  # MI straight from the tables, which leaves the memo near empty
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GraphGame, "_tables_pay", lambda self, count: False)
+            stacked = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
+                                                normalize=normalize).fit(g).moebius_.values
+        assert ex.moebius_.values.keys() == stacked.keys()
+        assert max(abs(v - ex.moebius_.values[t]) for t, v in stacked.items()) <= 1e-12 * scale
 
     # property 2: exact MI within the rounding bound on I and zero off it, where
     # I covers the receptive fields (nu's Moebius transform vanishes off them)

@@ -192,8 +192,10 @@ def test_tabulated_fields_within_rounding_bound(instance):
 def test_overlapping_fields_agree_bit_for_bit():
     g, model, hoods = tree30_instance()
     game = GraphGame(model, g)
+    # the family butterfly over memo values: tables would give MI straight from the balls
+    game._tables_pay = lambda count: False
     mi, _ = graphshapiq_exact(game, hoods, k=2)
-    probe = game  # memo hits: the values the run used, whichever evaluator gave them
+    probe = game  # memo hits: the values the run used
     alone = {}
     for field in build_interaction_set(hoods).maximal_hoods:
         if field.bit_count() > DIRECT_MAX:
