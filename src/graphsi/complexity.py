@@ -91,11 +91,13 @@ def degree_bound(g: Graph, ell: int) -> int | str | None:
     """n * 2^((d_max^(ell+1)-1)/(d_max-1)), saturated: the bound on
     sum_i 2^|N_i| from the maximum degree alone, since no ell-hop
     neighborhood holds more than 1 + d_max + ... + d_max^ell nodes.
-    None when d_max <= 1, where that geometric sum does not apply."""
+    None when d_max <= 1, where that geometric sum does not apply. With
+    d_max >= 2 the exponent exceeds 63 for every ell >= 63, so ell is
+    capped there rather than raising d_max to a huge power."""
     d_max = max(g.degree(i) for i in range(g.n))
     if d_max <= 1:
         return None
-    return _pow2_times(g.n, (d_max ** (ell + 1) - 1) // (d_max - 1))
+    return _pow2_times(g.n, (d_max ** (min(ell, 63) + 1) - 1) // (d_max - 1))
 
 
 def estimate_calls(g: Graph, ell: int) -> CallEstimate:

@@ -175,11 +175,14 @@ def hop_rings(g: Graph, i: int, hops: int) -> list[int]:
 
 
 def khop_neighborhoods(g: Graph, ell: int) -> NeighborhoodIndex:
-    """Closed ell-hop neighborhoods: the union of each node's hop rings."""
+    """Closed ell-hop neighborhoods: the union of each node's hop rings.
+    No shortest path has more than n - 1 hops, so the search stops there;
+    the index keeps the ell asked for."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
+    hops = min(ell, g.n - 1)
     # the rings are disjoint, so their sum is their union
-    return NeighborhoodIndex(ell=ell, hoods=tuple(sum(hop_rings(g, i, ell)) for i in range(g.n)))
+    return NeighborhoodIndex(ell=ell, hoods=tuple(sum(hop_rings(g, i, hops)) for i in range(g.n)))
 
 
 def ball_layouts(g: Graph, hops: int) -> list[tuple[list[int], list[int]]]:

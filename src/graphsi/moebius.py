@@ -11,11 +11,10 @@ the surviving sets plus each full receptive field, and repairs the
 efficiency gap so the recovered values still sum to the full
 prediction.
 
-An exact run at the model's depth that the game's cost rule sends to node
-tables evaluates nothing set by set: GraphGame.table_moebius sums each
-ball's transformed table by global mask, and I is counted
-(complexity.count_interaction_set), never enumerated. Every other run
-evaluates its family and transforms it here.
+An exact run of a GraphGame at the model's depth whose fields are not a
+coalitions.small_family evaluates nothing set by set:
+GraphGame.table_moebius sums each ball's transformed table by global
+mask. Every other run evaluates its family and transforms it here.
 
 Cost of the transform: each run takes one of two routes, decided by
 coalitions.small_family over the evaluated sets. A large run (some set
@@ -37,7 +36,7 @@ import numpy as np
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
 from .coalitions import (_unique_maximal, full_mask, iter_members, iter_subsets, pair_index,
                          small_family, sort_key)
-from .complexity import count_interaction_set, degree_bound
+from .complexity import degree_bound
 from .errors import BudgetExceeded, NonlinearReadout
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
@@ -85,15 +84,14 @@ def _support(maximal: list[int], lam: int) -> list[int]:
     return [m for same_size in by_size for m in sorted(same_size)]
 
 
-def _check_ceiling(hoods: NeighborhoodIndex, ceiling: int) -> int:
-    """sum_i 2^|N_i|, which bounds |I|; past the ceiling, raises
-    BudgetExceeded carrying the bound chain and a workable lambda."""
+def _check_ceiling(hoods: NeighborhoodIndex, ceiling: int) -> None:
+    """Raises BudgetExceeded, carrying the bound chain and a workable lambda,
+    when sum_i 2^|N_i|, which bounds |I|, exceeds the ceiling."""
     sizes = [h.bit_count() for h in hoods.hoods]
     bound_sum = sum(1 << s for s in sizes)
     if bound_sum > ceiling:
         raise BudgetExceeded(bound_sum, len(sizes) << max(sizes), None, ceiling,
                              suggested_lambda=suggest_lambda(hoods, ceiling))
-    return bound_sum
 
 
 def build_interaction_set(hoods: NeighborhoodIndex,
@@ -201,22 +199,13 @@ def _converted(game: GameOracle, hoods: NeighborhoodIndex, mi_values: dict[int, 
     return mi, convert.convert_mi(mi, index, k)
 
 
-def _tables_take(game: GameOracle, hoods: NeighborhoodIndex, bound: int, ceiling: int) -> bool:
+def _tables_take(game: GameOracle, hoods: NeighborhoodIndex) -> bool:
     """Whether an exact run reads its Moebius values off the game's node
     tables: a GraphGame whose balls are the fields (ell is the model's
-    depth) and whose cost rule sends |I| new coalitions to the tables, as
-    its first batch would. The rule only grows with the count, so the
-    bound (>= |I|) settles most dense runs before I is counted; a count
-    that gives up falls back to enumerating I.
-    """
-    if not isinstance(game, GraphGame) or hoods.ell != game.model.num_layers:
-        return False
-    if not game._tables_pay(bound):
-        return False
-    count = count_interaction_set(_unique_maximal(hoods.hoods))
-    if count is None:
-        count = len(build_interaction_set(hoods, ceiling).members)
-    return game._tables_pay(count)
+    depth) and whose fields are not a small family. A small family keeps
+    the per-set sums, which are faster there and pin the demo's bits."""
+    return (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers
+            and not small_family(hoods.hoods))
 
 
 def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index: str = "ksii",
@@ -229,8 +218,8 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     the requested index at order k. Interactions outside the set are
     exactly zero and never materialized.
 
-    A GraphGame that the cost rule sends to node tables at the model's
-    depth gives the Moebius values straight from its tables instead
+    A GraphGame at the model's depth whose fields are not a small family
+    gives the Moebius values straight from its node tables instead
     (GraphGame.table_moebius); call_count still reports |I|.
 
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and
@@ -242,13 +231,13 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     try:
-        bound = _check_ceiling(hoods, ceiling)
+        _check_ceiling(hoods, ceiling)
     except BudgetExceeded as exc:
         if not hasattr(game, "graph"):
             raise
         raise BudgetExceeded(exc.bound_sum, exc.bound_nmax, degree_bound(game.graph, hoods.ell),
                              exc.ceiling, exc.suggested_lambda) from None
-    if _tables_take(game, hoods, bound, ceiling):
+    if _tables_take(game, hoods):
         return _converted(game, hoods, game.table_moebius(), k, index, None)
     iset = build_interaction_set(hoods, ceiling)
     return _interactions(game, hoods, iset.members, [], k, index, None)

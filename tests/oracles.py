@@ -215,7 +215,7 @@ def gamma(j) -> Fraction:
 def khop_oracle(n, edges, ell) -> list[frozenset]:
     """Closed ell-hop neighborhoods from all-pairs shortest paths
     (Floyd-Warshall), deliberately not breadth-first search."""
-    inf = n + 1
+    inf = float("inf")  # unreachable at any range ell
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
     for a, b in edges:
         dist[a][b] = dist[b][a] = 1

@@ -12,6 +12,7 @@ from graphsi.complexity import (
     CallEstimate,
     _saturate,
     count_interaction_set,
+    degree_bound,
     estimate_calls,
     scaling_study,
 )
@@ -64,6 +65,20 @@ def test_oversized_neighborhoods_saturate_every_field():
     assert est.bound_sum == SATURATED
     assert est.bound_nmax == SATURATED
     assert est.bound_dmax == SATURATED
+
+
+def test_degree_bound_saturates_from_ell_63_without_a_huge_power():
+    cases = [random_graph("er", 10, 1, seed=s, edge_prob=0.3) for s in range(3)]
+    cases += [random_graph("tree", 12, 1, seed=0), complete_graph(5)]
+    for g in cases:
+        d_max = max(g.degree(i) for i in range(g.n))
+        assert d_max >= 2
+        for ell in range(1, 63):
+            size = sum(d_max ** j for j in range(ell + 1))  # 1 + d_max + ... + d_max^ell
+            want = g.n << size if size <= 63 and g.n << size <= SATURATION_LIMIT else SATURATED
+            assert degree_bound(g, ell) == want
+        assert degree_bound(g, 63) == degree_bound(g, 10 ** 9) == SATURATED
+    assert degree_bound(random_graph("path", 2, 1, seed=0), 10 ** 9) is None
 
 
 def test_isolated_nodes_report_inapplicable_degree_bound():

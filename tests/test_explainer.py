@@ -7,7 +7,7 @@ from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance
 from graphsi.graph import khop_neighborhoods, load_graph
-from graphsi.moebius import DEFAULT_CEILING, graphshapiq_exact, truncated_bound
+from graphsi.moebius import DEFAULT_CEILING, truncated_bound
 from graphsi.nn import load_model
 from helpers import star_instance
 from oracles import interaction_set_oracle, khop_oracle
@@ -119,11 +119,11 @@ def test_call_count_is_the_forwards_actually_run(demo_dir, monkeypatch, normaliz
         return real(model, g, x)
 
     def no_ball(*args):
-        raise AssertionError("er8 stays on the dense stack")
+        raise AssertionError("er8 at ell=2 stays on the dense stack")
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting)
     monkeypatch.setattr(graphsi.game, "_forward_ball", no_ball)
-    ex = GraphInteractionExplainer(demo_dir / "er8_model.json", index="ksii",
+    ex = GraphInteractionExplainer(demo_dir / "er8_model.json", index="ksii", ell=2,
                                    normalize=normalize).fit(demo_dir / "er8_graph.json")
     construction, *stacks = forwards  # one unmasked pass freezes the target
     assert construction == 1
@@ -159,7 +159,7 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
 
 def _table_cases():
     """A 48-node degree-3 tree under a 2-layer GIN and the 14-node star:
-    exact runs the cost rule sends to node tables."""
+    exact runs whose fields exceed DIRECT_MAX, so they take node tables."""
     return (generate_instance("tree", 48, 3, 7, "gin", 2, 4), star_instance())
 
 
@@ -179,29 +179,6 @@ def test_table_runs_stop_before_any_ball_forward_past_the_ceiling(monkeypatch):
         assert err.value.bound_dmax is not None  # the graph game's degree bound joins the chain
 
 
-def test_table_runs_fall_back_to_enumerating_i_when_the_count_gives_up(monkeypatch):
-    import graphsi.complexity
-    import graphsi.moebius
-
-    enumerated = []
-    real = graphsi.moebius.build_interaction_set
-
-    def counting(hoods, ceiling):
-        enumerated.append(hoods.ell)
-        return real(hoods, ceiling)
-
-    monkeypatch.setattr(graphsi.moebius, "build_interaction_set", counting)
-    g, model = _table_cases()[0]  # the star's one field would be counted in a single step
-    counted = GraphInteractionExplainer(model, index="mi").fit(g)
-    assert enumerated == []  # |I| was counted, and the tables gave MI
-    monkeypatch.setattr(graphsi.complexity, "COUNT_STEP_BUDGET", 1)
-    listed = GraphInteractionExplainer(model, index="mi").fit(g)
-    assert enumerated == [2]
-    assert listed.game_._tables is not None
-    assert list(listed.moebius_.values.items()) == list(counted.moebius_.values.items())
-    assert listed.call_count_ == counted.call_count_ == listed.interaction_set_size_
-
-
 def test_table_runs_count_later_evaluations_outside_i():
     g, model = _table_cases()[0]
     ex = GraphInteractionExplainer(model, index="mi").fit(g)
@@ -212,23 +189,6 @@ def test_table_runs_count_later_evaluations_outside_i():
                    if (1 << i | 1 << j) not in ex.moebius_.values)
     game.evaluate_batch([inside, outside, inside])
     assert game.call_count() == size + 1
-
-
-def test_node_tables_follow_the_model_depth_not_ell(monkeypatch):
-    import graphsi.game
-
-    # 2-hop balls on a path hold 5 nodes, the 1-hop fields explained here 3;
-    # the 156 coalitions of I would stay on the dense stack at the fitted cost
-    monkeypatch.setattr(graphsi.game, "_TABLE_COST", 0)
-    g, model = generate_instance("path", 40, 3, 11, "gin", 2, 4)
-    ex = GraphInteractionExplainer(model, index="mi", ell=1).fit(g)
-    assert ex.game_._tables is not None
-    dense = GraphGame(model, g)
-    dense._tables_pay = lambda count: False  # keep this one on the dense stack
-    mi, _ = graphshapiq_exact(dense, ex.hoods_, g.n, index="mi")
-    assert mi.values.keys() == ex.moebius_.values.keys()
-    tol = 1e-12 * max(1.0, abs(dense.nu_full))
-    assert max(abs(v - ex.moebius_.values[t]) for t, v in mi.values.items()) <= tol
 
 
 def test_fitted_attributes_truncated(path4):

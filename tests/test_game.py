@@ -14,7 +14,7 @@ from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame, NodeGame
 from graphsi.generate import generate_instance, random_graph
 from graphsi.graph import ball_layouts, khop_neighborhoods, load_graph, make_graph
-from graphsi.moebius import graphshapiq_exact
+from graphsi.moebius import build_interaction_set, graphshapiq_exact
 from graphsi.nn import (
     GcnLayer,
     GinLayer,
@@ -262,19 +262,12 @@ TABLE_CASES = [
 @pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
 def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
     g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
-    every = list(range(1 << g.n))
     dense = GraphGame(model, g)
-    want = dense.evaluate_batch(every)
-    assert dense._tables is None  # graphs this small stay on the dense stack
-    tabled = GraphGame(model, g)
-    tabled._tables = tabled._node_tables()
-    got = tabled.evaluate_batch(every)
+    oracle = fast_moebius_oracle(dense.evaluate_batch(range(1 << g.n)))
     tol = 1e-12 * max(1.0, abs(dense.nu_full))
-    assert max(abs(a - b) for a, b in zip(got, want)) <= tol
-
-    mi, _ = graphshapiq_exact(tabled, khop_neighborhoods(g, model.num_layers), 1, index="sv")
-    oracle = fast_moebius_oracle(want)
-    assert max(abs(mi.values.get(t, 0.0) - m) for t, m in enumerate(oracle)) <= tol
+    mi = GraphGame(model, g).table_moebius()
+    assert list(mi) == list(build_interaction_set(khop_neighborhoods(g, model.num_layers)).members)
+    assert max(abs(mi.get(t, 0.0) - m) for t, m in enumerate(oracle)) <= tol
 
 
 @pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
@@ -294,12 +287,12 @@ def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, 
         assert np.abs(got - want).max() <= tol
 
 
-# (case, node tables taken, balls costed): the evaluator a run takes under
-# the cost rule, on shapes where it is the faster one. The small runs are
-# decided by the cheap bound, before any ball is looked at.
-ROUTES = [("path4", False, False), ("er8", False, False), ("tree20", False, False),
-          ("path40", False, False), ("er48", False, True), ("star14", True, True),
-          ("tree64", True, True)]
+# (case, node tables taken, balls laid out): the route an exact run takes.
+# Runs at the model's depth whose fields exceed DIRECT_MAX take the tables;
+# small families, truncated runs and runs at another ell lay out no ball.
+ROUTES = [("path4", False, False), ("er8", True, True), ("tree20", False, False),
+          ("path40", False, False), ("er48", False, False), ("path40-ell1", False, False),
+          ("star14", True, True), ("tree64", True, True)]
 
 
 def _route_run(name: str, demo_dir) -> GraphInteractionExplainer:
@@ -308,21 +301,25 @@ def _route_run(name: str, demo_dir) -> GraphInteractionExplainer:
         model = load_model(demo_dir / f"{name}_model.json")
     elif name == "star14":
         g, model = star_instance()
-    else:  # a molecule-sized tree and a path, 1 layer; ER and a degree-3 tree, 2 layers
+    else:  # a molecule-sized tree and paths; ER and a degree-3 tree, 2 layers
         kind, n, layers, model_kind = {"tree20": ("tree", 20, 1, "gin"),
                                        "path40": ("path", 40, 1, "gin"),
+                                       "path40-ell1": ("path", 40, 2, "gin"),
                                        "er48": ("er", 48, 2, "gcn"),
                                        "tree64": ("tree", 64, 2, "gin")}[name]
         g, model = generate_instance(kind, n, 3, 9, model_kind, layers, 16, edge_prob=0.1)
     if name == "er48":  # 2-hop balls of up to 34 nodes: a truncated run
         assert max(h.bit_count() for h in khop_neighborhoods(g, 2).hoods) == 34
         return GraphInteractionExplainer(model, lam=2).fit(g)
+    if name == "path40-ell1":  # 1-hop fields of 3 nodes, 2-hop balls of 5
+        return GraphInteractionExplainer(model, ell=1).fit(g)
     return GraphInteractionExplainer(model).fit(g)
 
 
-@pytest.mark.parametrize("name,tabled,costed", ROUTES)
-def test_cost_rule_takes_the_faster_evaluator(demo_dir, monkeypatch, name, tabled, costed):
-    laid_out = []  # a ball layout is computed to cost the tables or to build them
+@pytest.mark.parametrize("name,tabled,laid", ROUTES)
+def test_cost_rule_takes_the_faster_evaluator(demo_dir, monkeypatch, name, tabled, laid):
+    # the field-size rule that replaced the cost rule; the name keeps the test ids
+    laid_out = []  # a ball layout is computed only to build node tables
     real = graphsi.game.ball_layouts
 
     def counting(g, hops):
@@ -331,8 +328,8 @@ def test_cost_rule_takes_the_faster_evaluator(demo_dir, monkeypatch, name, table
 
     monkeypatch.setattr(graphsi.game, "ball_layouts", counting)
     game = _route_run(name, demo_dir).game_
-    assert (game._tables is not None) == tabled
-    assert bool(laid_out) == costed
+    assert (game._determined is not None) == tabled
+    assert bool(laid_out) == laid
 
 
 def test_ball_forwards_build_no_masked_stack(monkeypatch):

@@ -123,6 +123,25 @@ def test_isolated_node_hood_is_itself():
     assert mask_to_set(hoods.hoods[2]) == {2}
 
 
+def test_huge_ell_searches_at_most_n_minus_1_hops(monkeypatch):
+    import graphsi.graph
+
+    real = graphsi.graph.hop_rings
+    cases = [path4(), make_graph(1, [], np.zeros((1, 2)))]
+    cases += [random_graph(kind, 9, 2, seed=3, edge_prob=0.3) for kind in ("path", "er")]
+    for g in cases:
+        def bounded(graph, i, hops, n=g.n):
+            assert hops <= n - 1, f"a search of {hops} hops on {n} nodes"
+            return real(graph, i, hops)
+
+        want = khop_neighborhoods(g, max(1, g.n - 1)).hoods
+        monkeypatch.setattr(graphsi.graph, "hop_rings", bounded)
+        hoods = khop_neighborhoods(g, 10 ** 9)
+        monkeypatch.undo()
+        assert hoods.ell == 10 ** 9
+        assert hoods.hoods == want
+
+
 def test_ell_must_be_positive():
     with pytest.raises(ValueError):
         khop_neighborhoods(path4(), 0)

@@ -16,6 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import graphsi.game
+import graphsi.moebius
 from graphsi.coalitions import DIRECT_MAX, small_family
 from graphsi.convert import efficiency_check
 from graphsi.explainer import GraphInteractionExplainer
@@ -69,42 +71,42 @@ def test_pipeline_agrees_with_the_dense_power_set(case):
     g, model = build(*shape)
     every = list(range(1 << g.n))
     dense = GraphGame(model, g)
-    dense._tables_pay = lambda count: False  # the dense stack, whatever the size
     nu = dense.evaluate_batch(every)
     scale = max(1.0, abs(dense.nu_full))
 
-    # property 1: node tables against the dense stack on the whole power set,
-    # at the drawn baseline and normalization
-    forced = GraphGame(model, g, baseline, normalize)
-    forced._tables_pay = lambda count: False
-    tabled = GraphGame(model, g, baseline, normalize)
-    tabled._tables = tabled._node_tables()
-    want, got = forced.evaluate_batch(every), tabled.evaluate_batch(every)
-    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale
-    # also in a run explained at the drawn ell: the balls follow the model's depth
+    # property 1: Moebius values from node tables against the transform of the
+    # dense stack on the whole power set, at the drawn baseline and normalization
+    want = fast_moebius_oracle(GraphGame(model, g, baseline, normalize).evaluate_batch(every))
+    got = GraphGame(model, g, baseline, normalize).table_moebius()
+    assert max(abs(got.get(t, 0.0) - m) for t, m in enumerate(want)) <= 1e-12 * scale
+    # the route rule: an exact run builds node tables exactly when it explains
+    # at the model's depth and some field has more than DIRECT_MAX members
+    balls, real_ball = [], graphsi.game._forward_ball
+
+    def ball(*args):
+        balls.append(args)
+        return real_ball(*args)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GraphGame, "_tables_pay", lambda self, count: True)
+        patch.setattr(graphsi.game, "_forward_ball", ball)
         ex = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
                                        normalize=normalize).fit(g)
-    run = ex.game_
-    assert run._tables is not None
-    seen = list(run._memo)
-    assert max(abs(a - b) for a, b in zip(run.evaluate_batch(seen),
-                                          forced.evaluate_batch(seen))) <= 1e-12 * scale
-    if ell == model.num_layers:  # MI straight from the tables, which leaves the memo near empty
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(GraphGame, "_tables_pay", lambda self, count: False)
-            stacked = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
-                                                normalize=normalize).fit(g).moebius_.values
-        assert ex.moebius_.values.keys() == stacked.keys()
-        assert max(abs(v - ex.moebius_.values[t]) for t, v in stacked.items()) <= 1e-12 * scale
+    fields = khop_neighborhoods(g, ell).hoods
+    assert bool(balls) == (ell == model.num_layers and not small_family(fields))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+        stacked = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
+                                            normalize=normalize).fit(g).moebius_.values
+    assert list(ex.moebius_.values) == list(stacked)
+    assert max(abs(v - ex.moebius_.values[t]) for t, v in stacked.items()) <= 1e-12 * scale
 
     # property 2: exact MI within the rounding bound on I and zero off it, where
     # I covers the receptive fields (nu's Moebius transform vanishes off them)
     if ell >= model.num_layers:
-        game = GraphGame(model, g)
-        game._tables_pay = lambda count: False  # the dense stack, whose values nu holds
-        mi, _ = graphshapiq_exact(game, khop_neighborhoods(g, ell), k=1, index="sv")
+        with pytest.MonkeyPatch.context() as patch:  # the dense stack, whose values nu holds
+            patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+            mi, _ = graphshapiq_exact(GraphGame(model, g), khop_neighborhoods(g, ell),
+                                      k=1, index="sv")
         # exact rationals, all scaled by one power of two that makes every nu an integer
         ratios = [v.as_integer_ratio() for v in nu]
         scale2 = max(den for _, den in ratios)

@@ -189,11 +189,16 @@ def test_tabulated_fields_within_rounding_bound(instance):
             assert abs(Fraction(mi.values[mask]) - Fraction(oracle)) <= 2 * bound
 
 
-def test_overlapping_fields_agree_bit_for_bit():
+def dense_route(monkeypatch):
+    """Send exact runs through the family butterfly over memo values, where
+    the route rule would give MI straight from the node tables."""
+    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+
+
+def test_overlapping_fields_agree_bit_for_bit(monkeypatch):
     g, model, hoods = tree30_instance()
     game = GraphGame(model, g)
-    # the family butterfly over memo values: tables would give MI straight from the balls
-    game._tables_pay = lambda count: False
+    dense_route(monkeypatch)
     mi, _ = graphshapiq_exact(game, hoods, k=2)
     probe = game  # memo hits: the values the run used
     alone = {}
@@ -392,11 +397,17 @@ def test_metadata_records_the_run():
 # -- order-truncated computation ---------------------------------------------
 
 
-def test_truncation_at_full_width_matches_exact():
+def test_truncation_at_full_width_matches_exact(monkeypatch):
     g, model = generate_instance("er", 8, 3, 27, "gin", 1, 5, edge_prob=0.4)
     hoods = khop_neighborhoods(g, 1)
     n_max = max(h.bit_count() for h in hoods.hoods)
+    assert n_max > DIRECT_MAX  # so the default exact run takes node tables
+    tabled_mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    dense_route(monkeypatch)
     exact_mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
+    assert tabled_mi.values.keys() == exact_mi.values.keys()
+    tol = 1e-12 * max(1.0, abs(GraphGame(model, g).nu_full))
+    assert max(abs(v - tabled_mi.values[t]) for t, v in exact_mi.values.items()) <= tol
     approx_mi, _ = graphshapiq_approx(GraphGame(model, g), hoods,
                                       lam=n_max - 1, k=2)
     keys = set(exact_mi.values) | set(approx_mi.values)

@@ -2,15 +2,19 @@
 
 perfbench/spans.py times the pipeline by replacing package attributes,
 named in PATCH_POINTS, with wrappers. A point that no longer resolves is
-skipped there, so its metrics read 0 or go absent and the benchmark
-still passes; these tests fail instead. spans.py imports only the
-standard library, so it is loaded by file path.
+skipped there, and one that resolves but is no longer called reads 0;
+either way its metrics read 0 or go absent and the benchmark still
+passes. These tests fail instead. spans.py imports only the standard
+library, so it is loaded by file path.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import graphsi.cli
 import graphsi.game
+from helpers import star_instance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,3 +37,35 @@ def test_every_patch_point_resolves():
 def test_ball_forwards_are_a_game_attribute():
     # not a patch point yet, but the next benchmark change wraps it there
     assert callable(getattr(graphsi.game, "_forward_ball", None))
+
+
+def test_every_patch_point_is_called(demo_dir, tmp_path, monkeypatch):
+    spans = load_spans()
+    reached = []  # (run, point) per call
+    run = [None]
+
+    def wrap(point, real):
+        def traced(*args, **kwargs):
+            reached.append((run[0], point))
+            return real(*args, **kwargs)
+        return traced
+
+    points = [(module, path) for module, path, _ in spans.PATCH_POINTS]
+    for module, path in points + [("graphsi.game", "_forward_ball")]:
+        owner, attr, real = spans._resolve(module, path)
+        monkeypatch.setattr(owner, attr, wrap((module, path), real))
+
+    g, model = star_instance()
+    star_graph, star_model = tmp_path / "star14_graph.json", tmp_path / "star14_model.json"
+    star_graph.write_text(json.dumps(g.to_json_dict()))
+    star_model.write_text(json.dumps(model.to_json_dict()))
+    path4 = [str(demo_dir / "path4_graph.json"), str(demo_dir / "path4_model.json")]
+    runs = {"path4": path4, "path4-lambda1": path4 + ["--lambda", "1"],
+            "star14": [str(star_graph), str(star_model)]}
+    for name, args in runs.items():
+        run[0] = name
+        out = tmp_path / f"{name}.json"
+        assert graphsi.cli.main(["explain", *args, "--out", str(out)]) == 0
+
+    assert {point for _, point in reached} >= set(points)
+    assert {name for name, point in reached if point[1] == "_forward_ball"} == {"star14"}
