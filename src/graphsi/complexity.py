@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .coalitions import _unique_maximal
-from .graph import Graph, graph_stats, khop_neighborhoods
+from .graph import Graph, NeighborhoodIndex, graph_stats, khop_neighborhoods
 
 SATURATION_LIMIT = 2 ** 63 - 1
 SATURATED = "saturated"
@@ -35,15 +35,16 @@ class _OutOfSteps(Exception):
     pass
 
 
-def _union_powerset_size(masks: list[int], steps: list[int]) -> int:
+def _union_powerset_size(masks: list[int], steps: list[int], lam: int | None = None) -> int:
     """|P(m_1) u ... u P(m_k)| for mutually incomparable masks, counted
-    without materializing any subset.
+    without materializing any subset; with lam, P(m) holds only the subsets
+    of m of at most lam members.
 
-    Sequential difference: mask i contributes 2^|m_i| minus whatever it
-    shares with earlier masks, and the shared part is again a union of
-    power sets over the pairwise intersections (strictly smaller, so the
-    recursion terminates). The empty set is shared by every pair, which
-    the zero mask accounts for.
+    Sequential difference: mask i contributes its own sets, 2^|m_i| or
+    sum_{s <= lam} C(|m_i|, s), minus whatever it shares with earlier masks,
+    and the shared part is again such a union over the pairwise
+    intersections (strictly smaller, so the recursion terminates). The empty
+    set is shared by every pair, which the zero mask accounts for.
     """
     total = 0
     for i, h in enumerate(masks):
@@ -52,12 +53,16 @@ def _union_powerset_size(masks: list[int], steps: list[int]) -> int:
             raise _OutOfSteps
         shared = [x for x in (h & masks[j] for j in range(i)) if x]
         if shared:
-            overlap = _union_powerset_size(_unique_maximal(shared), steps)
+            overlap = _union_powerset_size(_unique_maximal(shared), steps, lam)
         elif i:
             overlap = 1  # only the empty set
         else:
             overlap = 0
-        total += (1 << h.bit_count()) - overlap
+        size = h.bit_count()
+        if lam is None or size <= lam:
+            total += (1 << size) - overlap
+        else:
+            total += sum(math.comb(size, s) for s in range(lam + 1)) - overlap
     return total
 
 
@@ -68,6 +73,18 @@ def count_interaction_set(maximal_hoods: list[int]) -> int | None:
         return _union_powerset_size(maximal_hoods, [COUNT_STEP_BUDGET])
     except _OutOfSteps:
         return None
+
+
+def count_truncated(hoods: NeighborhoodIndex, lam: int) -> int | None:
+    """Distinct sets a truncated run at order cap lam evaluates, the subsets
+    of at most lam members of the fields plus each distinct field of more
+    than lam nodes, or None if counting would exceed COUNT_STEP_BUDGET
+    recursion steps."""
+    try:
+        capped = _union_powerset_size(_unique_maximal(hoods.hoods), [COUNT_STEP_BUDGET], lam)
+    except _OutOfSteps:
+        return None
+    return capped + len({h for h in hoods.hoods if h.bit_count() > lam})
 
 
 class CallEstimate(NamedTuple):

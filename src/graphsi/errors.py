@@ -87,14 +87,16 @@ class BudgetExceeded(RuntimeError):
 
 
 class TruncatedBudgetExceeded(BudgetExceeded):
-    """A truncated run at an order cap lam > 1 whose evaluation bound, held in
-    bound_sum, exceeds the ceiling; the exact-mode chain does not apply."""
+    """A truncated run at an order cap lam > 1 that would evaluate more sets
+    than the ceiling; the exact-mode chain does not apply. bound_sum holds
+    the count of distinct sets the run evaluates, or the per-field bound
+    when counting gives up (complexity.count_truncated)."""
 
-    def __init__(self, lam: int, bound: int, ceiling: int, suggested_lambda: int):
+    def __init__(self, lam: int, sets: int, ceiling: int, suggested_lambda: int):
         RuntimeError.__init__(
             self, f"evaluation budget exceeded: the lambda {lam} run evaluates up to "
-                  f"{bound} sets > ceiling {ceiling}; try --lambda {suggested_lambda}")
-        self.bound_sum, self.bound_nmax, self.bound_dmax = bound, None, None
+                  f"{sets} sets > ceiling {ceiling}; try --lambda {suggested_lambda}")
+        self.bound_sum, self.bound_nmax, self.bound_dmax = sets, None, None
         self.ceiling, self.suggested_lambda = ceiling, suggested_lambda
 
 

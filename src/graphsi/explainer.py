@@ -9,6 +9,7 @@ exact-or-truncated run together.
 
 from __future__ import annotations
 
+from .complexity import count_truncated
 from .convert import efficiency_check
 from .errors import ParseError, TruncatedBudgetExceeded
 from .export import build_si_graph, to_dot
@@ -104,10 +105,14 @@ class GraphInteractionExplainer:
             lam = check_positive_int(self.lam, "lambda")
             if lam > g.n:
                 raise ParseError(f"lambda {lam} exceeds the {g.n} nodes")
+            # the bound is cheap; only a run it refuses is counted exactly
             bound = truncated_bound(hoods, lam)
             if lam > 1 and bound > self.ceiling:
-                raise TruncatedBudgetExceeded(lam, bound, self.ceiling,
-                                              suggest_lambda(hoods, self.ceiling))
+                count = count_truncated(hoods, lam)
+                sets = bound if count is None else count
+                if sets > self.ceiling:
+                    raise TruncatedBudgetExceeded(lam, sets, self.ceiling,
+                                                  suggest_lambda(hoods, self.ceiling))
             mi, si = graphshapiq_approx(game, hoods, lam, k, index=self.index)
             self.interaction_set_size_ = None
         self.graph_ = g

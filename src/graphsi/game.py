@@ -18,6 +18,7 @@ transform is linear too, so m(S) = sum over the balls holding S of each
 ball table's transform at S, and m(empty) = nu(empty). table_moebius
 forwards each ball's 2^|N_i| local coalitions once, laid out in hop order
 by graph.ball_layouts (bit j of a table index keeps the ball's j-th node),
+all balls of one shape (size and per-layer row counts) in one forward,
 and returns the Moebius values of an exact run at the model's depth
 without reading nu back set by set. A ball forward reads its first conv
 layer off the coalition bits, as an affine function of them. Its values
@@ -33,7 +34,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .coalitions import MAX_PLAYERS, full_mask, mask_of
+from .coalitions import MAX_PLAYERS, full_mask
 from .errors import ParseError, as_vector
 from .graph import Graph, ball_layouts
 from .nn import (GnnModel, _forward_ball, default_baseline, forward_graph, forward_node,
@@ -136,70 +137,63 @@ class GraphGame(_MaskedGame):
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
 
-    def _node_tables(self) -> list[tuple[list[int], np.ndarray]]:
-        """(ball nodes, table) per node i in order, the nodes in hop order
-        (graph.ball_layouts): table[L] is node i's last-layer embedding
-        projected on the target's readout column, with nodes[j] kept for
-        each bit j of L and the other ball nodes masked."""
-        weight = self.model.readout.weight[:, self.target]
-        tables = []
-        for nodes, keep in ball_layouts(self.graph, self.model.num_layers):
-            size = 1 << len(nodes)
-            # widest array of a ball forward per row: the bits or layer 0's rows
-            widest = max(len(nodes), keep[0] * self.model.width)
-            rows = max(1, _CHUNK_BYTES // (8 * widest))
-            table = np.concatenate([
-                _forward_ball(self.model, self.graph, self.baseline, nodes, keep,
-                              np.arange(start, min(start + rows, size))) @ weight
-                for start in range(0, size, rows)])
-            tables.append((nodes, table))
-        return tables
-
     def table_moebius(self) -> dict[int, float]:
         """Moebius values on I, the union of the balls' power sets, in canonical
         order, from freshly built node tables.
 
-        Balls of one size go together: their tables, stacked, take the dense
-        subset butterfly, and their local indices become global masks (and
-        set sizes) by doubling. The values are summed by global mask, by
-        ascending ball size and then node (divided by n under mean pooling).
-        m(empty) is nu(empty) = b + sum_i table_i[0], summed in node order
-        (divided by n under mean pooling), which goes into the memo unless
-        it holds nu(empty) already. From then on call_count counts I as
-        evaluated.
+        Node i's table holds at local index L its last-layer embedding
+        projected on the target's readout column, with the ball's j-th node
+        in hop order (graph.ball_layouts) kept for each bit j of L. Balls of
+        one shape, (size, keep), are forwarded together, chunk by chunk, into
+        one (balls, 2^h) stack, which takes the dense subset butterfly in
+        place; its local indices become global masks (and set sizes) by
+        doubling. The values are summed by global mask, by ascending shape
+        and then node (divided by n under mean pooling). m(empty) is
+        nu(empty) = b + sum_i table_i[0], summed in node order (divided by n
+        under mean pooling), which goes into the memo unless it holds
+        nu(empty) already. From then on call_count counts I as evaluated.
         """
-        tables = self._node_tables()
-        empty = sum(float(table[0]) for _, table in tables)
-        if self.model.pooling == "mean":
-            empty /= self.n_players
-        empty += float(self.model.readout.bias[self.target])
-        by_size: dict[int, list] = {}
-        for nodes, table in tables:
-            by_size.setdefault(len(nodes), []).append((nodes, table))
-        values, masks, sizes = [], [], []
-        for h, balls in sorted(by_size.items()):
-            stack = np.stack([table for _, table in balls])
-            members = np.array([nodes for nodes, _ in balls], dtype="<u8").reshape(len(balls), h)
-            glob, size = np.zeros((len(balls), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
+        model, n = self.model, self.n_players
+        weight = model.readout.weight[:, self.target]
+        shapes: dict[tuple, list] = {}
+        for nodes, keep in ball_layouts(self.graph, model.num_layers):
+            shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
+        firsts = np.empty(n)  # table_i[0] per node i
+        values, masks, sizes, balls = [], [], [], []
+        for (h, keep), group in sorted(shapes.items()):
+            members = np.array(group, dtype="<u8")  # (balls, h)
+            # widest array of a ball forward per row: the bits or layer 0's rows
+            rows = max(1, _CHUNK_BYTES // (8 * len(group) * max(h, keep[0] * model.width)))
+            stack = np.concatenate([
+                _forward_ball(model, self.graph, self.baseline, members, keep,
+                              np.arange(start, min(start + rows, 1 << h))) @ weight
+                for start in range(0, 1 << h, rows)], axis=1)
+            firsts[members[:, 0]] = stack[:, 0]
+            glob, size = np.zeros((len(group), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
             for j in range(h):
-                v = stack.reshape(len(balls), -1, 2, 1 << j)
+                v = stack.reshape(len(group), -1, 2, 1 << j)
                 v[:, :, 1, :] -= v[:, :, 0, :]
                 glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])], axis=1)
                 size = np.concatenate([size, size + 1])
             values.append(stack.ravel())
             masks.append(glob.ravel())
-            sizes.append(np.tile(size, len(balls)))
+            sizes.append(np.tile(size, len(group)))
+            balls += glob[:, -1].tolist()
+        empty = sum(firsts.tolist())
+        if model.pooling == "mean":
+            empty /= n
+        empty += float(model.readout.bias[self.target])
         keys, where = np.unique(np.concatenate(masks), return_inverse=True)
         sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
-        if self.model.pooling == "mean":
-            sums /= self.n_players
+        if model.pooling == "mean":
+            sums /= n
         count = np.empty(len(keys), dtype=np.uint8)
         count[where] = np.concatenate(sizes)
         order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
         mi = dict(zip(keys[order].tolist(), sums[order].tolist()))
         with self._lock:
             empty = self._memo.setdefault(0, empty)
-            self._determined = (len(mi), {mask_of(nodes) for nodes, _ in tables})
+            self._determined = (len(mi), set(balls))
         mi[0] = 0.0 if self.normalize else empty
         return mi
 

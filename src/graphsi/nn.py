@@ -311,9 +311,9 @@ def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
         layer = model.layers[idx]
         rows, cols = (keep[idx] if keep else None), h.shape[-2]
         if isinstance(layer, GcnLayer):
-            h = _rowwise(a_hat[:rows, :cols] @ h, layer.weight, flat) + layer.bias
+            h = _rowwise(a_hat[..., :rows, :cols] @ h, layer.weight, flat) + layer.bias
         else:
-            agg = (1.0 + layer.epsilon) * h[..., :rows, :] + adj[:rows, :cols] @ h
+            agg = (1.0 + layer.epsilon) * h[..., :rows, :] + adj[..., :rows, :cols] @ h
             h = _gin_mlp(layer, agg, flat)
         if idx != last:
             h = _relu(h)
@@ -344,52 +344,54 @@ def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray
     return h[..., i, :].copy()  # a view would pin the whole stack
 
 
-def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: list[int],
+def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.ndarray,
                   keep: list[int], local) -> np.ndarray:
-    """Embedding of the ball center nodes[0] after the last conv layer, one
-    row per local coalition L: bit j of L keeps the features of nodes[j],
-    the other ball nodes take the baseline.
+    """Embeddings of the ball centers nodes[:, 0] after the last conv layer,
+    (balls, len(local), d): in row L of ball b, bit j of L keeps the features
+    of nodes[b, j] and the ball's other nodes take the baseline.
 
-    nodes and keep are the center's graph.ball_layouts entry at
-    model.num_layers hops: the ball by hop distance from the center, and
-    per conv layer the number of leading rows it computes. The conv layers
-    run on the full graph's adjacency and A_hat restricted to the ball, so
-    degrees stay those of the full graph. A layer's row r hops from the
-    center reads the previous layer's rows within r + 1 hops, so layer l
-    computes only the rows within num_layers - 1 - l hops: every row a later
-    layer reads, each exact because all it reads lies in the ball. The last
-    layer computes the center's row alone. Layer 0 is read off the bits of
-    L (_affine_layer); no masked feature stack is built.
+    nodes is a (balls, h) array of balls that share keep; each row with keep
+    is a center's graph.ball_layouts entry at model.num_layers hops (the ball
+    by hop distance, and per conv layer the leading rows it computes). The
+    conv layers run on the full graph's adjacency and A_hat restricted to
+    each ball, so degrees stay those of the full graph. A layer's row r hops
+    from the center reads the previous layer's rows within r + 1 hops, so
+    layer l computes only the rows within num_layers - 1 - l hops, each exact
+    because all it reads lies in the ball; the last computes the center
+    alone. Layer 0 is read off the bits of L (_affine_layer); no masked
+    feature stack is built.
     """
-    ball = np.ix_(nodes, nodes)
-    adj, a_hat = (matrix[ball] for matrix in g.matrices)
+    adj, a_hat = (matrix[nodes[:, None, :, None], nodes[:, None, None, :]]
+                  for matrix in g.matrices)  # (balls, 1, h, h)
     codes = np.asarray(local, dtype="<u8")
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")[:, :len(nodes)].astype(np.float64)
+                         bitorder="little")[:, :nodes.shape[1]].astype(np.float64)
     h = _affine_layer(model.layers[0], adj, a_hat, g.features[nodes], baseline, bits, keep[0])
     if model.num_layers > 1:
         h = _conv_stack(model, adj, a_hat, _relu(h), keep, first=1)
-    return h[:, 0, :]
+    return h[..., 0, :]
 
 
 def _affine_layer(layer: GcnLayer | GinLayer, adj: np.ndarray, a_hat: np.ndarray, x: np.ndarray,
                   baseline: np.ndarray, bits: np.ndarray, rows: int) -> np.ndarray:
-    """Conv layer 0 of a ball forward on its leading rows, (B, rows, d),
-    from the (B, m) 0/1 matrix of which ball nodes keep their features.
+    """Conv layer 0 of a ball forward on its leading rows, (balls, B, rows, d),
+    from the (B, m) 0/1 matrix of which ball nodes keep their features, the
+    (balls, 1, m, m) ball matrices and the (balls, m, d0) ball features.
 
-    With C = (1 + eps) I + A (GIN) or A_hat (GCN) over the ball, row r of
+    With C = (1 + eps) I + A (GIN) or A_hat (GCN) over a ball, row r of
     C X(T) is (sum_j C_rj) baseline + sum_j bit_j C_rj (x_j - baseline),
-    so the aggregation is one (B, m) @ (m, rows * d) product. GCN folds its
-    weight into the deltas first.
+    so the aggregation is one (B, m) @ (balls, m, rows * d) product. GCN
+    folds its weight into the deltas first.
     """
     if isinstance(layer, GcnLayer):
-        c = a_hat[:rows]
+        c = a_hat[:, 0, :rows]
         base, delta = baseline @ layer.weight, (x - baseline) @ layer.weight
     else:
-        c = adj[:rows] + (1.0 + layer.epsilon) * np.eye(rows, len(x))
+        c = adj[:, 0, :rows] + (1.0 + layer.epsilon) * np.eye(rows, x.shape[1])
         base, delta = baseline, x - baseline
-    coef = (c.T[:, :, None] * delta[:, None, :]).reshape(len(x), -1)
-    agg = (bits @ coef).reshape(len(bits), rows, -1) + c.sum(axis=1)[:, None] * base
+    coef = (c.transpose(0, 2, 1)[..., None] * delta[:, :, None, :]).reshape(*x.shape[:2], -1)
+    agg = ((bits @ coef).reshape(len(x), len(bits), rows, -1)
+           + c.sum(axis=2)[:, None, :, None] * base)
     if isinstance(layer, GcnLayer):
         return agg + layer.bias
     return _gin_mlp(layer, agg, flat=True)

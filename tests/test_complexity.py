@@ -12,12 +12,13 @@ from graphsi.complexity import (
     CallEstimate,
     _saturate,
     count_interaction_set,
+    count_truncated,
     degree_bound,
     estimate_calls,
     scaling_study,
 )
 from graphsi.generate import random_graph
-from graphsi.graph import khop_neighborhoods, make_graph
+from graphsi.graph import NeighborhoodIndex, khop_neighborhoods, make_graph
 from graphsi.moebius import _unique_maximal, build_interaction_set
 
 from helpers import mask_to_set
@@ -119,19 +120,26 @@ def test_count_matches_sparse_builder():
 
 @settings(max_examples=150)
 @given(st.lists(st.integers(min_value=1, max_value=(1 << 10) - 1),
-                min_size=1, max_size=6))
-def test_count_equals_materialized_union(masks):
+                min_size=1, max_size=6), st.integers(min_value=1, max_value=10))
+def test_count_equals_materialized_union(masks, lam):
     maximal = _unique_maximal(masks)
-    want = len(interaction_set_oracle([mask_to_set(m) for m in masks]))
-    assert count_interaction_set(maximal) == want
+    family = interaction_set_oracle([mask_to_set(m) for m in masks])
+    assert count_interaction_set(maximal) == len(family)
+    # a truncated run: the members of at most lam nodes plus each larger field
+    oversized = {m for m in masks if m.bit_count() > lam}
+    want = sum(len(s) <= lam for s in family) + len(oversized)
+    assert count_truncated(NeighborhoodIndex(ell=1, hoods=tuple(masks)), lam) == want
 
 
 def test_count_gives_up_within_the_step_budget(monkeypatch):
     masks = _unique_maximal([(0b111111 << i) & 0xFFF for i in range(7)])
+    hoods = NeighborhoodIndex(ell=1, hoods=tuple(masks))
     with monkeypatch.context() as patch:
         patch.setattr(complexity, "COUNT_STEP_BUDGET", 2)
         assert count_interaction_set(masks) is None
+        assert count_truncated(hoods, 2) is None
     assert isinstance(count_interaction_set(masks), int)
+    assert isinstance(count_truncated(hoods, 2), int)
 
 
 # -- scaling study -----------------------------------------------------------

@@ -142,7 +142,7 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
         return real_graph(model, g, x)
 
     def counting_ball(model, g, baseline, nodes, keep, local):
-        ball_rows.append(len(local))
+        ball_rows.append(len(nodes) * len(local))
         return real_ball(model, g, baseline, nodes, keep, local)
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting_graph)
@@ -207,17 +207,38 @@ def test_truncated_run_past_the_ceiling_suggests_a_lambda_that_fits(demo_dir):
         GraphInteractionExplainer(weights, lam=2, ceiling=5).fit(graph)
     exc = err.value
     assert exc.suggested_lambda == 1 and exc.ceiling == 5
-    bound = truncated_bound(khop_neighborhoods(graph, load_model(weights).num_layers), 2)
-    assert exc.bound_sum == bound
-    assert str(exc).endswith(f"up to {bound} sets > ceiling 5; try --lambda 1")
+    # the count of sets the run evaluates, not the per-field bound
+    assert truncated_bound(khop_neighborhoods(graph, load_model(weights).num_layers), 2) == 113
+    assert exc.bound_sum == 40
+    assert str(exc).endswith("up to 40 sets > ceiling 5; try --lambda 1")
     # lambda = 1 is the cheapest run there is, so it runs whatever the ceiling
     assert GraphInteractionExplainer(weights, lam=1, ceiling=5).fit(graph).call_count_ > 5
 
 
+def test_truncated_guard_counts_the_sets_the_run_evaluates(demo_dir, monkeypatch):
+    weights = demo_dir / "er8_model.json"
+    graph = load_graph(demo_dir / "er8_graph.json")
+    assert GraphInteractionExplainer(weights, lam=2, ceiling=40).fit(graph).call_count_ == 40
+    with pytest.raises(BudgetExceeded) as err:
+        GraphInteractionExplainer(weights, lam=2, ceiling=39).fit(graph)
+    assert err.value.bound_sum == 40
+    assert "the lambda 2 run evaluates up to 40 sets > ceiling 39" in str(err.value)
+    # a count that runs out of steps leaves the refusal to the bound
+    monkeypatch.setattr("graphsi.complexity.COUNT_STEP_BUDGET", 2)
+    with pytest.raises(BudgetExceeded) as err:
+        GraphInteractionExplainer(weights, lam=2, ceiling=40).fit(graph)
+    assert err.value.bound_sum == 113
+
+
 def test_truncated_guard_stops_before_any_evaluation(monkeypatch):
     # 48-node ER graph under a 2-layer GCN, as in the truncated benchmark
-    # workload: lambda = 3 fits 2^24 evaluations, lambda = 8 would need ~1.4e8
+    # workload: lambda = 3 evaluates 15,897 sets (its bound is 91,564);
+    # lambda = 8 would need ~1.0e8
     g, model = generate_instance("er", 48, 3, 0, "gcn", 2, 4, edge_prob=0.10)
+    hoods = khop_neighborhoods(g, 2)
+    assert truncated_bound(hoods, 3) == 91_564
+    ex = GraphInteractionExplainer(model, lam=3, ceiling=20_000).fit(g)
+    assert ex.call_count_ == 15_897
     games = []
 
     class RecordedGame(GraphGame):
@@ -231,7 +252,6 @@ def test_truncated_guard_stops_before_any_evaluation(monkeypatch):
     assert err.value.bound_sum > DEFAULT_CEILING
     assert 3 <= err.value.suggested_lambda < 8
     assert [game.call_count() for game in games] == [0]
-    assert truncated_bound(khop_neighborhoods(g, 2), 3) <= DEFAULT_CEILING
 
 
 def test_ell_override_widens_neighborhoods(path4):

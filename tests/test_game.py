@@ -276,15 +276,21 @@ def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, 
     baseline = default_baseline(g)
     adj, a_hat = g.matrices
     tol = 1e-12 * max(1.0, abs(GraphGame(model, g).nu_full))
+    shapes = {}
     for nodes, keep in ball_layouts(g, model.num_layers):
-        local = range(1 << len(nodes))
-        x = np.array([[g.features[v] if t >> j & 1 else baseline for j, v in enumerate(nodes)]
-                      for t in local])
-        restricted = np.ix_(nodes, nodes)
-        want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, 0]  # the center
-        got = _forward_ball(model, g, baseline, nodes, keep, local)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= tol
+        shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
+    for (h, keep), group in shapes.items():  # each shape's balls in one forward
+        local = range(1 << h)
+        got = _forward_ball(model, g, baseline, np.array(group).reshape(len(group), h),
+                            list(keep), local)
+        assert got.shape[:2] == (len(group), len(local))
+        for nodes, row in zip(group, got):
+            x = np.array([[g.features[v] if t >> j & 1 else baseline
+                           for j, v in enumerate(nodes)] for t in local])
+            restricted = np.ix_(nodes, nodes)
+            want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, 0]  # the center
+            assert row.shape == want.shape
+            assert np.abs(row - want).max() <= tol
 
 
 # (case, node tables taken, balls laid out): the route an exact run takes.
@@ -336,12 +342,47 @@ def test_ball_forwards_build_no_masked_stack(monkeypatch):
     def refuse(*args):
         raise AssertionError("a ball forward built a masked feature stack")
 
+    rows = []  # table rows per ball forward
+    real = graphsi.game._forward_ball
+
+    def counting(model, g, baseline, nodes, keep, local):
+        rows.append(len(nodes) * len(local))
+        return real(model, g, baseline, nodes, keep, local)
+
     monkeypatch.setattr(graphsi.nn, "masked_features", refuse)
     monkeypatch.setattr(graphsi.game, "masked_features", refuse)
+    monkeypatch.setattr(graphsi.game, "_forward_ball", counting)
     for g, model in (star_instance(), generate_instance("tree", 64, 3, 9, "gin", 2, 16)):
-        tables = GraphGame(model, g)._node_tables()
-        assert [len(table) for _, table in tables] == [
-            2 ** h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods]
+        rows.clear()
+        GraphGame(model, g).table_moebius()
+        assert sum(rows) == sum(
+            2 ** h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods)
+
+
+def test_balls_of_one_shape_share_one_forward(monkeypatch):
+    calls = []  # (balls, keep, local indices) per ball forward
+    real = graphsi.game._forward_ball
+
+    def recording(model, g, baseline, nodes, keep, local):
+        calls.append((np.atleast_2d(nodes).tolist(), list(keep), list(local)))
+        return real(model, g, baseline, nodes, keep, local)
+
+    monkeypatch.setattr(graphsi.game, "_forward_ball", recording)
+    for g, model in (generate_instance("tree", 64, 3, 9, "gin", 2, 16), star_instance()):
+        calls.clear()
+        GraphGame(model, g).table_moebius()
+        layouts = {nodes[0]: (nodes, keep) for nodes, keep in ball_layouts(g, model.num_layers)}
+        covered = {center: [] for center in layouts}
+        spans = set()
+        for balls, keep, local in calls:
+            for nodes in balls:  # every ball of the call has the call's (size, keep)
+                assert layouts[nodes[0]] == (nodes, keep)
+                covered[nodes[0]] += local
+            span = (len(balls[0]), tuple(keep), local[0], local[-1])
+            assert span not in spans  # one forward per shape and chunk
+            spans.add(span)
+        for center, (nodes, _) in layouts.items():
+            assert sorted(covered[center]) == list(range(1 << len(nodes)))
 
 
 def test_repeated_evaluations_bitwise_identical(rng):

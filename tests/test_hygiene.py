@@ -1,9 +1,13 @@
 """Dead-code checks over the package source, with the standard library's ast.
 
-Two rules: every import is used in its module, and every private name
+Three rules: every import is used in its module, every private name
 (a module-level function, class or constant, or a method, whose name
-starts with one underscore) is referenced somewhere in the package.
-__init__.py imports to re-export, so its imports are exempt.
+starts with one underscore) is referenced somewhere in the package, and
+every parameter of a function or method is read in its body.
+__init__.py imports to re-export, so its imports are exempt. So are
+bodies that hold only a docstring or `...` (protocol stubs), lambdas
+(the conversion weights share one signature) and get_params(deep), the
+estimator idiom.
 """
 
 import ast
@@ -72,3 +76,26 @@ def test_every_private_name_is_referenced():
                     for line, private in private_definitions(tree)
                     if is_private(private) and private not in referenced]
     assert unreferenced == []
+
+
+def unread_parameters(tree: ast.Module):
+    """(line, function, parameter) of each parameter its body never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if all(isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+               for stmt in node.body):
+            continue  # a docstring or ... alone: a stub
+        args = node.args
+        params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [arg.arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        for param in params:
+            if param not in read and (node.name, param) != ("get_params", "deep"):
+                yield node.lineno, node.name, param
+
+
+@pytest.mark.parametrize("name", list(MODULES))
+def test_every_parameter_is_read(name):
+    assert list(unread_parameters(MODULES[name])) == []
