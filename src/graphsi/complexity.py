@@ -26,8 +26,8 @@ INAPPLICABLE = "inapplicable"
 # with the usual experimental convention
 ENUMERATION_MAX_HOOD = 23
 
-# recursion-step allowance for the exact interaction-set count; graphs
-# whose receptive fields overlap too intricately fall back to the bounds
+# recursion-step allowance for count_evaluated; fields that overlap too
+# intricately fall back to the bounds
 COUNT_STEP_BUDGET = 200_000
 
 
@@ -35,16 +35,16 @@ class _OutOfSteps(Exception):
     pass
 
 
-def _union_powerset_size(masks: list[int], steps: list[int], lam: int | None = None) -> int:
+def _union_powerset_size(masks: list[int], steps: list[int], weight: list[int]) -> int:
     """|P(m_1) u ... u P(m_k)| for mutually incomparable masks, counted
-    without materializing any subset; with lam, P(m) holds only the subsets
-    of m of at most lam members.
+    without materializing any subset; P(m) holds weight[|m|] subsets of m,
+    2^|m| for the full power set, sum_{s <= lam} C(|m|, s) under a cap lam.
 
-    Sequential difference: mask i contributes its own sets, 2^|m_i| or
-    sum_{s <= lam} C(|m_i|, s), minus whatever it shares with earlier masks,
-    and the shared part is again such a union over the pairwise
-    intersections (strictly smaller, so the recursion terminates). The empty
-    set is shared by every pair, which the zero mask accounts for.
+    Sequential difference: mask i contributes its own weight[|m_i|] sets,
+    minus whatever it shares with earlier masks, and the shared part is again
+    such a union over the pairwise intersections (strictly smaller, so the
+    recursion terminates). The empty set is shared by every pair, which the
+    zero mask accounts for.
     """
     total = 0
     for i, h in enumerate(masks):
@@ -53,35 +53,25 @@ def _union_powerset_size(masks: list[int], steps: list[int], lam: int | None = N
             raise _OutOfSteps
         shared = [x for x in (h & masks[j] for j in range(i)) if x]
         if shared:
-            overlap = _union_powerset_size(_unique_maximal(shared), steps, lam)
+            overlap = _union_powerset_size(_unique_maximal(shared), steps, weight)
         elif i:
             overlap = 1  # only the empty set
         else:
             overlap = 0
-        size = h.bit_count()
-        if lam is None or size <= lam:
-            total += (1 << size) - overlap
-        else:
-            total += sum(math.comb(size, s) for s in range(lam + 1)) - overlap
+        total += weight[h.bit_count()] - overlap
     return total
 
 
-def count_interaction_set(maximal_hoods: list[int]) -> int | None:
-    """Exact |I| from the maximal receptive fields, or None if counting
-    would exceed COUNT_STEP_BUDGET recursion steps."""
+def count_evaluated(hoods: NeighborhoodIndex, lam: int) -> int | None:
+    """Distinct sets a run at order cap lam evaluates: the subsets of at most
+    lam members of the fields, plus each distinct field of more than lam
+    nodes. At lam >= n_max that is |I|, the union of the fields' power sets.
+    None if counting would exceed COUNT_STEP_BUDGET recursion steps, a
+    number that does not depend on lam."""
+    n_max = max(h.bit_count() for h in hoods.hoods)
+    weight = [sum(math.comb(s, j) for j in range(min(s, lam) + 1)) for s in range(n_max + 1)]
     try:
-        return _union_powerset_size(maximal_hoods, [COUNT_STEP_BUDGET])
-    except _OutOfSteps:
-        return None
-
-
-def count_truncated(hoods: NeighborhoodIndex, lam: int) -> int | None:
-    """Distinct sets a truncated run at order cap lam evaluates, the subsets
-    of at most lam members of the fields plus each distinct field of more
-    than lam nodes, or None if counting would exceed COUNT_STEP_BUDGET
-    recursion steps."""
-    try:
-        capped = _union_powerset_size(_unique_maximal(hoods.hoods), [COUNT_STEP_BUDGET], lam)
+        capped = _union_powerset_size(_unique_maximal(hoods.hoods), [COUNT_STEP_BUDGET], weight)
     except _OutOfSteps:
         return None
     return capped + len({h for h in hoods.hoods if h.bit_count() > lam})
@@ -140,10 +130,7 @@ def estimate_calls(g: Graph, ell: int) -> CallEstimate:
     if bound_dmax is None:
         bound_dmax = INAPPLICABLE
 
-    if n_max > ENUMERATION_MAX_HOOD:
-        counted = None
-    else:
-        counted = count_interaction_set(_unique_maximal(hoods.hoods))
+    counted = None if n_max > ENUMERATION_MAX_HOOD else count_evaluated(hoods, n_max)
     exact: int | str = NOT_ENUMERATED if counted is None else counted
     return CallEstimate(exact, bound_sum, bound_nmax, bound_dmax)
 

@@ -64,14 +64,17 @@ def as_vector(obj, name: str, length: int) -> np.ndarray:
 
 
 class BudgetExceeded(RuntimeError):
-    """Exact interaction-set enumeration would exceed the evaluation ceiling.
+    """An exact run would evaluate more sets than the ceiling: |I| exceeds
+    it, or sum_i 2^|N_i| does when |I| takes too long to count
+    (moebius.check_budget, the one budget rule).
 
-    Carries the complexity bound chain so callers can report it and fall
-    back to a truncated-order approximation.
+    Carries the complexity bound chain, which starts at sum_i 2^|N_i| >= |I|,
+    so callers can report it, and the largest order cap lambda the rule
+    admits, to fall back to a truncated-order approximation.
     """
 
     def __init__(self, bound_sum: int, bound_nmax: int, bound_dmax,
-                 ceiling: int, suggested_lambda: int | None = None):
+                 ceiling: int, suggested_lambda: int):
         self.bound_sum = bound_sum
         self.bound_nmax = bound_nmax
         self.bound_dmax = bound_dmax  # None when d_max <= 1
@@ -80,17 +83,16 @@ class BudgetExceeded(RuntimeError):
         chain = f"sum_i 2^|N_i| = {bound_sum} <= n*2^n_max = {bound_nmax}"
         if bound_dmax is not None:
             chain += f" <= degree bound = {bound_dmax}"
-        msg = f"evaluation budget exceeded: {chain} > ceiling {ceiling}"
-        if suggested_lambda is not None:
-            msg += f"; try --lambda {suggested_lambda}"
-        super().__init__(msg)
+        super().__init__(f"evaluation budget exceeded: {chain} > ceiling {ceiling}; "
+                         f"try --lambda {suggested_lambda}")
 
 
 class TruncatedBudgetExceeded(BudgetExceeded):
     """A truncated run at an order cap lam > 1 that would evaluate more sets
-    than the ceiling; the exact-mode chain does not apply. bound_sum holds
-    the count of distinct sets the run evaluates, or the per-field bound
-    when counting gives up (complexity.count_truncated)."""
+    than the ceiling, under the same rule (moebius.check_budget); the
+    exact-mode chain does not apply. bound_sum holds the count of distinct
+    sets the run evaluates (complexity.count_evaluated), or the bound
+    moebius.truncated_bound when counting gives up."""
 
     def __init__(self, lam: int, sets: int, ceiling: int, suggested_lambda: int):
         RuntimeError.__init__(

@@ -9,15 +9,13 @@ exact-or-truncated run together.
 
 from __future__ import annotations
 
-from .complexity import count_truncated
 from .convert import efficiency_check
-from .errors import ParseError, TruncatedBudgetExceeded
+from .errors import ParseError
 from .export import build_si_graph, to_dot
 from .game import GraphGame
 from .graph import ensure_graph, khop_neighborhoods
 from .interactions import INDEX_KINDS
-from .moebius import (DEFAULT_CEILING, graphshapiq_approx, graphshapiq_exact, suggest_lambda,
-                      truncated_bound)
+from .moebius import DEFAULT_CEILING, check_budget, graphshapiq_approx, graphshapiq_exact
 from .nn import ensure_baseline, ensure_model
 
 
@@ -38,8 +36,10 @@ class GraphInteractionExplainer:
         lam: truncation order; None runs the exact computation
         baseline: "mean", a vector, or a path to a JSON array
         normalize: subtract nu(empty) from every game value
-        ceiling: evaluation-budget guard: an exact run, or a truncated run
-            at lam > 1, whose evaluation bound exceeds it raises BudgetExceeded
+        ceiling: evaluation budget in distinct coalitions, the unit of
+            call_count_: a run that would evaluate more sets than this
+            raises BudgetExceeded before any evaluation, unless lam is 1
+            (moebius.check_budget)
 
     Fitted attributes: interactions_, moebius_, call_count_,
     interaction_set_size_ (exact mode), game_, hoods_,
@@ -105,14 +105,7 @@ class GraphInteractionExplainer:
             lam = check_positive_int(self.lam, "lambda")
             if lam > g.n:
                 raise ParseError(f"lambda {lam} exceeds the {g.n} nodes")
-            # the bound is cheap; only a run it refuses is counted exactly
-            bound = truncated_bound(hoods, lam)
-            if lam > 1 and bound > self.ceiling:
-                count = count_truncated(hoods, lam)
-                sets = bound if count is None else count
-                if sets > self.ceiling:
-                    raise TruncatedBudgetExceeded(lam, sets, self.ceiling,
-                                                  suggest_lambda(hoods, self.ceiling))
+            check_budget(hoods, lam, self.ceiling)
             mi, si = graphshapiq_approx(game, hoods, lam, k, index=self.index)
             self.interaction_set_size_ = None
         self.graph_ = g

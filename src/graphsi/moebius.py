@@ -36,8 +36,8 @@ import numpy as np
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
 from .coalitions import (_unique_maximal, full_mask, iter_members, iter_subsets, pair_index,
                          small_family, sort_key)
-from .complexity import degree_bound
-from .errors import BudgetExceeded, NonlinearReadout
+from .complexity import count_evaluated, degree_bound
+from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
 from .interactions import InteractionSet, InteractionValues
@@ -46,26 +46,54 @@ DEFAULT_CEILING = 2 ** 24
 
 
 def truncated_bound(hoods: NeighborhoodIndex, lam: int) -> int:
-    """Evaluations a truncated run at order cap lam makes at most:
-    sum_i C(|N_i|, <= lam) sets plus one per distinct neighborhood."""
+    """Evaluations a run at order cap lam makes at most: sum_i C(|N_i|, <= lam)
+    sets plus one per distinct field of more than lam nodes. At lam >= n_max
+    it is sum_i 2^|N_i|, the bound on |I| that heads the exact chain."""
     sizes = [h.bit_count() for h in hoods.hoods]
-    return (sum(sum(comb(h, j) for j in range(min(h, lam) + 1)) for h in sizes)
-            + len(set(hoods.hoods)))
+    return (sum(1 << h if h <= lam else sum(comb(h, j) for j in range(lam + 1)) for h in sizes)
+            + len({h for h in hoods.hoods if h.bit_count() > lam}))
 
 
-def suggest_lambda(hoods: NeighborhoodIndex, ceiling: int) -> int:
-    """Largest order cap whose evaluation count provably fits the ceiling.
+def check_budget(hoods: NeighborhoodIndex, lam: int | None, ceiling: int, graph=None) -> None:
+    """The evaluation budget: refuses, before anything is evaluated, a run
+    whose distinct evaluated sets (its call_count) would exceed the ceiling.
 
-    When no cap fits, returns 1, the cheapest run, whose count still
-    exceeds the ceiling.
+    lam is the run's order cap; an exact run (None) evaluates what a run at
+    lam = n_max does, the interaction set I. truncated_bound clears most
+    runs; a run it does not clear is counted (complexity.count_evaluated)
+    and refused on that count, or on the bound when the count runs out of
+    COUNT_STEP_BUDGET steps. lam = 1 always runs: no run is cheaper.
+
+    Raises BudgetExceeded carrying the bound chain (with graph's degree
+    bound, when given) for an exact run, TruncatedBudgetExceeded carrying
+    the refused count for a truncated one. Both suggest the largest lam
+    this rule admits, or 1 when none does.
     """
+    def refused(cap: int) -> int | None:
+        """The sets a run at cap evaluates, when they exceed the ceiling."""
+        if cap == 1:
+            return None
+        bound = truncated_bound(hoods, cap)
+        if bound <= ceiling:
+            return None
+        count = count_evaluated(hoods, cap)
+        if count is None:
+            return bound
+        return count if count > ceiling else None
+
     n_max = max(h.bit_count() for h in hoods.hoods)
-    best = 1
-    for lam in range(1, n_max + 1):
-        if truncated_bound(hoods, lam) > ceiling:
-            break
-        best = lam
-    return best
+    run = n_max if lam is None else min(lam, n_max)
+    sets = refused(run)
+    if sets is None:
+        return
+    # Bound and count only grow with the cap, and the count's steps do not
+    # depend on it, so the first refused cap ends the search.
+    suggestion = next((cap - 1 for cap in range(2, run) if refused(cap)), run - 1)
+    if lam is not None:
+        raise TruncatedBudgetExceeded(lam, sets, ceiling, suggestion)
+    raise BudgetExceeded(truncated_bound(hoods, n_max), len(hoods.hoods) << n_max,
+                         None if graph is None else degree_bound(graph, hoods.ell),
+                         ceiling, suggestion)
 
 
 def _support(maximal: list[int], lam: int) -> list[int]:
@@ -84,25 +112,12 @@ def _support(maximal: list[int], lam: int) -> list[int]:
     return [m for same_size in by_size for m in sorted(same_size)]
 
 
-def _check_ceiling(hoods: NeighborhoodIndex, ceiling: int) -> None:
-    """Raises BudgetExceeded, carrying the bound chain and a workable lambda,
-    when sum_i 2^|N_i|, which bounds |I|, exceeds the ceiling."""
-    sizes = [h.bit_count() for h in hoods.hoods]
-    bound_sum = sum(1 << s for s in sizes)
-    if bound_sum > ceiling:
-        raise BudgetExceeded(bound_sum, len(sizes) << max(sizes), None, ceiling,
-                             suggested_lambda=suggest_lambda(hoods, ceiling))
-
-
-def build_interaction_set(hoods: NeighborhoodIndex,
-                          ceiling: int = DEFAULT_CEILING) -> InteractionSet:
+def build_interaction_set(hoods: NeighborhoodIndex) -> InteractionSet:
     """Union of the power sets of all receptive fields, canonically ordered.
 
-    Guarded: when sum_i 2^|N_i| exceeds the ceiling, raises
-    BudgetExceeded carrying the bound chain and a workable lambda, so
-    callers can fall back to the truncated computation.
+    Unguarded: it holds |I| sets, so an exact run puts check_budget to the
+    fields first, which refuses it when |I| exceeds the ceiling.
     """
-    _check_ceiling(hoods, ceiling)
     maximal = _unique_maximal(hoods.hoods)
     n_max = max(h.bit_count() for h in hoods.hoods)
     return InteractionSet(members=tuple(_support(maximal, n_max)),
@@ -222,24 +237,18 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     gives the Moebius values straight from its node tables instead
     (GraphGame.table_moebius); call_count still reports |I|.
 
-    Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and
-    BudgetExceeded, with a graph game's degree bound, past the ceiling,
-    before anything is evaluated.
+    Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and, before
+    anything is evaluated, BudgetExceeded (with a graph game's degree bound)
+    when |I| exceeds the ceiling (check_budget).
     """
     _check_readout(game)
     n = len(hoods.hoods)
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    try:
-        _check_ceiling(hoods, ceiling)
-    except BudgetExceeded as exc:
-        if not hasattr(game, "graph"):
-            raise
-        raise BudgetExceeded(exc.bound_sum, exc.bound_nmax, degree_bound(game.graph, hoods.ell),
-                             exc.ceiling, exc.suggested_lambda) from None
+    check_budget(hoods, None, ceiling, getattr(game, "graph", None))
     if _tables_take(game, hoods):
         return _converted(game, hoods, game.table_moebius(), k, index, None)
-    iset = build_interaction_set(hoods, ceiling)
+    iset = build_interaction_set(hoods)
     return _interactions(game, hoods, iset.members, [], k, index, None)
 
 

@@ -155,6 +155,30 @@ def test_budget_message_shows_the_degree_bound(er8_args, demo_dir, capsys):
     assert f"<= degree bound = {bound} > ceiling 16" in capsys.readouterr().err
 
 
+def test_exact_run_fits_a_ceiling_of_its_interaction_set(er8_args, tmp_path):
+    # demo er8 evaluates |I| = 136 sets, although sum_i 2^|N_i| = 252
+    default, fitted = tmp_path / "default.json", tmp_path / "fitted.json"
+    assert main(["explain", *er8_args, "--out", str(default)]) == 0
+    assert main(["explain", *er8_args, "--ceiling", "136", "--out", str(fitted)]) == 0
+    assert fitted.read_bytes() == default.read_bytes()
+
+
+def test_exact_run_past_its_interaction_set_suggests_the_largest_lambda_that_fits(er8_args,
+                                                                                 capsys):
+    # lambda = 5 evaluates 129 sets, lambda = 6 all 136 of I
+    assert main(["explain", *er8_args, "--ceiling", "135"]) == 3
+    assert capsys.readouterr().err == (
+        "error: evaluation budget exceeded: sum_i 2^|N_i| = 252 <= n*2^n_max = 1024"
+        " <= degree bound = 1024 > ceiling 135; try --lambda 5\n")
+
+
+def test_truncated_run_past_the_ceiling_suggests_the_largest_lambda_that_fits(er8_args, capsys):
+    # lambda = 3 evaluates 77 sets, lambda = 2 evaluates 40
+    assert main(["explain", *er8_args, "--lambda", "3", "--ceiling", "40"]) == 3
+    assert capsys.readouterr().err.endswith("77 sets > ceiling 40; try --lambda 2\n")
+    assert main(["explain", *er8_args, "--lambda", "2", "--ceiling", "40"]) == 0
+
+
 def test_nonlinear_readout_exit_code(path4_args, demo_dir, capsys):
     rc = main(["explain", path4_args[0], str(demo_dir / "path4_mlp2.json"), "--exact"])
     assert rc == 4

@@ -11,15 +11,15 @@ from graphsi.complexity import (
     SATURATION_LIMIT,
     CallEstimate,
     _saturate,
-    count_interaction_set,
-    count_truncated,
+    count_evaluated,
     degree_bound,
     estimate_calls,
     scaling_study,
 )
 from graphsi.generate import random_graph
 from graphsi.graph import NeighborhoodIndex, khop_neighborhoods, make_graph
-from graphsi.moebius import _unique_maximal, build_interaction_set
+from graphsi.errors import BudgetExceeded, TruncatedBudgetExceeded
+from graphsi.moebius import build_interaction_set, check_budget
 
 from helpers import mask_to_set
 from oracles import interaction_set_oracle
@@ -114,32 +114,70 @@ def test_count_matches_sparse_builder():
     for seed in range(5):
         g = random_graph("er", 11, 1, seed=seed, edge_prob=0.25)
         hoods = khop_neighborhoods(g, 2)
-        counted = count_interaction_set(_unique_maximal(hoods.hoods))
-        assert counted == len(build_interaction_set(hoods))
+        n_max = max(h.bit_count() for h in hoods.hoods)
+        assert count_evaluated(hoods, n_max) == len(build_interaction_set(hoods))
+
+
+# neighborhood families of up to 6 fields over 10 nodes
+FIELDS = st.lists(st.integers(min_value=1, max_value=(1 << 10) - 1), min_size=1, max_size=6)
+
+
+def evaluated_sets(masks: list[int], lam: int) -> int:
+    """Oracle: distinct sets a run at order cap lam evaluates, the members of
+    at most lam nodes of the materialized interaction set plus each larger field."""
+    family = interaction_set_oracle([mask_to_set(m) for m in masks])
+    oversized = {m for m in masks if m.bit_count() > lam}
+    return sum(len(s) <= lam for s in family) + len(oversized)
 
 
 @settings(max_examples=150)
-@given(st.lists(st.integers(min_value=1, max_value=(1 << 10) - 1),
-                min_size=1, max_size=6), st.integers(min_value=1, max_value=10))
+@given(FIELDS, st.integers(min_value=1, max_value=10))
 def test_count_equals_materialized_union(masks, lam):
-    maximal = _unique_maximal(masks)
+    hoods = NeighborhoodIndex(ell=1, hoods=tuple(masks))
     family = interaction_set_oracle([mask_to_set(m) for m in masks])
-    assert count_interaction_set(maximal) == len(family)
-    # a truncated run: the members of at most lam nodes plus each larger field
-    oversized = {m for m in masks if m.bit_count() > lam}
-    want = sum(len(s) <= lam for s in family) + len(oversized)
-    assert count_truncated(NeighborhoodIndex(ell=1, hoods=tuple(masks)), lam) == want
+    n_max = max(m.bit_count() for m in masks)
+    assert count_evaluated(hoods, n_max) == len(family)
+    assert count_evaluated(hoods, lam) == evaluated_sets(masks, lam)
+
+
+@settings(max_examples=150)
+@given(FIELDS, st.integers(min_value=1, max_value=1100))
+def test_budget_refuses_exactly_the_runs_whose_sets_exceed_the_ceiling(masks, ceiling):
+    hoods = NeighborhoodIndex(ell=1, hoods=tuple(masks))
+    n_max = max(m.bit_count() for m in masks)
+
+    def refusal(lam):
+        try:
+            check_budget(hoods, lam, ceiling)
+        except BudgetExceeded as exc:
+            return exc
+        return None
+
+    for lam in [*range(1, n_max + 1), None]:  # None: the exact run, as lam = n_max
+        cap = n_max if lam is None else lam
+        exc = refusal(lam)
+        assert (exc is not None) == (cap > 1 and evaluated_sets(masks, cap) > ceiling)
+        if exc is None:
+            continue
+        assert isinstance(exc, TruncatedBudgetExceeded) == (lam is not None)
+        if lam is None:
+            assert exc.bound_sum == sum(1 << m.bit_count() for m in masks)
+        else:
+            assert exc.bound_sum == evaluated_sets(masks, lam)
+        suggestion = exc.suggested_lambda
+        assert 1 <= suggestion < cap and refusal(suggestion) is None
+        assert refusal(suggestion + 1) is not None
 
 
 def test_count_gives_up_within_the_step_budget(monkeypatch):
-    masks = _unique_maximal([(0b111111 << i) & 0xFFF for i in range(7)])
+    masks = [(0b111111 << i) & 0xFFF for i in range(7)]
     hoods = NeighborhoodIndex(ell=1, hoods=tuple(masks))
     with monkeypatch.context() as patch:
         patch.setattr(complexity, "COUNT_STEP_BUDGET", 2)
-        assert count_interaction_set(masks) is None
-        assert count_truncated(hoods, 2) is None
-    assert isinstance(count_interaction_set(masks), int)
-    assert isinstance(count_truncated(hoods, 2), int)
+        assert count_evaluated(hoods, 6) is None
+        assert count_evaluated(hoods, 2) is None
+    assert isinstance(count_evaluated(hoods, 6), int)
+    assert isinstance(count_evaluated(hoods, 2), int)
 
 
 # -- scaling study -----------------------------------------------------------

@@ -169,14 +169,18 @@ def test_table_runs_stop_before_any_ball_forward_past_the_ceiling(monkeypatch):
     def refuse(*args):
         raise AssertionError("a node table was built past the ceiling")
 
-    monkeypatch.setattr(graphsi.game, "_forward_ball", refuse)
     for g, model in _table_cases():
         balls = khop_oracle(g.n, g.edges, model.num_layers)
         bound = sum(2 ** len(ball) for ball in balls)
-        with pytest.raises(BudgetExceeded) as err:
-            GraphInteractionExplainer(model, ceiling=bound - 1).fit(g)
-        assert err.value.bound_sum == bound and err.value.ceiling == bound - 1
+        size = len(interaction_set_oracle(balls))
+        assert size < bound  # the ceiling bounds |I|, not the ball rows
+        with monkeypatch.context() as patch:
+            patch.setattr(graphsi.game, "_forward_ball", refuse)
+            with pytest.raises(BudgetExceeded) as err:
+                GraphInteractionExplainer(model, ceiling=size - 1).fit(g)
+        assert err.value.bound_sum == bound and err.value.ceiling == size - 1
         assert err.value.bound_dmax is not None  # the graph game's degree bound joins the chain
+        assert GraphInteractionExplainer(model, ceiling=size).fit(g).call_count_ == size
 
 
 def test_table_runs_count_later_evaluations_outside_i():
@@ -208,7 +212,7 @@ def test_truncated_run_past_the_ceiling_suggests_a_lambda_that_fits(demo_dir):
     exc = err.value
     assert exc.suggested_lambda == 1 and exc.ceiling == 5
     # the count of sets the run evaluates, not the per-field bound
-    assert truncated_bound(khop_neighborhoods(graph, load_model(weights).num_layers), 2) == 113
+    assert truncated_bound(khop_neighborhoods(graph, load_model(weights).num_layers), 2) == 112
     assert exc.bound_sum == 40
     assert str(exc).endswith("up to 40 sets > ceiling 5; try --lambda 1")
     # lambda = 1 is the cheapest run there is, so it runs whatever the ceiling
@@ -227,7 +231,7 @@ def test_truncated_guard_counts_the_sets_the_run_evaluates(demo_dir, monkeypatch
     monkeypatch.setattr("graphsi.complexity.COUNT_STEP_BUDGET", 2)
     with pytest.raises(BudgetExceeded) as err:
         GraphInteractionExplainer(weights, lam=2, ceiling=40).fit(graph)
-    assert err.value.bound_sum == 113
+    assert err.value.bound_sum == 112
 
 
 def test_truncated_guard_stops_before_any_evaluation(monkeypatch):
@@ -236,7 +240,7 @@ def test_truncated_guard_stops_before_any_evaluation(monkeypatch):
     # lambda = 8 would need ~1.0e8
     g, model = generate_instance("er", 48, 3, 0, "gcn", 2, 4, edge_prob=0.10)
     hoods = khop_neighborhoods(g, 2)
-    assert truncated_bound(hoods, 3) == 91_564
+    assert truncated_bound(hoods, 3) == 91_563
     ex = GraphInteractionExplainer(model, lam=3, ceiling=20_000).fit(g)
     assert ex.call_count_ == 15_897
     games = []

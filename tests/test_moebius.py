@@ -13,10 +13,10 @@ from graphsi.generate import generate_instance, random_graph
 from graphsi.graph import NeighborhoodIndex, khop_neighborhoods, load_graph, make_graph
 from graphsi.moebius import (
     build_interaction_set,
+    check_budget,
     graphshapiq_approx,
     graphshapiq_exact,
     moebius_transform,
-    suggest_lambda,
 )
 from graphsi.nn import load_model
 
@@ -106,13 +106,22 @@ def test_budget_guard_raises_with_fallback_order():
     star = make_graph(21, [(0, i) for i in range(1, 21)], [[0.0]] * 21)
     hoods = khop_neighborhoods(star, 1)
     with pytest.raises(BudgetExceeded) as err:
-        build_interaction_set(hoods, ceiling=1 << 10)
+        check_budget(hoods, None, 1 << 10)
     exc = err.value
     assert exc.bound_sum > 1 << 20
     assert exc.bound_nmax == 21 * (1 << 21)
     assert exc.suggested_lambda >= 1
     assert str(exc.suggested_lambda) in str(exc)
-    assert suggest_lambda(hoods, 1 << 10) == exc.suggested_lambda
+    # lambda = 2 evaluates 232 + 1 sets; lambda = 3 evaluates 1,562 + 1
+    assert exc.suggested_lambda == 2
+    assert_largest_admitted(hoods, exc.suggested_lambda, 1 << 10)
+
+
+def assert_largest_admitted(hoods: NeighborhoodIndex, lam: int, ceiling: int) -> None:
+    """The budget rule runs lam under the ceiling and refuses lam + 1."""
+    check_budget(hoods, lam, ceiling)
+    with pytest.raises(BudgetExceeded):
+        check_budget(hoods, lam + 1, ceiling)
 
 
 def test_exact_run_on_a_graph_game_carries_the_degree_bound():
@@ -123,7 +132,7 @@ def test_exact_run_on_a_graph_game_carries_the_degree_bound():
     bound = degree_bound(g, 1)
     assert isinstance(bound, int) and err.value.bound_dmax == bound
     assert f"<= degree bound = {bound} > ceiling 64" in str(err.value)
-    assert err.value.suggested_lambda == suggest_lambda(hoods, 64)
+    assert_largest_admitted(hoods, err.value.suggested_lambda, 64)
     table = DictGame(10, {t: 0.0 for t in range(1 << 10)})  # no graph, so no degree bound
     with pytest.raises(BudgetExceeded) as err:
         graphshapiq_exact(table, hoods, k=2, ceiling=64)
