@@ -200,13 +200,13 @@ def compare_estimators(model, graph, k: int, budgets: list[int], seeds: list[int
         return sum((estimate.get(s) - truth.get(s)) ** 2 for s in sets) / len(sets)
 
     # Every run reads the exact run's game, so no coalition is forwarded twice;
-    # a lambda run's budget is the sets its Moebius map holds, each evaluated once.
+    # a lambda run's budget is its own call_count, the sets of its Moebius map.
     game = exact.game_
     rows = []
     n_max = max(h.bit_count() for h in exact.hoods_.hoods)
     for lam in range(1, n_max + 1):
         mi, estimate = graphshapiq_approx(game, exact.hoods_, lam, k, index=index)
-        rows.append((f"graphshapiq_l{lam}", len(mi.values), 0, mse(estimate)))
+        rows.append((f"graphshapiq_l{lam}", mi.call_count, 0, mse(estimate)))
 
     methods = ([("permutation_sv", None)] if k == 1 else
                [("permutation_sii_uninformed", None),

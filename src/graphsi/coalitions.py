@@ -19,10 +19,10 @@ import numpy as np
 
 MAX_PLAYERS = 64
 # Largest set of a small run (small_family), which takes per-set sums and
-# the subset loop. Over 200 MUTAG-sized molecules (1-layer fields of <= 4;
-# one core of a 2-vCPU VM, best of 21) they took 25-30 ms against 51 for
-# the butterfly, 40-81 ms against 61-100 for the family pass (by index);
-# over 200 demo path4 runs, 3 against 6-11 ms and 5-10 against 16-26.
+# the subset loop. On the 200 seed-1 perfbench molecules (1-layer fields of
+# <= 4; one core of a 2-vCPU VM, best of 15, six runs) the per-set sums took
+# 18-20 ms against 34-37 for the butterfly, the subset loop 28-30 ms against
+# 39-48 for the ranked zeta transform; the per-set sums also keep path4's bits.
 DIRECT_MAX = 4
 
 

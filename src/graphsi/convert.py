@@ -9,7 +9,8 @@ exact rational arithmetic (Bernoulli numbers cancel catastrophically in
 floats) and realized to float64 once.
 
 As in the transform, coalitions.small_family picks the route. A small
-support takes the loop over subsets, C(|S~|, <= k) terms per set. A large
+support takes the loop over subsets, C(|S~|, <= k) terms per set, the
+faster route there (coalitions.DIRECT_MAX). A large
 one gives its largest down-closed part D the ranked zeta transform of
 trimmed Moebius inversion (Bjorklund, Husfeldt, Kaski & Koivisto 2007):
 each order s <= k weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node

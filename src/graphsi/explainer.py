@@ -41,9 +41,9 @@ class GraphInteractionExplainer:
             raises BudgetExceeded before any evaluation, unless lam is 1
             (moebius.check_budget)
 
-    Fitted attributes: interactions_, moebius_, call_count_,
-    interaction_set_size_ (exact mode), game_, hoods_,
-    efficiency_residual_.
+    Fitted attributes: interactions_, moebius_, call_count_ (the run's cost,
+    the sets of its Moebius map: |I| in exact mode), interaction_set_size_
+    (exact mode), game_, hoods_, efficiency_residual_.
     """
 
     def __init__(self, model, *, index: str = "ksii", order: int | None = None,
@@ -113,7 +113,7 @@ class GraphInteractionExplainer:
         self.hoods_ = hoods
         self.moebius_ = mi
         self.interactions_ = si
-        self.call_count_ = game.call_count()
+        self.call_count_ = mi.call_count
         self.efficiency_residual_ = efficiency_check(si, game.nu_full, game.nu_empty)
         return self
 

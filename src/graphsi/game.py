@@ -7,15 +7,16 @@ single node's embedding. Both run on one masked-game engine: a memo
 that forwards each distinct coalition exactly once, behind a single
 lock. A batch's memo misses are forwarded in first-seen order as
 chunked (B, n, d0) stacks, which give every coalition the same bits as
-a forward of its matrix alone. The number of distinct evaluated
-coalitions is the unit of every complexity claim here.
+a forward of its matrix alone. A game's call_count() is the number of
+distinct coalitions it forwarded; a run's cost is the sets of its
+Moebius map (moebius._converted).
 
 A GraphGame with a linear readout also splits into node games
 (GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i w . h_i(T & N_i),
 where h_i is node i's last-layer embedding and N_i its
 model.num_layers-hop ball, divided by n under mean pooling. The Moebius
 transform is linear too, so m(S) = sum over the balls holding S of each
-ball table's transform at S, and m(empty) = nu(empty). table_moebius
+ball table's transform at S, plus b at S = empty. table_moebius
 forwards each ball's 2^|N_i| local coalitions once, laid out in hop order
 by graph.ball_layouts (bit j of a table index keeps the ball's j-th node),
 all balls of one shape (size and per-layer row counts) in one forward,
@@ -23,8 +24,9 @@ and returns the Moebius values of an exact run at the model's depth
 without reading nu back set by set. A ball forward reads its first conv
 layer off the coalition bits, as an affine function of them. Its values
 agree with the dense stack to rounding (about 1e-14 relative), not bit
-for bit. The node tables serve only those Moebius values: every memo
-miss, nu(empty) aside, is forwarded on the dense stack.
+for bit. The node tables serve only those Moebius values and write
+nothing into the game: every coalition it evaluates is forwarded on the
+dense stack.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class _MaskedGame:
         return self.evaluate_batch([coalition])[0]
 
     def call_count(self) -> int:
-        """Distinct coalitions ever evaluated (memo misses)."""
+        """Distinct coalitions this game forwarded (memo misses), whichever
+        runs asked for them; node tables add none."""
         with self._lock:
             return len(self._memo)
 
@@ -113,9 +116,10 @@ class GraphGame(_MaskedGame):
     this selects the sole component). That construction pass is not a
     coalition evaluation and does not enter call_count.
 
-    Coalitions are forwarded on the dense stack. With a linear readout an
-    exact run may instead take its Moebius values from node tables
-    (table_moebius); moebius.graphshapiq_exact decides which.
+    Coalitions are forwarded on the dense stack, and call_count counts
+    them. With a linear readout an exact run may instead take its Moebius
+    values from node tables (table_moebius), which counts nothing;
+    moebius.graphshapiq_exact decides which.
 
     Args:
         model: loaded GnnModel
@@ -132,14 +136,14 @@ class GraphGame(_MaskedGame):
         full_out = forward_graph(model, graph, graph.features)
         self.target = int(np.argmax(full_out))  # argmax takes the lowest index on ties
         self._raw_full = float(full_out[self.target])
-        self._determined = None  # (|I|, ball masks) once table_moebius ran
 
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
 
     def table_moebius(self) -> dict[int, float]:
         """Moebius values on I, the union of the balls' power sets, in canonical
-        order, from freshly built node tables.
+        order, from freshly built node tables. Reads the model, graph,
+        baseline, target and normalize; writes nothing into the game.
 
         Node i's table holds at local index L its last-layer embedding
         projected on the target's readout column, with the ball's j-th node
@@ -148,18 +152,15 @@ class GraphGame(_MaskedGame):
         one (balls, 2^h) stack, which takes the dense subset butterfly in
         place; its local indices become global masks (and set sizes) by
         doubling. The values are summed by global mask, by ascending shape
-        and then node (divided by n under mean pooling). m(empty) is
-        nu(empty) = b + sum_i table_i[0], summed in node order (divided by n
-        under mean pooling), which goes into the memo unless it holds
-        nu(empty) already. From then on call_count counts I as evaluated.
+        and then node (divided by n under mean pooling); m(empty), that sum at
+        mask 0, then takes the readout bias (0 under normalize).
         """
         model, n = self.model, self.n_players
         weight = model.readout.weight[:, self.target]
         shapes: dict[tuple, list] = {}
         for nodes, keep in ball_layouts(self.graph, model.num_layers):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
-        firsts = np.empty(n)  # table_i[0] per node i
-        values, masks, sizes, balls = [], [], [], []
+        values, masks, sizes = [], [], []
         for (h, keep), group in sorted(shapes.items()):
             members = np.array(group, dtype="<u8")  # (balls, h)
             # widest array of a ball forward per row: the bits or layer 0's rows
@@ -168,7 +169,6 @@ class GraphGame(_MaskedGame):
                 _forward_ball(model, self.graph, self.baseline, members, keep,
                               np.arange(start, min(start + rows, 1 << h))) @ weight
                 for start in range(0, 1 << h, rows)], axis=1)
-            firsts[members[:, 0]] = stack[:, 0]
             glob, size = np.zeros((len(group), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
             for j in range(h):
                 v = stack.reshape(len(group), -1, 2, 1 << j)
@@ -178,33 +178,16 @@ class GraphGame(_MaskedGame):
             values.append(stack.ravel())
             masks.append(glob.ravel())
             sizes.append(np.tile(size, len(group)))
-            balls += glob[:, -1].tolist()
-        empty = sum(firsts.tolist())
-        if model.pooling == "mean":
-            empty /= n
-        empty += float(model.readout.bias[self.target])
         keys, where = np.unique(np.concatenate(masks), return_inverse=True)
         sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
         if model.pooling == "mean":
             sums /= n
+        # keys ascend, so sums[0] is m(empty) without the readout bias
+        sums[0] = 0.0 if self.normalize else sums[0] + float(model.readout.bias[self.target])
         count = np.empty(len(keys), dtype=np.uint8)
         count[where] = np.concatenate(sizes)
         order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
-        mi = dict(zip(keys[order].tolist(), sums[order].tolist()))
-        with self._lock:
-            empty = self._memo.setdefault(0, empty)
-            self._determined = (len(mi), set(balls))
-        mi[0] = 0.0 if self.normalize else empty
-        return mi
-
-    def call_count(self) -> int:
-        """Distinct coalitions evaluated, counting every member of I once
-        table_moebius has determined them."""
-        if self._determined is None:
-            return super().call_count()
-        size, balls = self._determined
-        with self._lock:
-            return size + sum(all(t & ~ball for ball in balls) for t in self._memo)
+        return dict(zip(keys[order].tolist(), sums[order].tolist()))
 
     def evaluate_batch(self, coalitions) -> list[float]:
         """Values in input order; the empty coalition is forwarded last when normalizing."""

@@ -22,7 +22,8 @@ of more than DIRECT_MAX members) transforms its down-closed kept family
 with one trimmed butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008),
 m[S] -= m[S ^ j] on every set holding node bit j for each j in ascending
 order: n*|F| operations per pass and no 2^h table. A small run gives
-each set its per-set sum, 2^|S| <= 16 terms, without NumPy.
+each set its per-set sum, 2^|S| <= 16 terms, without NumPy: twice as
+fast there (coalitions.DIRECT_MAX), with the bits path4_mi.json pins.
 """
 
 from __future__ import annotations
@@ -168,15 +169,6 @@ def _check_readout(game) -> None:
             "fields (run the readout audit to quantify them)")
 
 
-def _grand_value(game: GameOracle, n: int) -> float:
-    # GraphGame knows its full-coalition value from construction; table
-    # games have none, so evaluate (and cache) the grand coalition.
-    nu_full = getattr(game, "nu_full", None)
-    if nu_full is not None:
-        return nu_full
-    return game.evaluate(full_mask(n))
-
-
 def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int],
                   oversized: list[int], k: int, index: str, lam: int | None,
                   ) -> tuple[InteractionValues, InteractionValues]:
@@ -201,16 +193,20 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
             explained = float(np.cumsum(found[:i][inside])[-1])
             mi_values[hood] = found[i] = values[hood] - explained
         star = min(oversized, key=lambda h: (-h.bit_count(), h))
-        mi_values[star] += _grand_value(game, len(hoods.hoods)) - sum(mi_values.values())
+        grand = getattr(game, "nu_full", None)  # a GraphGame's, known from construction
+        if grand is None:  # table games evaluate (and cache) the grand coalition
+            grand = game.evaluate(full_mask(len(hoods.hoods)))
+        mi_values[star] += grand - sum(mi_values.values())
     del values  # free the game values before the conversion, which needs only the map
-    return _converted(game, hoods, mi_values, k, index, lam)
+    return _converted(hoods, mi_values, k, index, lam)
 
 
-def _converted(game: GameOracle, hoods: NeighborhoodIndex, mi_values: dict[int, float], k: int,
-               index: str, lam: int | None) -> tuple[InteractionValues, InteractionValues]:
+def _converted(hoods: NeighborhoodIndex, mi_values: dict[int, float], k: int, index: str,
+               lam: int | None) -> tuple[InteractionValues, InteractionValues]:
+    """MI and index values; call_count is the sets of the map (a run's cost)."""
     n = len(hoods.hoods)
     mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
-                           ell=hoods.ell, lam=lam, call_count=game.call_count())
+                           ell=hoods.ell, lam=lam, call_count=len(mi_values))
     return mi, convert.convert_mi(mi, index, k)
 
 
@@ -218,7 +214,8 @@ def _tables_take(game: GameOracle, hoods: NeighborhoodIndex) -> bool:
     """Whether an exact run reads its Moebius values off the game's node
     tables: a GraphGame whose balls are the fields (ell is the model's
     depth) and whose fields are not a small family. A small family keeps
-    the per-set sums, which are faster there and pin the demo's bits."""
+    the dense stack only for the bits demo/path4_mi.json pins: tables
+    would make its fits faster too."""
     return (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers
             and not small_family(hoods.hoods))
 
@@ -235,7 +232,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
 
     A GraphGame at the model's depth whose fields are not a small family
     gives the Moebius values straight from its node tables instead
-    (GraphGame.table_moebius); call_count still reports |I|.
+    (GraphGame.table_moebius), which forwards nothing; call_count is |I|.
 
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and, before
     anything is evaluated, BudgetExceeded (with a graph game's degree bound)
@@ -247,7 +244,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     check_budget(hoods, None, ceiling, getattr(game, "graph", None))
     if _tables_take(game, hoods):
-        return _converted(game, hoods, game.table_moebius(), k, index, None)
+        return _converted(hoods, game.table_moebius(), k, index, None)
     iset = build_interaction_set(hoods)
     return _interactions(game, hoods, iset.members, [], k, index, None)
 

@@ -299,7 +299,9 @@ def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
     kept (all rows of x before layer first). The row-wise weight products
     then run as one 2-D (B*rows, d) product each: on a (B, rows, d) stack
     NumPy calls one small kernel per matrix. Without keep every matrix of a
-    stack keeps the bits of a lone forward.
+    stack keeps the bits of a lone forward, so nothing is flattened: NumPy
+    uses its vector-matrix kernel for a lone 1-row matrix, and the
+    matrix-matrix kernel for a flattened stack.
     """
     if first == 0 and x.shape[-1] != model.d_in:
         raise DimensionMismatch(

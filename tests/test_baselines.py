@@ -331,9 +331,10 @@ def test_compare_estimators_forwards_each_coalition_once(demo_dir, monkeypatch):
     rows = compare_estimators(model, graph, 2, [], [0])
     construction, *stacks = forwards
     assert construction == 1  # one game serves every run
-    # the exact run takes node tables, which give nu(empty) alone: the lambda
-    # runs forward the rest of I, 135 sets, and nothing twice
-    assert sum(stacks) == 135
+    # the exact run takes node tables, which forward nothing, and its
+    # efficiency check forwards nu(empty): the lambda runs forward the rest
+    # of I, 135 sets, so 136 in all, and nothing twice
+    assert sum(stacks) == 136
     monkeypatch.undo()
 
     # each row equals a run on a game of its own: budget and mse bits

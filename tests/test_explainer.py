@@ -153,7 +153,9 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
         ex = GraphInteractionExplainer(model, index="ksii").fit(g)
         balls = khop_oracle(g.n, g.edges, model.num_layers)
         assert ex.call_count_ == ex.interaction_set_size_ == len(interaction_set_oracle(balls))
-        assert graph_rows == [1]  # the construction pass; every coalition came from the tables
+        # the construction pass, then nu(empty) for the efficiency check;
+        # every member of I came from the tables
+        assert graph_rows == [1, 1]
         assert sum(ball_rows) == sum(2 ** len(ball) for ball in balls)
 
 
@@ -183,7 +185,17 @@ def test_table_runs_stop_before_any_ball_forward_past_the_ceiling(monkeypatch):
         assert GraphInteractionExplainer(model, ceiling=size).fit(g).call_count_ == size
 
 
-def test_table_runs_count_later_evaluations_outside_i():
+def test_table_runs_count_later_evaluations_outside_i(monkeypatch):
+    import graphsi.game
+
+    rows = []  # coalitions (rows) per forward_graph call
+    real = graphsi.game.forward_graph
+
+    def counting(model, g, x):
+        rows.append(len(x) if x.ndim == 3 else 1)
+        return real(model, g, x)
+
+    monkeypatch.setattr(graphsi.game, "forward_graph", counting)
     g, model = _table_cases()[0]
     ex = GraphInteractionExplainer(model, index="mi").fit(g)
     game, size = ex.game_, ex.interaction_set_size_
@@ -192,7 +204,9 @@ def test_table_runs_count_later_evaluations_outside_i():
     outside = next(1 << i | 1 << j for i in range(g.n) for j in range(i)
                    if (1 << i | 1 << j) not in ex.moebius_.values)
     game.evaluate_batch([inside, outside, inside])
-    assert game.call_count() == size + 1
+    construction, *forwarded = rows
+    assert sum(forwarded) == game.call_count() == 3  # nu(empty), inside and outside
+    assert ex.call_count_ == size == len(ex.moebius_.values)
 
 
 def test_fitted_attributes_truncated(path4):

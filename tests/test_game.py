@@ -270,6 +270,18 @@ def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
     assert max(abs(mi.get(t, 0.0) - m) for t, m in enumerate(oracle)) <= tol
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_node_tables_write_nothing_into_the_game(normalize):
+    for g, model in (star_instance(), generate_instance("tree", 64, 3, 9, "gin", 2, 16)):
+        game = GraphGame(model, g, normalize=normalize)
+        first = game.table_moebius()
+        assert game.call_count() == 0 and game._memo == {}
+        second = game.table_moebius()
+        assert [(t, v.hex()) for t, v in first.items()] == \
+            [(t, v.hex()) for t, v in second.items()]  # bit for bit, in the same order
+        assert (first[0] == 0.0) == normalize
+
+
 @pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
 def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, shape):
     g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
@@ -325,16 +337,21 @@ def _route_run(name: str, demo_dir) -> GraphInteractionExplainer:
 @pytest.mark.parametrize("name,tabled,laid", ROUTES)
 def test_cost_rule_takes_the_faster_evaluator(demo_dir, monkeypatch, name, tabled, laid):
     # the field-size rule that replaced the cost rule; the name keeps the test ids
-    laid_out = []  # a ball layout is computed only to build node tables
-    real = graphsi.game.ball_layouts
+    laid_out, ball_forwards = [], []  # a ball layout is computed only to build node tables
+    real_layouts, real_ball = graphsi.game.ball_layouts, graphsi.game._forward_ball
 
     def counting(g, hops):
         laid_out.append(hops)
-        return real(g, hops)
+        return real_layouts(g, hops)
+
+    def forwarding(*args):
+        ball_forwards.append(args)
+        return real_ball(*args)
 
     monkeypatch.setattr(graphsi.game, "ball_layouts", counting)
-    game = _route_run(name, demo_dir).game_
-    assert (game._determined is not None) == tabled
+    monkeypatch.setattr(graphsi.game, "_forward_ball", forwarding)
+    _route_run(name, demo_dir)
+    assert bool(ball_forwards) == tabled
     assert bool(laid_out) == laid
 
 

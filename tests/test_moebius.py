@@ -472,6 +472,29 @@ def test_truncated_call_count_is_kept_plus_oversized():
     assert set(mi_hat.values) == kept | oversized
 
 
+def test_each_run_on_a_shared_game_reports_its_own_sets(demo_dir):
+    # the later runs forward nothing new, yet each reports the sets of its map
+    g, model = load_graph(demo_dir / "path4_graph.json"), load_model(demo_dir / "path4_model.json")
+    hoods = khop_neighborhoods(g, model.num_layers)
+    game = GraphGame(model, g)
+    counts = [graphshapiq_exact(game, hoods, k=2)[0].call_count,
+              graphshapiq_approx(game, hoods, lam=1, k=2)[0].call_count,
+              graphshapiq_exact(game, hoods, k=2)[0].call_count]
+    assert counts == [12, 9, 12]
+    assert game.call_count() == 12
+
+
+def test_a_run_after_node_tables_reports_the_sets_it_forwards(demo_dir):
+    # node tables forward nothing; the lambda run after them forwards its own sets
+    g, model = load_graph(demo_dir / "er8_graph.json"), load_model(demo_dir / "er8_model.json")
+    hoods = khop_neighborhoods(g, model.num_layers)
+    game = GraphGame(model, g)
+    assert graphshapiq_exact(game, hoods, k=2)[0].call_count == 136
+    assert game.call_count() == 0
+    assert graphshapiq_approx(game, hoods, lam=2, k=2)[0].call_count == 40
+    assert game.call_count() == 40
+
+
 def nested_oversized_instance():
     """Hub 0 sees 1..8, and 1-2, 2-3 close triangles, so at lambda = 2 the
     oversized fields {0,1,2} and {0,2,3} sit inside {0,1,2,3}, which sits

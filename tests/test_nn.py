@@ -146,6 +146,19 @@ def test_stacked_forward_equals_each_matrix_alone(kind, pooling, readout, d_out)
         assert (row == forward_graph(model, g, matrix)).all()  # no tolerance
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+def test_one_node_stack_rows_equal_lone_forwards(kind, layers):
+    # a 1-node matrix is one row, which a flattened stack product would round differently
+    for seed in range(10):
+        g = random_graph("path", 1, 3, seed=seed)
+        model = random_model(kind, 3, layers, 16, seed=seed)
+        # the mean baseline of one node is its own row, so shift it
+        x = masked_features(g, default_baseline(g) + 1.0, [0b0, 0b1])
+        for row, matrix in zip(forward_graph(model, g, x), x):
+            assert (row == forward_graph(model, g, matrix)).all()  # no tolerance
+
+
 def test_readout_runs_once_per_forward(monkeypatch):
     g, model = generate_instance("er", 8, 3, 31, "gin", 2, 4, edge_prob=0.4)
     calls = []
