@@ -7,7 +7,9 @@ The term-by-term SV/SII/STII definitions live only in the test oracles.
 The samplers draw discrete derivatives with the exact Shapley
 distribution over predecessor sets; budgets count nominal evaluations
 under the documented schedule while actual model calls still dedupe
-through the game cache.
+through the game cache. Every run's call_count is the distinct
+coalitions it asked for (2^n for the brute-force map), whatever the
+game has forwarded for other runs.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
     everything = list(range(1 << n))
     mi = _moebius_map(dict(zip(everything, game.evaluate_batch(everything))), everything)
-    return InteractionValues(kind="mi", k=n, n=n, values=mi,
-                             call_count=game.call_count())
+    return InteractionValues(kind="mi", k=n, n=n, values=mi, call_count=len(everything))
 
 
 def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
@@ -61,6 +62,7 @@ def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
     squares = np.zeros(n)
     rounds = 0
     spent = 0
+    asked: set[int] = set()
     while spent + n + 1 <= budget:
         spent += n + 1
         order = rng.permutation(n).tolist()
@@ -68,6 +70,7 @@ def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
         for player in order:
             prefixes.append(prefixes[-1] | 1 << player)
         values = game.evaluate_batch(prefixes)
+        asked.update(prefixes)
         for player, before, after in zip(order, values, values[1:]):
             delta = after - before
             sums[player] += delta
@@ -82,8 +85,7 @@ def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,
         else:
             stderr[i] = inf
     values = {1 << i: float(means[i]) for i in range(n)}
-    iv = InteractionValues(kind="sv", k=1, n=n, values=values,
-                           call_count=game.call_count())
+    iv = InteractionValues(kind="sv", k=1, n=n, values=values, call_count=len(asked))
     return iv, stderr
 
 
@@ -123,6 +125,7 @@ def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
     draws = {s: 0 for s in targets}
     spent = 0
     position = 0
+    asked: set[int] = set()
     while targets:
         s_mask = targets[position]
         cost = 1 << s_mask.bit_count()
@@ -133,7 +136,9 @@ def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
         t_size = int(rng.integers(0, len(others) + 1))
         t_mask = mask_of(int(j) for j in rng.permutation(others)[:t_size])
         subs = list(iter_subsets(s_mask))
-        shifted = dict(zip(subs, game.evaluate_batch([t_mask | sub for sub in subs])))
+        coalitions = [t_mask | sub for sub in subs]
+        asked.update(coalitions)
+        shifted = dict(zip(subs, game.evaluate_batch(coalitions)))
         sums[s_mask] += moebius_transform(None, s_mask, shifted)  # Delta_S(T)
         draws[s_mask] += 1
         position = (position + 1) % len(targets)
@@ -141,8 +146,7 @@ def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
     out = {s: (sums[s] / draws[s] if draws[s] else 0.0) for s in targets}
     for s in zeros:
         out[s] = 0.0
-    return InteractionValues(kind="sii", k=k, n=n, values=out,
-                             call_count=game.call_count())
+    return InteractionValues(kind="sii", k=k, n=n, values=out, call_count=len(asked))
 
 
 def audit_nonlinear_readout(model_linear, model_mlp2, g: Graph,

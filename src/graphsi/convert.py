@@ -16,6 +16,10 @@ trimmed Moebius inversion (Bjorklund, Husfeldt, Kaski & Koivisto 2007):
 each order s <= k weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node
 bit j sums it down and the size-s entries are read off, n*|D| operations
 per pass; its sets off D (oversized truncated fields, gaps) take the loop.
+
+An exact run on node tables converts neither way: convert_tables reads
+the index values off the transformed ball tables with the same weight
+table, one superset butterfly per ball bit, and sums them by global mask.
 """
 
 from __future__ import annotations
@@ -79,6 +83,24 @@ _WEIGHTS = {
 }
 
 
+def _index_weight(index: str, k: int, n: int):
+    """The weight of a supported index at a valid order k over n players."""
+    if index not in _WEIGHTS:
+        raise ValueError(f"unknown index {index!r}")
+    if index == "sv" and k != 1:
+        raise ValueError("the Shapley value is an order-1 index; use k=1")
+    if not 1 <= k <= n:
+        raise ValueError(f"order k must be in 1..{n}, got {k}")
+    return _WEIGHTS[index]
+
+
+def _weight_table(weight, k: int, top: int) -> np.ndarray:
+    """w[s - 1, t] = weight(s, t, k) for the orders s = 1..min(k, top) and
+    support sizes t = 0..top; 0 where t < s, which holds no size-s subset."""
+    return np.array([[weight(s, t, k) if t >= s else 0.0 for t in range(top + 1)]
+                     for s in range(1, min(k, top) + 1)])
+
+
 def _convert_family(values: dict[int, float], weight, k: int,
                     out: dict[int, float]) -> list[bool]:
     """Write into out every index value of D, the down-closed part of the
@@ -89,10 +111,8 @@ def _convert_family(values: dict[int, float], weight, k: int,
     keys = np.fromiter(values, dtype=np.uint64, count=len(values))
     found = np.fromiter(values.values(), dtype=float, count=len(values))
     sizes = np.fromiter(map(int.bit_count, values), dtype=np.uint8, count=len(values))
-    top = int(sizes.max())
-    orders = min(k, top)  # one table row per order; the last column takes flows to absent sets
-    w = np.array([[weight(s, t, k) if t >= s else 0.0 for t in range(top + 1)]
-                  for s in range(1, orders + 1)])
+    w = _weight_table(weight, k, int(sizes.max()))
+    orders = len(w)  # one table row per order; the last column takes flows to absent sets
     table = np.zeros((orders, len(keys) + 1))
     inside = np.append(np.ones(len(keys), dtype=bool), False)
     for _ in range(2):  # a second pass when D has gaps, the sets outside it starting at 0
@@ -115,13 +135,7 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
         raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
     if index == "mi":
         return mi
-    if index not in _WEIGHTS:
-        raise ValueError(f"unknown index {index!r}")
-    if index == "sv" and k != 1:
-        raise ValueError("the Shapley value is an order-1 index; use k=1")
-    if not 1 <= k <= mi.n:
-        raise ValueError(f"order k must be in 1..{mi.n}, got {k}")
-    weight = _WEIGHTS[index]
+    weight = _index_weight(index, k, mi.n)
     out: dict[int, float] = {}
     looped = mi.values.items()
     if not small_family(reversed(mi.values)):
@@ -136,6 +150,50 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
             for combo in combinations(bits, size):
                 key = sum(combo)  # the bits are disjoint, so the sum is the union
                 out[key] = out.get(key, 0.0) + contribution
+    return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
+                             lam=mi.lam, call_count=mi.call_count)
+
+
+def convert_tables(mi: InteractionValues, tables, index: str, k: int,
+                   mean: bool) -> InteractionValues:
+    """The requested index at order k straight from the transformed node
+    tables that mi was summed from (GraphGame.node_tables), with no pass
+    over mi; "mi" returns mi unchanged. Under mean pooling (mean) the
+    balls' sums are divided by n, as mi's are.
+
+    The index value of S, |S| = s, is the sum over the balls holding S of
+    sum_{S <= T <= N_i} w(s, |T|, k) m_i(T). So each order s weights every
+    table by w(s, |L|, k), one superset butterfly per local bit j,
+    v[L] += v[L + 2^j] on every L without bit j, sums it down, and the
+    size-s entries are summed by global mask. m(empty) and the readout
+    bias reach no set of size >= 1.
+    """
+    if mi.kind != "mi":
+        raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
+    if index == "mi":
+        return mi
+    weight = _index_weight(index, k, mi.n)
+    # sizes[-1] is h, the size of the whole ball
+    w = _weight_table(weight, k, max(int(sizes[-1]) for _, _, sizes in tables))
+    masks, found = [[] for _ in w], [[] for _ in w]  # per order, one part per ball shape
+    for stack, glob, sizes in tables:
+        h = int(sizes[-1])
+        orders = min(len(w), h)
+        v = w[:orders, sizes][:, None, :] * stack  # (orders, balls, 2^h)
+        for j in range(h):
+            pairs = v.reshape(orders, len(stack), -1, 2, 1 << j)
+            pairs[:, :, :, 0, :] += pairs[:, :, :, 1, :]
+        for s in range(orders):
+            at = sizes == s + 1
+            masks[s].append(glob[:, at].ravel())
+            found[s].append(v[s][:, at].ravel())
+    out: dict[int, float] = {}
+    for parts, values in zip(masks, found):  # by size, then ascending mask: canonical order
+        keys, where = np.unique(np.concatenate(parts), return_inverse=True)
+        sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
+        if mean:
+            sums /= mi.n
+        out.update(zip(keys.tolist(), sums.tolist()))
     return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
                              lam=mi.lam, call_count=mi.call_count)
 

@@ -100,7 +100,7 @@ class GraphInteractionExplainer:
         k = self._resolve_order(g.n)
         if self.lam is None:
             mi, si = graphshapiq_exact(game, hoods, k, index=self.index, ceiling=self.ceiling)
-            self.interaction_set_size_ = len(mi.values)
+            self.interaction_set_size_ = mi.call_count
         else:
             lam = check_positive_int(self.lam, "lambda")
             if lam > g.n:

@@ -16,17 +16,18 @@ A GraphGame with a linear readout also splits into node games
 where h_i is node i's last-layer embedding and N_i its
 model.num_layers-hop ball, divided by n under mean pooling. The Moebius
 transform is linear too, so m(S) = sum over the balls holding S of each
-ball table's transform at S, plus b at S = empty. table_moebius
-forwards each ball's 2^|N_i| local coalitions once, laid out in hop order
-by graph.ball_layouts (bit j of a table index keeps the ball's j-th node),
+ball table's transform at S, plus b at S = empty. node_tables forwards
+each ball's 2^|N_i| local coalitions once, laid out in hop order by
+graph.ball_layouts (bit j of a table index keeps the ball's j-th node),
 all balls of one shape (size and per-layer row counts) in one forward,
-and returns the Moebius values of an exact run at the model's depth
-without reading nu back set by set. A ball forward reads its first conv
-layer off the coalition bits, as an affine function of them. Its values
-agree with the dense stack to rounding (about 1e-14 relative), not bit
-for bit. The node tables serve only those Moebius values and write
-nothing into the game: every coalition it evaluates is forwarded on the
-dense stack.
+and transforms each table in place. That one build serves an exact run
+at the model's depth twice without reading nu back set by set:
+moebius_arrays sums it into the run's Moebius values, and
+convert.convert_tables takes the index values from it. A ball forward
+reads its first conv layer off the coalition bits, as an affine function
+of them. Its values agree with the dense stack to rounding (about 1e-14
+relative), not bit for bit. The node tables write nothing into the
+game: every coalition it evaluates is forwarded on the dense stack.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class GraphGame(_MaskedGame):
     coalition evaluation and does not enter call_count.
 
     Coalitions are forwarded on the dense stack, and call_count counts
-    them. With a linear readout an exact run may instead take its Moebius
-    values from node tables (table_moebius), which counts nothing;
+    them. With a linear readout an exact run may instead take its values
+    from node tables (node_tables), which counts nothing;
     moebius.graphshapiq_exact decides which.
 
     Args:
@@ -140,27 +141,26 @@ class GraphGame(_MaskedGame):
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
 
-    def table_moebius(self) -> dict[int, float]:
-        """Moebius values on I, the union of the balls' power sets, in canonical
-        order, from freshly built node tables. Reads the model, graph,
-        baseline, target and normalize; writes nothing into the game.
+    def node_tables(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each ball shape's transformed node tables, freshly built: a list of
+        (tables, masks, sizes), shapes ascending. Reads the model, graph,
+        baseline and target; writes nothing into the game.
 
         Node i's table holds at local index L its last-layer embedding
         projected on the target's readout column, with the ball's j-th node
         in hop order (graph.ball_layouts) kept for each bit j of L. Balls of
-        one shape, (size, keep), are forwarded together, chunk by chunk, into
+        one shape, (size h, keep), are forwarded together, chunk by chunk, into
         one (balls, 2^h) stack, which takes the dense subset butterfly in
-        place; its local indices become global masks (and set sizes) by
-        doubling. The values are summed by global mask, by ascending shape
-        and then node (divided by n under mean pooling); m(empty), that sum at
-        mask 0, then takes the readout bias (0 under normalize).
+        place: tables[b, L] is m_b(L), ball b's Moebius value at L, before the
+        division by n of mean pooling. Its local indices become the global
+        masks (balls, 2^h) and the set sizes (2^h,) by doubling.
         """
-        model, n = self.model, self.n_players
+        model = self.model
         weight = model.readout.weight[:, self.target]
         shapes: dict[tuple, list] = {}
         for nodes, keep in ball_layouts(self.graph, model.num_layers):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
-        values, masks, sizes = [], [], []
+        tables = []
         for (h, keep), group in sorted(shapes.items()):
             members = np.array(group, dtype="<u8")  # (balls, h)
             # widest array of a ball forward per row: the bits or layer 0's rows
@@ -175,19 +175,34 @@ class GraphGame(_MaskedGame):
                 v[:, :, 1, :] -= v[:, :, 0, :]
                 glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])], axis=1)
                 size = np.concatenate([size, size + 1])
-            values.append(stack.ravel())
-            masks.append(glob.ravel())
-            sizes.append(np.tile(size, len(group)))
-        keys, where = np.unique(np.concatenate(masks), return_inverse=True)
-        sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
-        if model.pooling == "mean":
-            sums /= n
+            tables.append((stack, glob, size))
+        return tables
+
+    def moebius_arrays(self, tables) -> tuple[np.ndarray, np.ndarray]:
+        """Moebius values on I, the union of the balls' power sets, from
+        node_tables: (keys, values) in canonical order. The tables are summed
+        by global mask, by ascending shape and then node (divided by n under
+        mean pooling); m(empty), that sum at mask 0, then takes the readout
+        bias (0 under normalize).
+        """
+        keys, where = np.unique(np.concatenate([glob.ravel() for _, glob, _ in tables]),
+                                return_inverse=True)
+        # adds in input order
+        sums = np.bincount(where, weights=np.concatenate([stack.ravel() for stack, _, _ in tables]))
+        if self.model.pooling == "mean":
+            sums /= self.n_players
         # keys ascend, so sums[0] is m(empty) without the readout bias
-        sums[0] = 0.0 if self.normalize else sums[0] + float(model.readout.bias[self.target])
+        sums[0] = 0.0 if self.normalize else sums[0] + float(self.model.readout.bias[self.target])
         count = np.empty(len(keys), dtype=np.uint8)
-        count[where] = np.concatenate(sizes)
+        count[where] = np.concatenate([np.tile(size, len(stack)) for stack, _, size in tables])
         order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
-        return dict(zip(keys[order].tolist(), sums[order].tolist()))
+        return keys[order], sums[order]
+
+    def table_moebius(self) -> dict[int, float]:
+        """Moebius values on I in canonical order, from freshly built node
+        tables (moebius_arrays of node_tables); writes nothing into the game."""
+        keys, values = self.moebius_arrays(self.node_tables())
+        return dict(zip(keys.tolist(), values.tolist()))
 
     def evaluate_batch(self, coalitions) -> list[float]:
         """Values in input order; the empty coalition is forwarded last when normalizing."""

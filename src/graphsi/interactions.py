@@ -73,3 +73,19 @@ class InteractionValues:
 
     def total(self) -> float:
         return sum(self.values.values())
+
+
+class ArrayValues(InteractionValues):
+    """InteractionValues given as canonically ordered key and value arrays
+    (keys, values); the values dict is built from them on first read."""
+
+    def __init__(self, kind: str, k: int, n: int, arrays, ell: int | None = None,
+                 lam: int | None = None, call_count: int | None = None):
+        super().__init__(kind, k, n, {}, ell, lam, call_count)
+        del self.values  # read through the cached property below
+        self._arrays = arrays
+
+    @cached_property
+    def values(self) -> dict[int, float]:
+        keys, values = self._arrays
+        return dict(zip(keys.tolist(), values.tolist()))

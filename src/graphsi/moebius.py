@@ -12,9 +12,12 @@ efficiency gap so the recovered values still sum to the full
 prediction.
 
 An exact run of a GraphGame at the model's depth whose fields are not a
-coalitions.small_family evaluates nothing set by set:
-GraphGame.table_moebius sums each ball's transformed table by global
-mask. Every other run evaluates its family and transforms it here.
+coalitions.small_family evaluates nothing set by set: it builds the
+game's node tables once, sums them by global mask into its Moebius
+values (GraphGame.moebius_arrays, kept as arrays until the map is read)
+and reads its index values off them (convert.convert_tables). Every
+other run evaluates its family, transforms it here and converts it with
+convert.convert_mi.
 
 Cost of the transform: each run takes one of two routes, decided by
 coalitions.small_family over the evaluated sets. A large run (some set
@@ -41,7 +44,7 @@ from .complexity import count_evaluated, degree_bound
 from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
-from .interactions import InteractionSet, InteractionValues
+from .interactions import ArrayValues, InteractionSet, InteractionValues
 
 DEFAULT_CEILING = 2 ** 24
 
@@ -231,8 +234,9 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     exactly zero and never materialized.
 
     A GraphGame at the model's depth whose fields are not a small family
-    gives the Moebius values straight from its node tables instead
-    (GraphGame.table_moebius), which forwards nothing; call_count is |I|.
+    gives the Moebius and index values straight from its node tables
+    instead (GraphGame.node_tables), which forwards nothing; mi builds its
+    map on first read, and call_count is |I|.
 
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and, before
     anything is evaluated, BudgetExceeded (with a graph game's degree bound)
@@ -244,7 +248,11 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     check_budget(hoods, None, ceiling, getattr(game, "graph", None))
     if _tables_take(game, hoods):
-        return _converted(hoods, game.table_moebius(), k, index, None)
+        tables = game.node_tables()
+        keys, values = game.moebius_arrays(tables)
+        mi = ArrayValues(kind="mi", k=n, n=n, arrays=(keys, values), ell=hoods.ell,
+                         call_count=len(keys))
+        return mi, convert.convert_tables(mi, tables, index, k, game.model.pooling == "mean")
     iset = build_interaction_set(hoods)
     return _interactions(game, hoods, iset.members, [], k, index, None)
 

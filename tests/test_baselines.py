@@ -17,9 +17,10 @@ from graphsi.convert import convert_mi
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
-from graphsi.graph import khop_neighborhoods
-from graphsi.moebius import build_interaction_set, graphshapiq_exact, moebius_transform
-from graphsi.nn import GnnModel, Mlp2Readout
+from graphsi.graph import khop_neighborhoods, load_graph
+from graphsi.moebius import (build_interaction_set, graphshapiq_approx, graphshapiq_exact,
+                             moebius_transform)
+from graphsi.nn import GnnModel, Mlp2Readout, load_model
 
 from helpers import DictGame, mask_to_set, random_table, table_as_nu
 from oracles import fast_moebius_oracle, shapley_oracle, sii_oracle, stii_oracle
@@ -195,6 +196,24 @@ def test_sv_sampler_budget_and_accounting():
     assert game.call_count() <= 5
     assert all(v == float("inf") for v in stderr.values())
     assert est.call_count == game.call_count()
+
+
+def test_sampler_costs_are_the_coalitions_each_run_asked_for(demo_dir):
+    # the same count on a fresh game and on one a lambda = 2 run filled first
+    g, model = load_graph(demo_dir / "er8_graph.json"), load_model(demo_dir / "er8_model.json")
+    runs = {"sv": lambda game: permutation_sampling_sv(game, 18, seed=0)[0],
+            "sii": lambda game: permutation_sampling_sii(game, 2, 400, seed=0),
+            "brute": lambda game: brute_force_mi(game, g.n)}
+    costs = {}
+    for name, run in runs.items():
+        fresh = GraphGame(model, g)
+        costs[name] = run(fresh).call_count
+        assert costs[name] == fresh.call_count()  # a fresh game forwards just what it is asked
+        shared = GraphGame(model, g)
+        graphshapiq_approx(shared, khop_neighborhoods(g, model.num_layers), 2, k=2)
+        assert shared.call_count() > 0
+        assert run(shared).call_count == costs[name]
+    assert costs["sv"] == 15 and costs["brute"] == 1 << g.n
 
 
 # -- permutation sampling: interactions --------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -163,6 +164,48 @@ def _table_cases():
     """A 48-node degree-3 tree under a 2-layer GIN and the 14-node star:
     exact runs whose fields exceed DIRECT_MAX, so they take node tables."""
     return (generate_instance("tree", 48, 3, 7, "gin", 2, 4), star_instance())
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_table_runs_build_the_moebius_map_on_first_read(normalize):
+    for g, model in _table_cases():
+        ex = GraphInteractionExplainer(model, index="ksii", normalize=normalize).fit(g)
+        balls = khop_oracle(g.n, g.edges, model.num_layers)
+        assert ex.interaction_set_size_ == ex.call_count_ == len(interaction_set_oracle(balls))
+        fresh = ex.game_.table_moebius()
+        assert [(t, v.hex()) for t, v in ex.moebius_.values.items()] == \
+            [(t, v.hex()) for t, v in fresh.items()]  # bit for bit, in the same order
+        assert ex.moebius_.values is ex.moebius_.values  # built once
+
+
+def test_a_ksii_cli_run_on_node_tables_builds_no_moebius_map(tmp_path, monkeypatch):
+    import graphsi.cli
+    from graphsi.interactions import ArrayValues
+
+    built = []  # kinds of the maps built from arrays, and table_moebius calls
+    real_values, real_table = ArrayValues.values, GraphGame.table_moebius
+
+    def values(self):
+        built.append(self.kind)
+        return real_values.func(self)
+
+    def table_moebius(self):
+        built.append("table_moebius")
+        return real_table(self)
+
+    lazy = functools.cached_property(values)
+    lazy.__set_name__(ArrayValues, "values")
+    monkeypatch.setattr(ArrayValues, "values", lazy)
+    monkeypatch.setattr(GraphGame, "table_moebius", table_moebius)
+    g, model = star_instance()
+    paths = [tmp_path / "star14_graph.json", tmp_path / "star14_model.json"]
+    paths[0].write_text(json.dumps(g.to_json_dict()))
+    paths[1].write_text(json.dumps(model.to_json_dict()))
+    argv = ["explain", *map(str, paths), "--out", str(tmp_path / "out.json")]
+    assert graphsi.cli.main(argv + ["--index", "ksii"]) == 0
+    assert built == []
+    assert graphsi.cli.main(argv + ["--index", "mi"]) == 0  # the wrapper sees a read
+    assert built == ["mi"]
 
 
 def test_table_runs_stop_before_any_ball_forward_past_the_ceiling(monkeypatch):

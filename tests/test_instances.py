@@ -18,16 +18,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import graphsi.game
 import graphsi.moebius
-from graphsi.coalitions import DIRECT_MAX, small_family
-from graphsi.convert import efficiency_check
+from graphsi.coalitions import DIRECT_MAX, mask_of, small_family
+from graphsi.convert import convert_mi, efficiency_check
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_model
 from graphsi.graph import khop_neighborhoods
+from graphsi.interactions import InteractionValues
 from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
 
-from oracles import (fast_moebius_oracle, fast_zeta_oracle, gamma, interaction_set_oracle,
-                     khop_oracle)
+from helpers import mask_to_set
+from oracles import (conversion_oracle, fast_moebius_oracle, fast_zeta_oracle, gamma,
+                     interaction_set_oracle, khop_oracle)
 
 # An ER graph whose 1-hop fields lie on both sides of DIRECT_MAX, so the
 # exact run is mixed: tested on every run, whatever the draws cover.
@@ -136,3 +138,42 @@ def test_pipeline_agrees_with_the_dense_power_set(case):
     ex = GraphInteractionExplainer(model, index="mi", ell=ell).fit(g)
     fields = khop_oracle(g.n, g.edges, ell)
     assert ex.call_count_ == ex.interaction_set_size_ == len(interaction_set_oracle(fields))
+
+
+# (index, k) pairs the table conversion is checked at
+CONVERSIONS = [("sv", 1)] + [(index, k) for index in ("sii", "ksii", "stii") for k in (1, 2, 3)]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(instances())
+@example(MIXED)
+@example(("tree", 10, 16, ("gin", "gin"), "mean", None, True, 2))  # seed 16: k-SII at k = 3
+def test_index_values_from_node_tables(case):
+    # exact runs forced onto the node tables, whatever the field sizes: their
+    # index values against convert_mi of the same tables' Moebius map at every
+    # pooling and normalization, and at the drawn ones and one index picked by
+    # the drawn seed against the exact rational conversion of that map
+    *shape, baseline, normalize, _ = case
+    g, model = build(*shape)
+    hoods = khop_neighborhoods(g, model.num_layers)
+    oracle = CONVERSIONS[shape[2] % len(CONVERSIONS)]  # by the drawn seed
+    for pooling in ("sum", "mean"):
+        pooled = dataclasses.replace(model, pooling=pooling)
+        for norm in (False, True):
+            game = GraphGame(pooled, g, baseline, norm)
+            mi = InteractionValues(kind="mi", k=g.n, n=g.n, values=game.table_moebius())
+            tol = 1e-12 * max(1.0, abs(game.nu_full))
+            for index, k in CONVERSIONS:
+                if k > g.n:
+                    continue
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: True)
+                    _, got = graphshapiq_exact(game, hoods, k, index)
+                want = convert_mi(mi, index, k).values
+                assert list(got.values) == list(want)  # the same sets, in the same order
+                assert max(abs(v - want[t]) for t, v in got.values.items()) <= tol
+                if (pooling, norm, index, k) != (shape[-1], normalize, *oracle):
+                    continue
+                moebius = {mask_to_set(t): v for t, v in mi.values.items()}
+                for sub, (exact, _, _) in conversion_oracle(moebius, g.n, index, k).items():
+                    assert abs(Fraction(got.get(mask_of(sub))) - exact) <= tol

@@ -284,7 +284,9 @@ def test_small_runs_never_build_the_pair_index(monkeypatch):
     assert built == []
     g, model, hoods = star14_instance()
     graphshapiq_exact(GraphGame(model, g), hoods, k=2)
-    assert built  # a large run takes the butterflies
+    assert built == []  # an exact table run converts on its node tables
+    graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
+    assert built  # a large run on the dense stack takes the butterflies
 
 
 def test_brute_force_mi_is_one_field():
