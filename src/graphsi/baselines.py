@@ -20,7 +20,7 @@ from typing import Container
 
 import numpy as np
 
-from .coalitions import iter_subsets, mask_of, sort_key
+from .coalitions import full_mask, iter_subsets, mask_of, small_family, sort_key
 from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
@@ -38,9 +38,9 @@ def brute_force_mi(game: GameOracle, n: int) -> InteractionValues:
     """Exact Moebius interactions of every subset: the whole player set is one field."""
     if n > BRUTE_FORCE_MI_MAX:
         raise ValueError(f"brute-force MI is capped at n={BRUTE_FORCE_MI_MAX}, got {n}")
-    everything = list(range(1 << n))
-    mi = _moebius_map(dict(zip(everything, game.evaluate_batch(everything))), everything)
-    return InteractionValues(kind="mi", k=n, n=n, values=mi, call_count=len(everything))
+    keys = np.arange(1 << n, dtype=np.uint64)
+    m = _moebius_map(keys, game.evaluate_batch(keys.tolist()), small_family([full_mask(n)]))
+    return InteractionValues(kind="mi", k=n, n=n, arrays=(keys, m), call_count=len(keys))
 
 
 def permutation_sampling_sv(game: GameOracle, budget: int, seed: int,

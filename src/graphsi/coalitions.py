@@ -88,29 +88,19 @@ def pair_index(keys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (rows, partners) for each bit set in some of the distinct uint64 keys, low bit first.
 
     rows are the positions of the keys that hold the bit, partners those of
-    the keys without it (len(keys) if absent). Keys below 4*len(keys) are
-    found in a position table, others by binary search over the sorted keys:
-    on 2^14 sets (2 vCPU VM) the table takes 1.1 ms against 4.8 ms, and it
-    stays faster up to 128*len(keys); the cap holds it to 32 bytes per set.
+    the keys without it (len(keys) if absent), found by binary search over
+    the sorted keys. Rows come in ascending key order; rows and partners of
+    one bit are disjoint, so an update over them does not depend on it.
     """
     absent = len(keys)
     union = int(np.bitwise_or.reduce(keys, initial=0))
-    table = union < 4 * absent
-    if table:
-        keys = keys.astype(np.intp)
-        where = np.full(union + 1, absent)
-        where[keys] = np.arange(absent)
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
+    order = np.argsort(keys)
+    keys = keys[order]
     octets = keys.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
     for byte in range((union.bit_length() + 7) // 8):
         held = np.unpackbits(octets[:, byte], bitorder="little").reshape(-1, 8).T.copy().view(bool)
         for j in iter_members(union >> 8 * byte & 255):
             rows = np.flatnonzero(held[j])
-            wanted = keys[rows] ^ (1 << 8 * byte + j)
-            if table:
-                yield rows, where[wanted]
-            else:
-                at = np.searchsorted(keys, wanted)  # wanted lies below keys[rows], so in range
-                yield order[rows], np.where(keys[at] == wanted, order[at], absent)
+            wanted = keys[rows] ^ np.uint64(1 << 8 * byte + j)
+            at = np.searchsorted(keys, wanted)  # wanted lies below keys[rows], so in range
+            yield order[rows], np.where(keys[at] == wanted, order[at], absent)

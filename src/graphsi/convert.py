@@ -10,12 +10,14 @@ floats) and realized to float64 once.
 
 As in the transform, coalitions.small_family picks the route. A small
 support takes the loop over subsets, C(|S~|, <= k) terms per set, the
-faster route there (coalitions.DIRECT_MAX). A large
-one gives its largest down-closed part D the ranked zeta transform of
-trimmed Moebius inversion (Bjorklund, Husfeldt, Kaski & Koivisto 2007):
-each order s <= k weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node
-bit j sums it down and the size-s entries are read off, n*|D| operations
-per pass; its sets off D (oversized truncated fields, gaps) take the loop.
+faster route there (coalitions.DIRECT_MAX). A large one, read as the
+map's key and value arrays, builds one pair index over its keys. An
+AND-butterfly over it finds the largest down-closed part D; then the
+ranked zeta transform of trimmed Moebius inversion (Bjorklund, Husfeldt,
+Kaski & Koivisto 2007) sums D down on the same pairs: each order s <= k
+weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node bit j, and the
+size-s entries are read off, n*|D| operations per pass. Its sets off D
+(oversized truncated fields, gaps) take the loop.
 
 An exact run on node tables converts neither way: convert_tables reads
 the index values off the transformed ball tables with the same weight
@@ -101,30 +103,28 @@ def _weight_table(weight, k: int, top: int) -> np.ndarray:
                      for s in range(1, min(k, top) + 1)])
 
 
-def _convert_family(values: dict[int, float], weight, k: int,
+def _convert_family(keys: np.ndarray, found: np.ndarray, masks: list[int], weight, k: int,
                     out: dict[int, float]) -> list[bool]:
     """Write into out every index value of D, the down-closed part of the
-    support, and flag in map order the sets outside D, left to the loop.
-    A set is in D when all its subsets are: an AND-butterfly over the pair
-    index, run with the sums, decides it (an absent set reads as False).
+    support (keys and found, masks the keys as ints), and flag in map order
+    the sets outside D, left to the loop. A set is in D when all its subsets
+    are: an AND-butterfly over the pair index decides it (an absent set
+    reads as False) before the sums run over D alone.
     """
-    keys = np.fromiter(values, dtype=np.uint64, count=len(values))
-    found = np.fromiter(values.values(), dtype=float, count=len(values))
-    sizes = np.fromiter(map(int.bit_count, values), dtype=np.uint8, count=len(values))
+    sizes = np.fromiter(map(int.bit_count, masks), dtype=np.uint8, count=len(masks))
     w = _weight_table(weight, k, int(sizes.max()))
-    orders = len(w)  # one table row per order; the last column takes flows to absent sets
-    table = np.zeros((orders, len(keys) + 1))
+    pairs = list(pair_index(keys))
     inside = np.append(np.ones(len(keys), dtype=bool), False)
-    for _ in range(2):  # a second pass when D has gaps, the sets outside it starting at 0
-        np.take(w, sizes, axis=1, out=table[:, :-1])
-        table[:, :-1] *= np.where(inside[:-1], found, 0.0)
-        for rows, partners in pair_index(keys):
-            inside[rows] &= inside[partners]
-            for column in table:
-                column[partners] += column[rows]
-        if inside[:-1].all():
-            break
-    pick = np.flatnonzero(inside[:-1] & (sizes >= 1) & (sizes <= orders))
+    for rows, partners in pairs:
+        inside[rows] &= inside[partners]
+    # one table row per order; the last column takes flows to absent sets
+    table = np.zeros((len(w), len(keys) + 1))
+    np.take(w, sizes, axis=1, out=table[:, :-1])
+    table[:, :-1] *= np.where(inside[:-1], found, 0.0)
+    for rows, partners in pairs:
+        for column in table:
+            column[partners] += column[rows]
+    pick = np.flatnonzero(inside[:-1] & (sizes >= 1) & (sizes <= len(w)))
     out.update(zip(keys[pick].tolist(), table[sizes[pick] - 1, pick].tolist()))
     return (~inside[:-1]).tolist()
 
@@ -137,9 +137,11 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
         return mi
     weight = _index_weight(index, k, mi.n)
     out: dict[int, float] = {}
-    looped = mi.values.items()
-    if not small_family(reversed(mi.values)):
-        looped = compress(looped, _convert_family(mi.values, weight, k, out))
+    keys, found = mi.arrays
+    masks = keys.tolist()
+    looped = zip(masks, found.tolist())
+    if not small_family(reversed(masks)):
+        looped = compress(looped, _convert_family(keys, found, masks, weight, k, out))
     for s_tilde, value in looped:
         bits = [1 << i for i in iter_members(s_tilde)]
         for size in range(1, min(k, len(bits)) + 1):

@@ -9,7 +9,7 @@ lock. A batch's memo misses are forwarded in first-seen order as
 chunked (B, n, d0) stacks, which give every coalition the same bits as
 a forward of its matrix alone. A game's call_count() is the number of
 distinct coalitions it forwarded; a run's cost is the sets of its
-Moebius map (moebius._converted).
+Moebius map (moebius._interactions).
 
 A GraphGame with a linear readout also splits into node games
 (GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i w . h_i(T & N_i),
@@ -197,12 +197,6 @@ class GraphGame(_MaskedGame):
         count[where] = np.concatenate([np.tile(size, len(stack)) for stack, _, size in tables])
         order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
         return keys[order], sums[order]
-
-    def table_moebius(self) -> dict[int, float]:
-        """Moebius values on I in canonical order, from freshly built node
-        tables (moebius_arrays of node_tables); writes nothing into the game."""
-        keys, values = self.moebius_arrays(self.node_tables())
-        return dict(zip(keys.tolist(), values.tolist()))
 
     def evaluate_batch(self, coalitions) -> list[float]:
         """Values in input order; the empty coalition is forwarded last when normalizing."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .coalitions import sort_key
 
 INDEX_KINDS = ("mi", "sv", "sii", "ksii", "stii")
@@ -37,9 +39,13 @@ class InteractionSet:
         return iter(self.members)
 
 
-@dataclass
 class InteractionValues:
     """Map from coalitions to interaction scores of one index kind.
+
+    Built from the values dict or from arrays=(keys, values), uint64 masks
+    and float64 scores in map order; the other form is made on first read,
+    so neither is changed once given. Two maps are equal when their
+    metadata and values are, whichever form each was built from.
 
     Attributes:
         kind: one of "mi", "sv", "sii", "ksii", "stii"
@@ -47,22 +53,48 @@ class InteractionValues:
         n: number of players
         values: coalition bitmask -> value; MI keeps the empty set,
             converted indices hold non-empty sets only
+        arrays: (keys, values), the same map as two arrays
         ell: message-passing range the values were computed under
         lam: truncation order for approximate runs, None when exact
         call_count: distinct game evaluations spent
     """
 
-    kind: str
-    k: int
-    n: int
-    values: dict[int, float]
-    ell: int | None = None
-    lam: int | None = None
-    call_count: int | None = None
+    def __init__(self, kind: str, k: int, n: int, values: dict[int, float] | None = None,
+                 ell: int | None = None, lam: int | None = None,
+                 call_count: int | None = None, *, arrays=None):
+        if kind not in INDEX_KINDS:
+            raise ValueError(f"unknown index kind {kind!r}")
+        if (values is None) == (arrays is None):
+            raise TypeError("give exactly one of values and arrays")
+        self.kind, self.k, self.n = kind, k, n
+        self.ell, self.lam, self.call_count = ell, lam, call_count
+        if values is None:
+            self.arrays = arrays
+        else:
+            self.values = values
 
-    def __post_init__(self):
-        if self.kind not in INDEX_KINDS:
-            raise ValueError(f"unknown index kind {self.kind!r}")
+    @cached_property
+    def values(self) -> dict[int, float]:
+        keys, values = self.arrays
+        return dict(zip(keys.tolist(), values.tolist()))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        values = self.values
+        return (np.fromiter(values, dtype=np.uint64, count=len(values)),
+                np.fromiter(values.values(), dtype=float, count=len(values)))
+
+    def __eq__(self, other):
+        if not isinstance(other, InteractionValues):
+            return NotImplemented
+        meta = ("kind", "k", "n", "ell", "lam", "call_count")
+        return ([getattr(self, a) for a in meta] == [getattr(other, a) for a in meta]
+                and self.values == other.values)
+
+    def __repr__(self) -> str:
+        return (f"InteractionValues(kind={self.kind!r}, k={self.k}, n={self.n}, "
+                f"values={self.values!r}, ell={self.ell}, lam={self.lam}, "
+                f"call_count={self.call_count})")
 
     def get(self, mask: int) -> float:
         return self.values.get(mask, 0.0)
@@ -73,19 +105,3 @@ class InteractionValues:
 
     def total(self) -> float:
         return sum(self.values.values())
-
-
-class ArrayValues(InteractionValues):
-    """InteractionValues given as canonically ordered key and value arrays
-    (keys, values); the values dict is built from them on first read."""
-
-    def __init__(self, kind: str, k: int, n: int, arrays, ell: int | None = None,
-                 lam: int | None = None, call_count: int | None = None):
-        super().__init__(kind, k, n, {}, ell, lam, call_count)
-        del self.values  # read through the cached property below
-        self._arrays = arrays
-
-    @cached_property
-    def values(self) -> dict[int, float]:
-        keys, values = self._arrays
-        return dict(zip(keys.tolist(), values.tolist()))

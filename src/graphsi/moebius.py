@@ -14,10 +14,11 @@ prediction.
 An exact run of a GraphGame at the model's depth whose fields are not a
 coalitions.small_family evaluates nothing set by set: it builds the
 game's node tables once, sums them by global mask into its Moebius
-values (GraphGame.moebius_arrays, kept as arrays until the map is read)
-and reads its index values off them (convert.convert_tables). Every
-other run evaluates its family, transforms it here and converts it with
-convert.convert_mi.
+values (GraphGame.moebius_arrays) and reads its index values off them
+(convert.convert_tables). Every other run evaluates its family,
+transforms it here and converts it with convert.convert_mi. Either way
+the Moebius map is an InteractionValues built from key and value arrays;
+its values dict is made only when something reads it.
 
 Cost of the transform: each run takes one of two routes, decided by
 coalitions.small_family over the evaluated sets. A large run (some set
@@ -32,7 +33,7 @@ fast there (coalitions.DIRECT_MAX), with the bits path4_mi.json pins.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -44,7 +45,7 @@ from .complexity import count_evaluated, degree_bound
 from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
-from .interactions import ArrayValues, InteractionSet, InteractionValues
+from .interactions import InteractionSet, InteractionValues
 
 DEFAULT_CEILING = 2 ** 24
 
@@ -149,18 +150,20 @@ def moebius_transform(game, coalition: int, values: dict[int, float] | None = No
     return total
 
 
-def _moebius_map(values: dict[int, float], kept: Sequence[int]) -> dict[int, float]:
-    """m on every kept set, in kept order. A small run (no evaluated set of
-    more than DIRECT_MAX members) takes moebius_transform's per-set sum over
-    `values`; any other takes the butterfly over the down-closed kept family.
+def _moebius_map(keys: np.ndarray, nu: Sequence[float], small: bool) -> np.ndarray:
+    """m on every set of the down-closed family keys, in key order, from nu
+    in key order (entries past the keys are not read). A small run (no
+    evaluated set of more than DIRECT_MAX members) takes moebius_transform's
+    per-set sum, any other the butterfly over the family.
     """
-    if small_family(reversed(values)):
-        return {s: moebius_transform(None, s, values) for s in kept}
-    keys = np.fromiter(kept, dtype=np.uint64, count=len(kept))
-    m = np.fromiter(map(values.__getitem__, kept), dtype=float, count=len(kept))
+    if small:
+        values = dict(zip(keys.tolist(), nu))
+        return np.fromiter((moebius_transform(None, s, values) for s in values),
+                           dtype=float, count=len(values))
+    m = np.fromiter(nu, dtype=float, count=len(keys))
     for rows, partners in pair_index(keys):
         m[rows] -= m[partners]
-    return dict(zip(kept, m.tolist()))
+    return m
 
 
 def _check_readout(game) -> None:
@@ -180,36 +183,30 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
     Each oversized field, smallest first, gets what the recovery identity
     leaves unexplained by the values assigned so far; the largest (ties:
     smallest bitmask) also takes the gap tau to nu(N). Exact runs have none.
+    The map runs as arrays, in kept + oversized order, from the game values
+    to the conversion.
     """
     sets = [*kept, *oversized]
-    values = dict(zip(sets, game.evaluate_batch(sets)))
+    nu = game.evaluate_batch(sets)
+    keys = np.fromiter(sets, dtype=np.uint64, count=len(sets))
+    found = np.empty(len(sets))
+    found[:len(kept)] = _moebius_map(keys[:len(kept)], nu, small_family(reversed(sets)))
     del sets
-    mi_values = _moebius_map(values, kept)
+    for i, hood in enumerate(oversized, start=len(kept)):
+        inside = (keys[:i] & ~np.uint64(hood)) == 0
+        # cumsum adds left to right in map order, as a running sum would; np.sum is pairwise
+        found[i] = nu[i] - float(np.cumsum(found[:i][inside])[-1])
+    del nu  # free the game values before the conversion, which needs only the map
     if oversized:
-        size = len(mi_values) + len(oversized)
-        keys = np.fromiter(chain(mi_values, oversized), dtype=np.uint64, count=size)
-        found = np.fromiter(chain(mi_values.values(), repeat(0.0, len(oversized))),
-                            dtype=float, count=size)
-        for i, hood in enumerate(oversized, start=len(mi_values)):
-            inside = (keys[:i] & ~np.uint64(hood)) == 0
-            # cumsum adds left to right in map order, as a running sum would; np.sum is pairwise
-            explained = float(np.cumsum(found[:i][inside])[-1])
-            mi_values[hood] = found[i] = values[hood] - explained
         star = min(oversized, key=lambda h: (-h.bit_count(), h))
         grand = getattr(game, "nu_full", None)  # a GraphGame's, known from construction
         if grand is None:  # table games evaluate (and cache) the grand coalition
             grand = game.evaluate(full_mask(len(hoods.hoods)))
-        mi_values[star] += grand - sum(mi_values.values())
-    del values  # free the game values before the conversion, which needs only the map
-    return _converted(hoods, mi_values, k, index, lam)
-
-
-def _converted(hoods: NeighborhoodIndex, mi_values: dict[int, float], k: int, index: str,
-               lam: int | None) -> tuple[InteractionValues, InteractionValues]:
-    """MI and index values; call_count is the sets of the map (a run's cost)."""
+        # the builtin sum in map order keeps the outputs' bits (it compensates from Python 3.12)
+        found[len(kept) + oversized.index(star)] += grand - sum(found.tolist())
     n = len(hoods.hoods)
-    mi = InteractionValues(kind="mi", k=n, n=n, values=mi_values,
-                           ell=hoods.ell, lam=lam, call_count=len(mi_values))
+    mi = InteractionValues(kind="mi", k=n, n=n, arrays=(keys, found), ell=hoods.ell, lam=lam,
+                           call_count=len(keys))
     return mi, convert.convert_mi(mi, index, k)
 
 
@@ -250,8 +247,8 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     if _tables_take(game, hoods):
         tables = game.node_tables()
         keys, values = game.moebius_arrays(tables)
-        mi = ArrayValues(kind="mi", k=n, n=n, arrays=(keys, values), ell=hoods.ell,
-                         call_count=len(keys))
+        mi = InteractionValues(kind="mi", k=n, n=n, arrays=(keys, values), ell=hoods.ell,
+                               call_count=len(keys))
         return mi, convert.convert_tables(mi, tables, index, k, game.model.pooling == "mean")
     iset = build_interaction_set(hoods)
     return _interactions(game, hoods, iset.members, [], k, index, None)

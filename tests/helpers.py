@@ -48,3 +48,10 @@ def star_instance(n: int = 14, seed: int = 3):
     rng = np.random.Generator(np.random.Philox(seed))
     g = make_graph(n, [(0, i) for i in range(1, n)], rng.normal(size=(n, 3)))
     return g, random_model("gin", 3, 1, 16, seed)
+
+
+def table_moebius(game):
+    """Moebius values on I in canonical order, from freshly built node tables
+    (moebius_arrays of node_tables); writes nothing into the game."""
+    keys, values = game.moebius_arrays(game.node_tables())
+    return dict(zip(keys.tolist(), values.tolist()))

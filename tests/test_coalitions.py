@@ -1,5 +1,6 @@
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from graphsi.coalitions import (
     iter_members,
     iter_subsets,
     mask_of,
+    pair_index,
     sort_key,
 )
 
@@ -74,3 +76,45 @@ def test_subset_iteration_counts():
 ])
 def test_mask_of_examples(players, expected):
     assert mask_of(players) == expected
+
+
+def pair_index_oracle(keys: list[int]) -> dict[int, set[tuple[int, int]]]:
+    """bit -> {(row, partner)} from sets: the keys holding the bit, each with
+    the position of its mask without the bit, len(keys) when absent."""
+    where = {key: i for i, key in enumerate(keys)}
+    union = 0
+    for key in keys:
+        union |= key
+    return {j: {(i, where.get(key ^ 1 << j, len(keys)))
+                for i, key in enumerate(keys) if key >> j & 1}
+            for j in iter_members(union)}
+
+
+def pair_index_sets(keys: list[int]) -> dict[int, set[tuple[int, int]]]:
+    """pair_index's yield as the oracle's sets, bits numbered low first."""
+    got = list(pair_index(np.array(keys, dtype=np.uint64)))
+    union = 0
+    for key in keys:
+        union |= key
+    assert len(got) == union.bit_count()
+    return {j: set(zip(rows.tolist(), partners.tolist()))
+            for j, (rows, partners) in zip(iter_members(union), got)}
+
+
+@pytest.mark.parametrize("keys", [
+    [],  # no keys, no bits
+    [0],
+    [0b111, 0, 0b101, 0b1, 0b100, 0b11, 0b10, 0b110],  # a power set, unsorted
+    [0b1011, 0b1, 0b1000, 0b1010],  # gaps: 0, 0b10, 0b11, 0b1001 are absent
+    [1 << 63, 0, (1 << 63) | 1, 1, (1 << 63) | (1 << 40)],  # bit 63
+])
+def test_pair_index_matches_a_set_oracle(keys):
+    assert pair_index_sets(keys) == pair_index_oracle(keys)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=63), min_size=6, max_size=6, unique=True),
+       st.lists(st.integers(min_value=0, max_value=63), unique=True))
+def test_pair_index_matches_a_set_oracle_on_drawn_families(bits, local):
+    # drawn subsets of six drawn node bits, in drawn order: a family with gaps
+    keys = [sum(1 << bits[i] for i in iter_members(mask)) for mask in local]
+    assert pair_index_sets(keys) == pair_index_oracle(keys)

@@ -10,7 +10,7 @@ from graphsi.generate import generate_instance
 from graphsi.graph import khop_neighborhoods, load_graph
 from graphsi.moebius import DEFAULT_CEILING, truncated_bound
 from graphsi.nn import load_model
-from helpers import star_instance
+from helpers import star_instance, table_moebius
 from oracles import interaction_set_oracle, khop_oracle
 
 
@@ -172,40 +172,49 @@ def test_table_runs_build_the_moebius_map_on_first_read(normalize):
         ex = GraphInteractionExplainer(model, index="ksii", normalize=normalize).fit(g)
         balls = khop_oracle(g.n, g.edges, model.num_layers)
         assert ex.interaction_set_size_ == ex.call_count_ == len(interaction_set_oracle(balls))
-        fresh = ex.game_.table_moebius()
+        fresh = table_moebius(ex.game_)
         assert [(t, v.hex()) for t, v in ex.moebius_.values.items()] == \
             [(t, v.hex()) for t, v in fresh.items()]  # bit for bit, in the same order
         assert ex.moebius_.values is ex.moebius_.values  # built once
 
 
-def test_a_ksii_cli_run_on_node_tables_builds_no_moebius_map(tmp_path, monkeypatch):
+def _maps_built_by_a_ksii_then_an_mi_run(tmp_path, monkeypatch, route):
+    """Kinds of the maps whose values dict each star14 CLI run (ksii, then mi)
+    built from arrays, read through a wrapper on InteractionValues.values."""
     import graphsi.cli
-    from graphsi.interactions import ArrayValues
+    from graphsi.interactions import InteractionValues
 
-    built = []  # kinds of the maps built from arrays, and table_moebius calls
-    real_values, real_table = ArrayValues.values, GraphGame.table_moebius
+    built = []
+    real_values = InteractionValues.values
 
     def values(self):
         built.append(self.kind)
         return real_values.func(self)
 
-    def table_moebius(self):
-        built.append("table_moebius")
-        return real_table(self)
-
     lazy = functools.cached_property(values)
-    lazy.__set_name__(ArrayValues, "values")
-    monkeypatch.setattr(ArrayValues, "values", lazy)
-    monkeypatch.setattr(GraphGame, "table_moebius", table_moebius)
+    lazy.__set_name__(InteractionValues, "values")
+    monkeypatch.setattr(InteractionValues, "values", lazy)
     g, model = star_instance()
     paths = [tmp_path / "star14_graph.json", tmp_path / "star14_model.json"]
     paths[0].write_text(json.dumps(g.to_json_dict()))
     paths[1].write_text(json.dumps(model.to_json_dict()))
-    argv = ["explain", *map(str, paths), "--out", str(tmp_path / "out.json")]
-    assert graphsi.cli.main(argv + ["--index", "ksii"]) == 0
-    assert built == []
-    assert graphsi.cli.main(argv + ["--index", "mi"]) == 0  # the wrapper sees a read
-    assert built == ["mi"]
+    argv = ["explain", *map(str, paths), *route, "--out", str(tmp_path / "out.json")]
+    runs = []
+    for index in ("ksii", "mi"):
+        assert graphsi.cli.main(argv + ["--index", index]) == 0
+        runs.append(built.copy())
+        built.clear()
+    return runs
+
+
+def test_a_ksii_cli_run_on_node_tables_builds_no_moebius_map(tmp_path, monkeypatch):
+    # the mi run exports its map, so the wrapper sees a read
+    assert _maps_built_by_a_ksii_then_an_mi_run(tmp_path, monkeypatch, []) == [[], ["mi"]]
+
+
+def test_a_truncated_ksii_cli_run_builds_no_moebius_map(tmp_path, monkeypatch):
+    route = ["--lambda", "3"]  # the hub's 14-node field is oversized
+    assert _maps_built_by_a_ksii_then_an_mi_run(tmp_path, monkeypatch, route) == [[], ["mi"]]
 
 
 def test_table_runs_stop_before_any_ball_forward_past_the_ceiling(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,6 +188,24 @@ def test_si_graph_efficiency_from_pipeline(demo_dir):
                 assert abs(gap) <= 1e-9 * max(1.0, abs(meta["nu_N"]))
             # serialization keeps every float bit-for-bit
             assert json.loads(dumps_json(doc)) == doc
+
+
+def test_a_map_built_from_arrays_equals_the_dict_built_one():
+    # map order is not canonical, and the total depends on the order of its sums
+    values = {0b110: 1e16, 0b1: 0.1, 0b11: -1e16, 0b1000: 3.3, 0b111: 2.0 ** -30, 0b10: -0.7}
+    meta = dict(kind="ksii", k=3, n=4, ell=1, lam=2, call_count=9)
+    arrays = (np.array(list(values), dtype=np.uint64), np.array(list(values.values())))
+    from_arrays = InteractionValues(**meta, arrays=arrays)
+    from_dict = InteractionValues(**meta, values=dict(values))
+    assert from_arrays == from_dict and from_dict == from_arrays
+    assert from_arrays.sorted_items() == from_dict.sorted_items()
+    assert from_arrays.total().hex() == from_dict.total().hex()
+    documents = [dumps_json(build_si_graph(m, 1.5, 0.25, 0.0)) for m in (from_arrays, from_dict)]
+    assert documents[0] == documents[1]
+    assert from_arrays != InteractionValues(**{**meta, "lam": 3}, values=dict(values))
+    assert from_arrays != InteractionValues(**meta, values={**values, 0b1: 0.2})
+    with pytest.raises(TypeError):
+        InteractionValues(**meta, values=dict(values), arrays=arrays)
 
 
 # ---------------------------------------------------------------- DOT rendering

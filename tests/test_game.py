@@ -29,7 +29,7 @@ from graphsi.nn import (
     load_model,
     masked_features,
 )
-from helpers import star_instance
+from helpers import star_instance, table_moebius
 from oracles import fast_moebius_oracle
 
 
@@ -265,7 +265,7 @@ def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
     dense = GraphGame(model, g)
     oracle = fast_moebius_oracle(dense.evaluate_batch(range(1 << g.n)))
     tol = 1e-12 * max(1.0, abs(dense.nu_full))
-    mi = GraphGame(model, g).table_moebius()
+    mi = table_moebius(GraphGame(model, g))
     assert list(mi) == list(build_interaction_set(khop_neighborhoods(g, model.num_layers)).members)
     assert max(abs(mi.get(t, 0.0) - m) for t, m in enumerate(oracle)) <= tol
 
@@ -274,9 +274,9 @@ def test_node_tables_match_the_dense_game(seed, kinds, pooling, shape):
 def test_node_tables_write_nothing_into_the_game(normalize):
     for g, model in (star_instance(), generate_instance("tree", 64, 3, 9, "gin", 2, 16)):
         game = GraphGame(model, g, normalize=normalize)
-        first = game.table_moebius()
+        first = table_moebius(game)
         assert game.call_count() == 0 and game._memo == {}
-        second = game.table_moebius()
+        second = table_moebius(game)
         assert [(t, v.hex()) for t, v in first.items()] == \
             [(t, v.hex()) for t, v in second.items()]  # bit for bit, in the same order
         assert (first[0] == 0.0) == normalize
@@ -371,7 +371,7 @@ def test_ball_forwards_build_no_masked_stack(monkeypatch):
     monkeypatch.setattr(graphsi.game, "_forward_ball", counting)
     for g, model in (star_instance(), generate_instance("tree", 64, 3, 9, "gin", 2, 16)):
         rows.clear()
-        GraphGame(model, g).table_moebius()
+        table_moebius(GraphGame(model, g))
         assert sum(rows) == sum(
             2 ** h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods)
 
@@ -387,7 +387,7 @@ def test_balls_of_one_shape_share_one_forward(monkeypatch):
     monkeypatch.setattr(graphsi.game, "_forward_ball", recording)
     for g, model in (generate_instance("tree", 64, 3, 9, "gin", 2, 16), star_instance()):
         calls.clear()
-        GraphGame(model, g).table_moebius()
+        table_moebius(GraphGame(model, g))
         layouts = {nodes[0]: (nodes, keep) for nodes, keep in ball_layouts(g, model.num_layers)}
         covered = {center: [] for center in layouts}
         spans = set()

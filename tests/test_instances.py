@@ -27,7 +27,7 @@ from graphsi.graph import khop_neighborhoods
 from graphsi.interactions import InteractionValues
 from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
 
-from helpers import mask_to_set
+from helpers import mask_to_set, table_moebius
 from oracles import (conversion_oracle, fast_moebius_oracle, fast_zeta_oracle, gamma,
                      interaction_set_oracle, khop_oracle)
 
@@ -79,7 +79,7 @@ def test_pipeline_agrees_with_the_dense_power_set(case):
     # property 1: Moebius values from node tables against the transform of the
     # dense stack on the whole power set, at the drawn baseline and normalization
     want = fast_moebius_oracle(GraphGame(model, g, baseline, normalize).evaluate_batch(every))
-    got = GraphGame(model, g, baseline, normalize).table_moebius()
+    got = table_moebius(GraphGame(model, g, baseline, normalize))
     assert max(abs(got.get(t, 0.0) - m) for t, m in enumerate(want)) <= 1e-12 * scale
     # the route rule: an exact run builds node tables exactly when it explains
     # at the model's depth and some field has more than DIRECT_MAX members
@@ -161,7 +161,7 @@ def test_index_values_from_node_tables(case):
         pooled = dataclasses.replace(model, pooling=pooling)
         for norm in (False, True):
             game = GraphGame(pooled, g, baseline, norm)
-            mi = InteractionValues(kind="mi", k=g.n, n=g.n, values=game.table_moebius())
+            mi = InteractionValues(kind="mi", k=g.n, n=g.n, values=table_moebius(game))
             tol = 1e-12 * max(1.0, abs(game.nu_full))
             for index, k in CONVERSIONS:
                 if k > g.n:

@@ -289,6 +289,27 @@ def test_small_runs_never_build_the_pair_index(monkeypatch):
     assert built  # a large run on the dense stack takes the butterflies
 
 
+def test_a_truncated_run_builds_one_pair_index_per_butterfly(monkeypatch):
+    calls: list[str] = []
+    real = moebius.pair_index
+
+    def counted(name):
+        def pair_index(keys):
+            calls.append(name)
+            return real(keys)
+        return pair_index
+
+    monkeypatch.setattr(moebius, "pair_index", counted("transform"))
+    monkeypatch.setattr(convert, "pair_index", counted("conversion"))
+    g, model, hoods = star14_instance()
+    lam = 3
+    # the hub's field reaches lam + 2 nodes, so the conversion's D has gaps
+    assert max(h.bit_count() for h in hoods.hoods) >= lam + 2
+    mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=lam, k=2)
+    assert calls == ["transform", "conversion"]
+    assert max(t.bit_count() for t in mi.values) >= lam + 2
+
+
 def test_brute_force_mi_is_one_field():
     for n in (4, 6):
         table = random_table(n, seed=40 + n)

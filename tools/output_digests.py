@@ -1,9 +1,13 @@
-"""Print one "sha256  name" line per `graphsi explain` output, sorted by name.
+"""Print one "sha256  name" line per graphsi output, sorted by name.
 
-Covers demo path4 and er8 (all five indices, each exact, at --lambda 2 and
-with --normalize) and the four perfbench workloads at seeds 0 and 1, whose
-inputs come from perfbench/inputs.py. Outputs of two commits compare with
-one diff:
+Covers `graphsi explain` on demo path4 and er8 (all five indices, each
+exact, at --lambda 2 and with --normalize) and on the four perfbench
+workloads at seeds 0 and 1, whose inputs come from perfbench/inputs.py.
+It also covers two routes no CLI run reaches, on both demos for all five
+indices: the explainer at ell=2 (the demo models have one layer, so the
+exact run takes the dense route) and brute_force_mi followed by
+convert_mi, each written as dumps_json(build_si_graph(...)). Outputs of
+two commits compare with one diff:
 
     PYTHONPATH=src python tools/output_digests.py > digests.txt
 
@@ -18,6 +22,9 @@ import tempfile
 from pathlib import Path
 
 import graphsi.cli
+from graphsi import GraphGame, GraphInteractionExplainer, convert_mi, efficiency_check
+from graphsi.baselines import brute_force_mi
+from graphsi.export import build_si_graph, dumps_json
 
 ROOT = Path(__file__).resolve().parent.parent
 INDICES = ("sv", "sii", "ksii", "stii", "mi")
@@ -41,6 +48,20 @@ def runs(workdir: Path):
                 yield f"{workload}_s{seed}_{call.name}", call.argv("")[:-2]
 
 
+def api_outputs():
+    """(name, document text) for every covered output no CLI run reaches."""
+    for demo in ("path4", "er8"):
+        graph, model = (str(ROOT / "demo" / f"{demo}_{part}.json") for part in ("graph", "model"))
+        for index in INDICES:
+            ex = GraphInteractionExplainer(model, index=index, ell=2).fit(graph)
+            yield f"{demo}_{index}_ell2", dumps_json(ex.to_export())
+            game = GraphGame(ex.game_.model, ex.graph_)
+            si = convert_mi(brute_force_mi(game, ex.graph_.n), index, ex.interactions_.k)
+            residual = efficiency_check(si, game.nu_full, game.nu_empty)
+            yield f"{demo}_{index}_brute", dumps_json(
+                build_si_graph(si, game.nu_full, game.nu_empty, residual))
+
+
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         outdir = Path(argv[0]) if argv else Path(scratch)
@@ -51,6 +72,10 @@ def main(argv: list[str]) -> int:
             code = graphsi.cli.main([*args, "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{name}: exit code {code}")
+            lines.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {name}")
+        for name, text in api_outputs():
+            out = outdir / f"{name}.json"
+            out.write_text(text)
             lines.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {name}")
     print("\n".join(sorted(lines, key=lambda line: line.split()[1])))
     return 0
