@@ -9,7 +9,7 @@ lock. A batch's memo misses are forwarded in first-seen order as
 chunked (B, n, d0) stacks, which give every coalition the same bits as
 a forward of its matrix alone. A game's call_count() is the number of
 distinct coalitions it forwarded; a run's cost is the sets of its
-Moebius map (moebius._interactions).
+Moebius map (its InteractionValues.call_count).
 
 A GraphGame with a linear readout also splits into node games
 (GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i w . h_i(T & N_i),
@@ -23,7 +23,11 @@ all balls of one shape (size and per-layer row counts) in one forward,
 and transforms each table in place. That one build serves an exact run
 at the model's depth twice without reading nu back set by set:
 moebius_arrays sums it into the run's Moebius values, and
-convert.convert_tables takes the index values from it. A ball forward
+convert.convert_tables takes the index values from it. A truncated run
+at order cap lam needs m(S) only for |S| <= lam, and m_i(S) reads ball
+i's table only on subsets of S: its node_tables(lam) forward a ball of
+more than lam nodes on its local codes of at most lam bits alone, and
+moebius_arrays sums them into the kept sets' values. A ball forward
 reads its first conv layer off the coalition bits, as an affine function
 of them. Its values agree with the dense stack to rounding (about 1e-14
 relative), not bit for bit. The node tables write nothing into the
@@ -33,6 +37,7 @@ game: every coalition it evaluates is forwarded on the dense stack.
 from __future__ import annotations
 
 import threading
+from math import comb
 from typing import Protocol
 
 import numpy as np
@@ -42,6 +47,47 @@ from .errors import ParseError, as_vector
 from .graph import Graph, ball_layouts
 from .nn import (GnnModel, _forward_ball, default_baseline, forward_graph, forward_node,
                  masked_features)
+
+
+def _capped_codes(h: int, cap: int) -> tuple[np.ndarray, ...]:
+    """The local codes of h bits with at most cap set, ascending, as
+    (codes, sizes, held, drop): held[c, t] is code c's t-th lowest bit and
+    drop[c, t] the position of code c without it (past c's size, -1 and an
+    unread position). Built by doubling over the bits, so the codes of
+    fewer bits come first: a ball of h' < h nodes takes a prefix."""
+    total = sum(comb(h, t) for t in range(cap + 1))
+    codes, sizes = np.zeros(total, dtype="<u8"), np.zeros(total, dtype=np.uint8)
+    held, drop = np.full((total, cap), -1, dtype=np.int8), np.zeros((total, cap), dtype=np.intp)
+    filled = 1  # code 0
+    for j in range(h):  # each code with room gains bit j, its highest
+        fits = np.flatnonzero(sizes[:filled] < cap)
+        new = slice(filled, filled + len(fits))
+        slot = (np.arange(len(fits)), sizes[fits])
+        gained = np.zeros(filled, dtype=np.intp)  # a code's position once it gains j
+        gained[fits] = np.arange(new.start, new.stop)
+        codes[new], sizes[new] = codes[fits] | np.uint64(1 << j), sizes[fits] + 1
+        held[new], drop[new] = held[fits], gained[drop[fits]]  # a lower bit dropped keeps j
+        held[new][slot], drop[new][slot] = j, fits
+        filled = new.stop
+    return codes, sizes, held, drop
+
+
+def _unique_inverse(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(np.concatenate(parts), return_inverse=True) for 1-d parts,
+    with fewer arrays of their total length alive at once."""
+    masks = np.concatenate(parts)
+    order = masks.argsort()
+    masks.sort()  # in place, where masks[order] would hold a third array
+    first = np.empty(len(masks), dtype=bool)
+    first[:1] = True
+    np.not_equal(masks[1:], masks[:-1], out=first[1:])
+    keys = masks[first]
+    del masks
+    rank = np.cumsum(first, dtype=np.intp)
+    rank -= 1
+    where = np.empty_like(rank)
+    where[order] = rank
+    return keys, where
 
 
 class GameOracle(Protocol):
@@ -118,9 +164,10 @@ class GraphGame(_MaskedGame):
     coalition evaluation and does not enter call_count.
 
     Coalitions are forwarded on the dense stack, and call_count counts
-    them. With a linear readout an exact run may instead take its values
-    from node tables (node_tables), which counts nothing;
-    moebius.graphshapiq_exact decides which.
+    them. With a linear readout a run may instead take its Moebius values
+    from node tables (node_tables), which counts nothing; a truncated one
+    still forwards its oversized fields. moebius._tables_take decides
+    which.
 
     Args:
         model: loaded GnnModel
@@ -141,10 +188,12 @@ class GraphGame(_MaskedGame):
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
 
-    def node_tables(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def node_tables(self, cap: int | None = None,
+                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Each ball shape's transformed node tables, freshly built: a list of
         (tables, masks, sizes), shapes ascending. Reads the model, graph,
-        baseline and target; writes nothing into the game.
+        baseline and target; writes nothing into the game. cap is a
+        truncated run's order cap (None: no cap).
 
         Node i's table holds at local index L its last-layer embedding
         projected on the target's readout column, with the ball's j-th node
@@ -154,39 +203,68 @@ class GraphGame(_MaskedGame):
         place: tables[b, L] is m_b(L), ball b's Moebius value at L, before the
         division by n of mean pooling. Its local indices become the global
         masks (balls, 2^h) and the set sizes (2^h,) by doubling.
+
+        With an order cap, a shape of more than cap nodes holds only its local
+        codes of at most cap bits, ascending (_capped_codes): C(h, <= cap)
+        columns of tables and masks, and their sizes. That family is
+        down-closed, and cap passes transform it: pass t subtracts from each
+        code of more than t bits the value of that code without its t-th
+        lowest bit, all reads before the writes, so after pass t a code holds
+        the transform over its t + 1 lowest bits (the butterfly, with each
+        code's bits counted from its lowest). A code's mask ORs its held
+        bits' nodes. Shapes of at most cap nodes keep the full 2^h path.
         """
         model = self.model
         weight = model.readout.weight[:, self.target]
         shapes: dict[tuple, list] = {}
         for nodes, keep in ball_layouts(self.graph, model.num_layers):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
+        widest = max(h for h, _ in shapes)
+        if cap is not None and cap < widest:  # one family: a shape's codes are a prefix
+            codes, counts, held, drop = _capped_codes(widest, cap)
         tables = []
         for (h, keep), group in sorted(shapes.items()):
             members = np.array(group, dtype="<u8")  # (balls, h)
+            capped = cap is not None and h > cap
+            local = codes[:np.searchsorted(codes, 1 << h)] if capped else np.arange(1 << h)
             # widest array of a ball forward per row: the bits or layer 0's rows
             rows = max(1, _CHUNK_BYTES // (8 * len(group) * max(h, keep[0] * model.width)))
             stack = np.concatenate([
                 _forward_ball(model, self.graph, self.baseline, members, keep,
-                              np.arange(start, min(start + rows, 1 << h))) @ weight
-                for start in range(0, 1 << h, rows)], axis=1)
-            glob, size = np.zeros((len(group), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
-            for j in range(h):
-                v = stack.reshape(len(group), -1, 2, 1 << j)
-                v[:, :, 1, :] -= v[:, :, 0, :]
-                glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])], axis=1)
-                size = np.concatenate([size, size + 1])
+                              local[start:start + rows]) @ weight
+                for start in range(0, len(local), rows)], axis=1)
+            if capped:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
+                size = counts[:len(local)]
+                for t in range(cap):
+                    at = np.flatnonzero(size > t)
+                    partners = drop[at, t]
+                    for row in stack:  # 1-d fancy indexing: 2-3 times faster than (balls, at)
+                        row[at] -= row[partners]
+                bit = np.concatenate([np.left_shift(1, members), np.zeros_like(members[:, :1])],
+                                     axis=1)  # held's -1 picks the trailing 0
+                glob = np.take(bit, held[:len(local), 0], axis=1)
+                for t in range(1, cap):
+                    glob |= np.take(bit, held[:len(local), t], axis=1)
+            else:
+                glob, size = np.zeros((len(group), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
+                for j in range(h):
+                    v = stack.reshape(len(group), -1, 2, 1 << j)
+                    v[:, :, 1, :] -= v[:, :, 0, :]
+                    glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])],
+                                          axis=1)
+                    size = np.concatenate([size, size + 1])
             tables.append((stack, glob, size))
         return tables
 
     def moebius_arrays(self, tables) -> tuple[np.ndarray, np.ndarray]:
         """Moebius values on I, the union of the balls' power sets, from
-        node_tables: (keys, values) in canonical order. The tables are summed
+        node_tables: (keys, values) in canonical order; from capped tables,
+        on I's sets of at most cap members. The tables are summed
         by global mask, by ascending shape and then node (divided by n under
         mean pooling); m(empty), that sum at mask 0, then takes the readout
         bias (0 under normalize).
         """
-        keys, where = np.unique(np.concatenate([glob.ravel() for _, glob, _ in tables]),
-                                return_inverse=True)
+        keys, where = _unique_inverse([glob.ravel() for _, glob, _ in tables])
         # adds in input order
         sums = np.bincount(where, weights=np.concatenate([stack.ravel() for stack, _, _ in tables]))
         if self.model.pooling == "mean":

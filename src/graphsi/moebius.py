@@ -15,15 +15,18 @@ An exact run of a GraphGame at the model's depth whose fields are not a
 coalitions.small_family evaluates nothing set by set: it builds the
 game's node tables once, sums them by global mask into its Moebius
 values (GraphGame.moebius_arrays) and reads its index values off them
-(convert.convert_tables). Every other run evaluates its family,
-transforms it here and converts it with convert.convert_mi. Either way
-the Moebius map is an InteractionValues built from key and value arrays;
-its values dict is made only when something reads it.
+(convert.convert_tables). A truncated run on such a game sums node
+tables capped at lambda into its kept sets' Moebius values, evaluates
+only its oversized fields and converts with convert.convert_mi. Every
+other run evaluates its family, transforms it here and converts it with
+convert.convert_mi. Either way the Moebius map is an InteractionValues
+built from key and value arrays; its values dict is made only when
+something reads it.
 
-Cost of the transform: each run takes one of two routes, decided by
-coalitions.small_family over the evaluated sets. A large run (some set
-of more than DIRECT_MAX members) transforms its down-closed kept family
-with one trimmed butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008),
+Cost of the transform: each run off the tables takes one of two routes,
+decided by coalitions.small_family over the evaluated sets. A large run
+(some set of more than DIRECT_MAX members) transforms its down-closed kept
+family with one trimmed butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008),
 m[S] -= m[S ^ j] on every set holding node bit j for each j in ascending
 order: n*|F| operations per pass and no 2^h table. A small run gives
 each set its per-set sum, 2^|S| <= 16 terms, without NumPy: twice as
@@ -178,25 +181,35 @@ def _check_readout(game) -> None:
 def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int],
                   oversized: list[int], k: int, index: str, lam: int | None,
                   ) -> tuple[InteractionValues, InteractionValues]:
-    """Evaluate kept + oversized in one batch, transform the kept sets, convert.
-
-    Each oversized field, smallest first, gets what the recovery identity
-    leaves unexplained by the values assigned so far; the largest (ties:
-    smallest bitmask) also takes the gap tau to nu(N). Exact runs have none.
-    The map runs as arrays, in kept + oversized order, from the game values
-    to the conversion.
+    """Evaluate kept + oversized in one batch, transform the kept sets, then
+    _surrogates. The map runs as arrays from the game values to the conversion.
     """
     sets = [*kept, *oversized]
     nu = game.evaluate_batch(sets)
-    keys = np.fromiter(sets, dtype=np.uint64, count=len(sets))
-    found = np.empty(len(sets))
-    found[:len(kept)] = _moebius_map(keys[:len(kept)], nu, small_family(reversed(sets)))
+    keys = np.fromiter(kept, dtype=np.uint64, count=len(kept))
+    m = _moebius_map(keys, nu, small_family(reversed(sets)))
     del sets
-    for i, hood in enumerate(oversized, start=len(kept)):
+    nu = nu[len(kept):]  # free the kept sets' game values: the rest needs only the map
+    return _surrogates(game, hoods, keys, m, oversized, nu, k, index, lam)
+
+
+def _surrogates(game: GameOracle, hoods: NeighborhoodIndex, kept: np.ndarray, m: np.ndarray,
+                oversized: list[int], nu: Sequence[float], k: int, index: str, lam: int | None,
+                ) -> tuple[InteractionValues, InteractionValues]:
+    """The run's map, kept + oversized in that order, and its conversion.
+
+    kept holds the kept sets and m their Moebius values, nu the oversized
+    fields' game values. Each oversized field, smallest first, gets what the
+    recovery identity leaves unexplained by the values assigned so far; the
+    largest (ties: smallest bitmask) also takes the gap tau to nu(N). Exact
+    runs have none.
+    """
+    keys = np.concatenate([kept, np.array(oversized, dtype=np.uint64)])
+    found = np.concatenate([m, np.empty(len(oversized))])
+    for i, (hood, value) in enumerate(zip(oversized, nu), start=len(kept)):
         inside = (keys[:i] & ~np.uint64(hood)) == 0
         # cumsum adds left to right in map order, as a running sum would; np.sum is pairwise
-        found[i] = nu[i] - float(np.cumsum(found[:i][inside])[-1])
-    del nu  # free the game values before the conversion, which needs only the map
+        found[i] = value - float(np.cumsum(found[:i][inside])[-1])
     if oversized:
         star = min(oversized, key=lambda h: (-h.bit_count(), h))
         grand = getattr(game, "nu_full", None)  # a GraphGame's, known from construction
@@ -211,11 +224,11 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
 
 
 def _tables_take(game: GameOracle, hoods: NeighborhoodIndex) -> bool:
-    """Whether an exact run reads its Moebius values off the game's node
-    tables: a GraphGame whose balls are the fields (ell is the model's
-    depth) and whose fields are not a small family. A small family keeps
-    the dense stack only for the bits demo/path4_mi.json pins: tables
-    would make its fits faster too."""
+    """Whether a run reads its Moebius values off the game's node tables
+    (capped at lambda on a truncated run): a GraphGame whose balls are the
+    fields (ell is the model's depth) and whose fields are not a small
+    family. A small family keeps the dense stack only for the bits
+    demo/path4_mi.json pins: tables would make its fits faster too."""
     return (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers
             and not small_family(hoods.hoods))
 
@@ -264,6 +277,11 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
     surrogate Moebius value per such field from the recovery identity,
     with the efficiency gap tau on the largest one. Exact whenever
     lam >= n_max - 1.
+
+    A game that _tables_take admits takes the kept sets' Moebius values
+    from its node tables capped at lam (GraphGame.node_tables) and
+    evaluates only the oversized fields; call_count is still the kept sets
+    plus the oversized fields.
     """
     _check_readout(game)
     n = len(hoods.hoods)
@@ -271,6 +289,10 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
         raise ValueError(f"lambda must be in 1..{n}, got {lam}")
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    maximal = _unique_maximal(hoods.hoods)
     oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
-    return _interactions(game, hoods, _support(maximal, lam), oversized, k, index, lam)
+    if not _tables_take(game, hoods):
+        kept = _support(_unique_maximal(hoods.hoods), lam)
+        return _interactions(game, hoods, kept, oversized, k, index, lam)
+    keys, m = game.moebius_arrays(game.node_tables(lam))
+    return _surrogates(game, hoods, keys, m, oversized, game.evaluate_batch(oversized),
+                       k, index, lam)

@@ -20,6 +20,7 @@ from helpers import DictGame, random_table
 from oracles import fast_moebius_oracle
 
 import graphsi.game
+import graphsi.moebius
 from graphsi.baselines import audit_nonlinear_readout, permutation_sampling_sii
 from graphsi.cli import main
 from graphsi.coalitions import full_mask, mask_of
@@ -213,22 +214,37 @@ def test_efficiency_exact_and_every_truncation_order():
 
 
 def test_truncated_efficiency_at_every_order_under_mean_pooling(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a truncated run built a node table")
+    # on both routes: capped node tables where _tables_take admits the game,
+    # and the dense stack, forced, for every run
+    ball_forwards = []
+    real = graphsi.game._forward_ball
 
-    monkeypatch.setattr(graphsi.game, "_forward_ball", refuse)
+    def counted(*args):
+        ball_forwards.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphsi.game, "_forward_ball", counted)
     specs = [("path", 6, 1, "gcn"), ("tree", 6, 2, "gin"), ("er", 9, 1, "gcn"),
              ("tree", 9, 2, "gin"), ("tree", 40, 2, "gin")]
-    for idx, (kind, n, layers, model_kind) in enumerate(specs):
-        g, model = generate_instance(kind, n, 3, 7100 + idx, model_kind, layers, 4,
-                                     edge_prob=0.4)
-        model = dataclasses.replace(model, pooling="mean")
-        hoods = khop_neighborhoods(g, layers)
-        n_max = max(h.bit_count() for h in hoods.hoods)
-        for lam in range(1, n_max + 1):
-            game = GraphGame(model, g)
-            _, si = graphshapiq_approx(game, hoods, lam, k=2, index="ksii")
-            assert abs(efficiency_check(si, game.nu_full, game.nu_empty)) < 1e-8
+    tabled = 0
+    for dense in (False, True):
+        with monkeypatch.context() as patch:
+            if dense:
+                patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+            for idx, (kind, n, layers, model_kind) in enumerate(specs):
+                g, model = generate_instance(kind, n, 3, 7100 + idx, model_kind, layers, 4,
+                                             edge_prob=0.4)
+                model = dataclasses.replace(model, pooling="mean")
+                hoods = khop_neighborhoods(g, layers)
+                n_max = max(h.bit_count() for h in hoods.hoods)
+                for lam in range(1, n_max + 1):
+                    ball_forwards.clear()
+                    game = GraphGame(model, g)
+                    _, si = graphshapiq_approx(game, hoods, lam, k=2, index="ksii")
+                    assert abs(efficiency_check(si, game.nu_full, game.nu_empty)) < 1e-8
+                    assert bool(ball_forwards) == (not dense and _tables_take(game, hoods))
+                    tabled += bool(ball_forwards)
+    assert tabled  # some runs took the tables
 
 
 # 7 -- truncating one below the largest receptive field changes nothing

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import graphsi.game
+import graphsi.moebius
 from graphsi.baselines import (
     audit_nonlinear_readout,
     brute_force_mi,
@@ -351,9 +352,21 @@ def test_compare_estimators_forwards_each_coalition_once(demo_dir, monkeypatch):
     construction, *stacks = forwards
     assert construction == 1  # one game serves every run
     # the exact run takes node tables, which forward nothing, and its
-    # efficiency check forwards nu(empty): the lambda runs forward the rest
-    # of I, 135 sets, so 136 in all, and nothing twice
-    assert sum(stacks) == 136
+    # efficiency check forwards nu(empty); the lambda runs take capped node
+    # tables too and forward only their oversized fields: every field of more
+    # than one node at lambda = 1, the later runs' a subset of those. So
+    # nu(empty) and the 8 distinct fields, and nothing twice
+    g = load_graph(graph)
+    fields = set(khop_neighborhoods(g, load_model(model).num_layers).hoods)
+    assert len({h for h in fields if h.bit_count() > 1}) == 8
+    assert sum(stacks) == 1 + 8
+    forwards.clear()
+    with monkeypatch.context() as patch:  # on the dense stack every run reads I, 136 sets
+        patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+        dense = compare_estimators(model, graph, 2, [], [0])
+    assert [row[:3] for row in dense] == [row[:3] for row in rows]
+    construction, *stacks = forwards
+    assert construction == 1 and sum(stacks) == 136
     monkeypatch.undo()
 
     # each row equals a run on a game of its own: budget and mse bits

@@ -1,4 +1,5 @@
 import dataclasses
+from math import comb
 import re
 import sys
 import threading
@@ -14,7 +15,7 @@ from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame, NodeGame
 from graphsi.generate import generate_instance, random_graph
 from graphsi.graph import ball_layouts, khop_neighborhoods, load_graph, make_graph
-from graphsi.moebius import build_interaction_set, graphshapiq_exact
+from graphsi.moebius import build_interaction_set, graphshapiq_exact, truncated_bound
 from graphsi.nn import (
     GcnLayer,
     GinLayer,
@@ -30,7 +31,7 @@ from graphsi.nn import (
     masked_features,
 )
 from helpers import star_instance, table_moebius
-from oracles import fast_moebius_oracle
+from oracles import fast_moebius_oracle, moebius_oracle
 
 
 def demo_game(**kwargs) -> GraphGame:
@@ -305,11 +306,12 @@ def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, 
             assert np.abs(row - want).max() <= tol
 
 
-# (case, node tables taken, balls laid out): the route an exact run takes.
-# Runs at the model's depth whose fields exceed DIRECT_MAX take the tables;
-# small families, truncated runs and runs at another ell lay out no ball.
+# (case, node tables taken, balls laid out): the route a run takes. Runs at
+# the model's depth whose fields exceed DIRECT_MAX take the tables, capped at
+# lambda on a truncated run (er48); small families and runs at another ell
+# lay out no ball.
 ROUTES = [("path4", False, False), ("er8", True, True), ("tree20", False, False),
-          ("path40", False, False), ("er48", False, False), ("path40-ell1", False, False),
+          ("path40", False, False), ("er48", True, True), ("path40-ell1", False, False),
           ("star14", True, True), ("tree64", True, True)]
 
 
@@ -374,6 +376,55 @@ def test_ball_forwards_build_no_masked_stack(monkeypatch):
         table_moebius(GraphGame(model, g))
         assert sum(rows) == sum(
             2 ** h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods)
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_a_truncated_run_forwards_each_ball_on_its_capped_codes(monkeypatch, lam):
+    rows = []  # table rows per ball forward
+    real = graphsi.game._forward_ball
+
+    def counting(model, g, baseline, nodes, keep, local):
+        rows.append(len(nodes) * len(local))
+        return real(model, g, baseline, nodes, keep, local)
+
+    monkeypatch.setattr(graphsi.game, "_forward_ball", counting)
+    g, model = generate_instance("er", 48, 3, 9, "gcn", 2, 16, edge_prob=0.1)  # as in ROUTES
+    ex = GraphInteractionExplainer(model, lam=lam).fit(g)
+    hoods = ex.hoods_
+    sizes = [h.bit_count() for h in hoods.hoods]
+    assert max(sizes) > lam
+    # sum_i C(|N_i|, <= lam): the truncated bound less one row per oversized field
+    balls = sum(comb(h, j) for h in sizes for j in range(min(h, lam) + 1))
+    oversized = {h for h in hoods.hoods if h.bit_count() > lam}
+    assert sum(rows) == balls == truncated_bound(hoods, lam) - len(oversized)
+    # the game forwards the oversized fields, and nu(empty) for the efficiency check
+    assert set(ex.game_._memo) == oversized | {0}
+
+
+def test_a_capped_table_is_its_balls_moebius_transform():
+    g, model = _table_graph("tree", 3), _biased_model(("gcn", "gin"), "sum", 3)
+    game = GraphGame(model, g)
+    weight = model.readout.weight[:, game.target]
+    layouts = {nodes[0]: nodes for nodes, _ in ball_layouts(g, model.num_layers)}
+    cap = 2
+    checked = 0
+    for stack, glob, sizes in game.node_tables(cap):
+        for values, masks in zip(stack, glob):
+            nodes = layouts[int(masks[1]).bit_length() - 1]  # local code 1 keeps the center
+            codes = [c for c in range(1 << len(nodes)) if c.bit_count() <= cap]
+            assert len(values) == len(masks) == len(sizes) == len(codes)
+            node_game = NodeGame(model, g, nodes[0])
+
+            def nu(members):
+                return float(node_game.evaluate(mask_of(members)) @ weight)
+
+            for code, value, mask, size in zip(codes, values, masks, sizes):
+                members = frozenset(v for j, v in enumerate(nodes) if code >> j & 1)
+                assert (int(mask), int(size)) == (mask_of(members), len(members))
+                want = moebius_oracle(nu, members)
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+            checked += len(nodes) > cap
+    assert checked  # some ball holds more than cap nodes
 
 
 def test_balls_of_one_shape_share_one_forward(monkeypatch):

@@ -177,3 +177,33 @@ def test_index_values_from_node_tables(case):
                 moebius = {mask_to_set(t): v for t, v in mi.values.items()}
                 for sub, (exact, _, _) in conversion_oracle(moebius, g.n, index, k).items():
                     assert abs(Fraction(got.get(mask_of(sub))) - exact) <= tol
+
+
+INDICES = ("mi", "sv", "sii", "ksii", "stii")
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(instances())
+@example(MIXED)
+def test_truncated_runs_from_capped_tables_match_the_dense_route(case):
+    # every order cap and index, on the node tables capped at lambda and on
+    # the dense stack, each route forced whatever the field sizes
+    *shape, baseline, normalize, _ = case
+    g, model = build(*shape)
+    hoods = khop_neighborhoods(g, model.num_layers)
+    n_max = max(h.bit_count() for h in hoods.hoods)
+    tol = 1e-12 * max(1.0, abs(GraphGame(model, g, baseline, normalize).nu_full))
+    for lam in range(1, n_max + 1):
+        for index in INDICES:
+            k = 1 if index == "sv" else min(2, g.n)
+            runs = []
+            for tables in (True, False):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(graphsi.moebius, "_tables_take",
+                                  lambda game, hoods, take=tables: take)
+                    game = GraphGame(model, g, baseline, normalize)
+                    runs.append(graphshapiq_approx(game, hoods, lam, k, index))
+            for got, want in zip(*runs):  # the Moebius maps, then the index values
+                assert list(got.values) == list(want.values)  # the same sets, in the same order
+                assert got.call_count == want.call_count
+                assert max(abs(v - want.values[t]) for t, v in got.values.items()) <= tol

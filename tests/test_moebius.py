@@ -286,7 +286,7 @@ def test_small_runs_never_build_the_pair_index(monkeypatch):
     graphshapiq_exact(GraphGame(model, g), hoods, k=2)
     assert built == []  # an exact table run converts on its node tables
     graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
-    assert built  # a large run on the dense stack takes the butterflies
+    assert built  # a large truncated run's conversion takes the butterflies
 
 
 def test_a_truncated_run_builds_one_pair_index_per_butterfly(monkeypatch):
@@ -305,9 +305,16 @@ def test_a_truncated_run_builds_one_pair_index_per_butterfly(monkeypatch):
     lam = 3
     # the hub's field reaches lam + 2 nodes, so the conversion's D has gaps
     assert max(h.bit_count() for h in hoods.hoods) >= lam + 2
+    # capped node tables transform each ball on its local codes: only the
+    # conversion indexes the run's sets
     mi, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=lam, k=2)
-    assert calls == ["transform", "conversion"]
+    assert calls == ["conversion"]
     assert max(t.bit_count() for t in mi.values) >= lam + 2
+    calls.clear()
+    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+    dense, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=lam, k=2)
+    assert calls == ["transform", "conversion"]  # the dense route's butterfly takes its own
+    assert list(dense.values) == list(mi.values)
 
 
 def test_brute_force_mi_is_one_field():
@@ -482,16 +489,25 @@ def test_truncation_matches_independent_reimplementation():
         assert 0.0 <= mse < float("inf")
 
 
-def test_truncated_call_count_is_kept_plus_oversized():
+def test_truncated_call_count_is_kept_plus_oversized(monkeypatch):
     g, model = generate_instance("er", 8, 3, 27, "gin", 1, 5, edge_prob=0.4)
     hoods = khop_neighborhoods(g, 1)
-    game = GraphGame(model, g)
     lam = 2
-    mi_hat, _ = graphshapiq_approx(game, hoods, lam=lam, k=2)
     iset = build_interaction_set(hoods)
     kept = {t for t in iset.members if t.bit_count() <= lam}
     oversized = {h for h in hoods.hoods if h.bit_count() > lam}
-    assert game.call_count() == len(kept | oversized)
+    assert oversized and kept.isdisjoint(oversized)
+    for normalize in (False, True):
+        # the kept sets come from capped node tables: the game forwards the
+        # oversized fields, and nu(empty) when it normalizes
+        game = GraphGame(model, g, normalize=normalize)
+        mi_hat, _ = graphshapiq_approx(game, hoods, lam=lam, k=2)
+        assert mi_hat.call_count == len(kept | oversized)
+        assert set(game._memo) == oversized | ({0} if normalize else set())
+    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+    game = GraphGame(model, g)  # the dense route forwards every set it reports
+    mi_hat, _ = graphshapiq_approx(game, hoods, lam=lam, k=2)
+    assert game.call_count() == mi_hat.call_count == len(kept | oversized)
     assert set(mi_hat.values) == kept | oversized
 
 
@@ -507,13 +523,20 @@ def test_each_run_on_a_shared_game_reports_its_own_sets(demo_dir):
     assert game.call_count() == 12
 
 
-def test_a_run_after_node_tables_reports_the_sets_it_forwards(demo_dir):
-    # node tables forward nothing; the lambda run after them forwards its own sets
+def test_a_run_after_node_tables_reports_the_sets_it_forwards(demo_dir, monkeypatch):
+    # node tables forward nothing; the lambda run after them takes capped
+    # tables and forwards its oversized fields, yet reports all 40 sets of its map
     g, model = load_graph(demo_dir / "er8_graph.json"), load_model(demo_dir / "er8_model.json")
     hoods = khop_neighborhoods(g, model.num_layers)
     game = GraphGame(model, g)
     assert graphshapiq_exact(game, hoods, k=2)[0].call_count == 136
     assert game.call_count() == 0
+    assert graphshapiq_approx(game, hoods, lam=2, k=2)[0].call_count == 40
+    assert set(game._memo) == {h for h in hoods.hoods if h.bit_count() > 2}
+    assert game.call_count() == 7
+    # on the dense stack the lambda run forwards its own sets
+    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+    game = GraphGame(model, g)
     assert graphshapiq_approx(game, hoods, lam=2, k=2)[0].call_count == 40
     assert game.call_count() == 40
 

@@ -2,7 +2,9 @@
 
 Covers `graphsi explain` on demo path4 and er8 (all five indices, each
 exact, at --lambda 2 and with --normalize) and on the four perfbench
-workloads at seeds 0 and 1, whose inputs come from perfbench/inputs.py.
+workloads at seeds 0 and 1, whose inputs come from perfbench/inputs.py,
+plus truncated runs of the sparse64 graphs at --lambda 4 and of the hub
+graph at --lambda 3 (TABLE_LAMBDAS), which take capped node tables.
 It also covers two routes no CLI run reaches, on both demos for all five
 indices: the explainer at ell=2 (the demo models have one layer, so the
 exact run takes the dense route) and brute_force_mi followed by
@@ -29,6 +31,8 @@ from graphsi.export import build_si_graph, dumps_json
 ROOT = Path(__file__).resolve().parent.parent
 INDICES = ("sv", "sii", "ksii", "stii", "mi")
 MODES = {"exact": ["--exact"], "lambda2": ["--lambda", "2"], "normalize": ["--normalize"]}
+# Truncated runs on the exact workloads' graphs, which take capped node tables
+TABLE_LAMBDAS = {"sparse64": "4", "hub": "3"}
 
 
 def runs(workdir: Path):
@@ -46,6 +50,10 @@ def runs(workdir: Path):
             inputs.write_inputs(calls, str(workdir / f"{workload}_s{seed}"))
             for call in calls:
                 yield f"{workload}_s{seed}_{call.name}", call.argv("")[:-2]
+                if workload in TABLE_LAMBDAS:
+                    lam = TABLE_LAMBDAS[workload]
+                    yield (f"{workload}_s{seed}_{call.name}_lambda{lam}",
+                           [*call.argv("")[:-2], "--lambda", lam])
 
 
 def api_outputs():
