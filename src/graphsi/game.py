@@ -28,10 +28,13 @@ at order cap lam needs m(S) only for |S| <= lam, and m_i(S) reads ball
 i's table only on subsets of S: its node_tables(lam) forward a ball of
 more than lam nodes on its local codes of at most lam bits alone, and
 moebius_arrays sums them into the kept sets' values. A ball forward
-reads its first conv layer off the coalition bits, as an affine function
-of them. Its values agree with the dense stack to rounding (about 1e-14
-relative), not bit for bit. The node tables write nothing into the
-game: every coalition it evaluates is forwarded on the dense stack.
+reads its first conv layer off the coalition bits, as one product of the
+bits and a column of ones with the layer's coefficients and constant
+terms, and folds the readout column w into its last layer, so it yields
+w . h_i without a d-wide last-layer embedding. Its values agree with the
+dense stack to rounding (about 1e-14 relative), not bit for bit. The
+node tables write nothing into the game: every coalition it evaluates
+is forwarded on the dense stack.
 """
 
 from __future__ import annotations
@@ -231,7 +234,7 @@ class GraphGame(_MaskedGame):
             rows = max(1, _CHUNK_BYTES // (8 * len(group) * max(h, keep[0] * model.width)))
             stack = np.concatenate([
                 _forward_ball(model, self.graph, self.baseline, members, keep,
-                              local[start:start + rows]) @ weight
+                              local[start:start + rows], weight)
                 for start in range(0, len(local), rows)], axis=1)
             if capped:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
                 size = counts[:len(local)]

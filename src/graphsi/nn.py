@@ -19,7 +19,7 @@ differently.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -347,10 +347,11 @@ def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray
 
 
 def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.ndarray,
-                  keep: list[int], local) -> np.ndarray:
+                  keep: list[int], local, w: np.ndarray) -> np.ndarray:
     """Embeddings of the ball centers nodes[:, 0] after the last conv layer,
-    (balls, len(local), d): in row L of ball b, bit j of L keeps the features
-    of nodes[b, j] and the ball's other nodes take the baseline.
+    projected on the readout column w, (balls, len(local)): in row L of ball
+    b, bit j of L keeps the features of nodes[b, j] and the ball's other
+    nodes take the baseline.
 
     nodes is a (balls, h) array of balls that share keep; each row with keep
     is a center's graph.ball_layouts entry at model.num_layers hops (the ball
@@ -361,39 +362,70 @@ def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.nda
     layer l computes only the rows within num_layers - 1 - l hops, each exact
     because all it reads lies in the ball; the last computes the center
     alone. Layer 0 is read off the bits of L (_affine_layer); no masked
-    feature stack is built.
+    feature stack is built. Up to its output the last layer is linear, so w
+    is folded into its weights (_projected) and no d-wide embedding of it is
+    formed; a GCN last layer then weights each ball's rows by the center's
+    row of A_hat in one product per ball.
     """
     adj, a_hat = (matrix[nodes[:, None, :, None], nodes[:, None, None, :]]
                   for matrix in g.matrices)  # (balls, 1, h, h)
     codes = np.asarray(local, dtype="<u8")
-    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")[:, :nodes.shape[1]].astype(np.float64)
-    h = _affine_layer(model.layers[0], adj, a_hat, g.features[nodes], baseline, bits, keep[0])
-    if model.num_layers > 1:
-        h = _conv_stack(model, adj, a_hat, _relu(h), keep, first=1)
-    return h[..., 0, :]
+    m = nodes.shape[1]
+    bits = np.empty((len(codes), m + 1))
+    bits[:, :m] = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1,
+                                bitorder="little")[:, :m]
+    bits[:, m] = 1.0  # layer 0's constants; a uint64 code has no bit 64 to hold them
+    layers = model.layers[:-1] + (_projected(model.layers[-1], w),)
+    h = _affine_layer(layers[0], adj, a_hat, g.features[nodes], baseline, bits, keep[0])
+    if len(layers) > 2:  # the middle layers, trimmed
+        np.maximum(h, 0.0, out=h)
+        h = _conv_stack(replace(model, layers=model.layers[:-1]), adj, a_hat, h, keep,
+                        first=1)
+    if len(layers) > 1:
+        np.maximum(h, 0.0, out=h)
+        last, cols = layers[-1], h.shape[-2]
+        if isinstance(last, GcnLayer):  # A_hat's center row . (h @ W w) + b . w
+            hw = _rowwise(h, last.weight, flat=True)[..., 0]  # (balls, B, cols)
+            return (hw @ a_hat[:, 0, 0, :cols, None])[..., 0] + last.bias
+        h = _gin_mlp(last, (1.0 + last.epsilon) * h[..., :1, :] + adj[..., :1, :cols] @ h,
+                     flat=True)
+    return h[..., 0, 0]
+
+
+def _projected(layer: GcnLayer | GinLayer, w: np.ndarray) -> GcnLayer | GinLayer:
+    """layer with its output projected on w: the same layer with one output
+    column, its last weight matrix times w and its last bias dotted with w."""
+    col = w[:, None]
+    if isinstance(layer, GcnLayer):
+        return GcnLayer(weight=layer.weight @ col, bias=layer.bias @ col)
+    return GinLayer(epsilon=layer.epsilon, w1=layer.w1, b1=layer.b1,
+                    w2=layer.w2 @ col, b2=layer.b2 @ col)
 
 
 def _affine_layer(layer: GcnLayer | GinLayer, adj: np.ndarray, a_hat: np.ndarray, x: np.ndarray,
                   baseline: np.ndarray, bits: np.ndarray, rows: int) -> np.ndarray:
     """Conv layer 0 of a ball forward on its leading rows, (balls, B, rows, d),
-    from the (B, m) 0/1 matrix of which ball nodes keep their features, the
+    from the (B, m + 1) matrix whose first m columns hold which ball nodes
+    keep their features (0 or 1) and whose last is ones, the
     (balls, 1, m, m) ball matrices and the (balls, m, d0) ball features.
 
     With C = (1 + eps) I + A (GIN) or A_hat (GCN) over a ball, row r of
-    C X(T) is (sum_j C_rj) baseline + sum_j bit_j C_rj (x_j - baseline),
-    so the aggregation is one (B, m) @ (balls, m, rows * d) product. GCN
-    folds its weight into the deltas first.
+    C X(T) is (sum_j C_rj) baseline + sum_j bit_j C_rj (x_j - baseline).
+    The coefficients of the bits and, as row m, the constant term (plus the
+    GCN bias) form one (balls, m + 1, rows * d) matrix, so the layer's
+    aggregation is one product with bits and nothing is added after it.
+    GCN folds its weight into the deltas and the baseline first.
     """
-    if isinstance(layer, GcnLayer):
+    balls, m = x.shape[:2]
+    gcn = isinstance(layer, GcnLayer)
+    if gcn:
         c = a_hat[:, 0, :rows]
         base, delta = baseline @ layer.weight, (x - baseline) @ layer.weight
     else:
-        c = adj[:, 0, :rows] + (1.0 + layer.epsilon) * np.eye(rows, x.shape[1])
+        c = adj[:, 0, :rows] + (1.0 + layer.epsilon) * np.eye(rows, m)
         base, delta = baseline, x - baseline
-    coef = (c.transpose(0, 2, 1)[..., None] * delta[:, :, None, :]).reshape(*x.shape[:2], -1)
-    agg = ((bits @ coef).reshape(len(x), len(bits), rows, -1)
-           + c.sum(axis=2)[:, None, :, None] * base)
-    if isinstance(layer, GcnLayer):
-        return agg + layer.bias
-    return _gin_mlp(layer, agg, flat=True)
+    coef = np.empty((balls, m + 1, rows, delta.shape[-1]))
+    np.multiply(c.transpose(0, 2, 1)[..., None], delta[:, :, None, :], out=coef[:, :m])
+    coef[:, m] = c.sum(axis=2)[..., None] * base + (layer.bias if gcn else 0.0)
+    agg = (bits @ coef.reshape(balls, m + 1, -1)).reshape(balls, len(bits), rows, -1)
+    return agg if gcn else _gin_mlp(layer, agg, flat=True)

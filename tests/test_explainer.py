@@ -142,9 +142,9 @@ def test_node_tables_count_coalitions_and_ball_rows(monkeypatch):
         graph_rows.append(len(x) if x.ndim == 3 else 1)
         return real_graph(model, g, x)
 
-    def counting_ball(model, g, baseline, nodes, keep, local):
+    def counting_ball(model, g, baseline, nodes, keep, local, *args):
         ball_rows.append(len(nodes) * len(local))
-        return real_ball(model, g, baseline, nodes, keep, local)
+        return real_ball(model, g, baseline, nodes, keep, local, *args)
 
     monkeypatch.setattr(graphsi.game, "forward_graph", counting_graph)
     monkeypatch.setattr(graphsi.game, "_forward_ball", counting_ball)

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import combinations
 from math import comb
 import re
 import sys
@@ -13,7 +14,7 @@ from graphsi.coalitions import full_mask, mask_of
 from graphsi.errors import ParseError
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.game import GraphGame, NodeGame
-from graphsi.generate import generate_instance, random_graph
+from graphsi.generate import generate_instance, random_graph, random_model
 from graphsi.graph import ball_layouts, khop_neighborhoods, load_graph, make_graph
 from graphsi.moebius import build_interaction_set, graphshapiq_exact, truncated_bound
 from graphsi.nn import (
@@ -283,27 +284,42 @@ def test_node_tables_write_nothing_into_the_game(normalize):
         assert (first[0] == 0.0) == normalize
 
 
-@pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
-def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, shape):
-    g, model = _table_graph(shape, seed), _biased_model(kinds, pooling, seed)
+def _ball_forwards_match_the_stack(g, model, cap=None):
+    """Each ball shape's projected ball forward against the untrimmed dense
+    stack on the ball, at the center, times the readout column; with cap,
+    on the local codes of at most cap bits only."""
     baseline = default_baseline(g)
     adj, a_hat = g.matrices
-    tol = 1e-12 * max(1.0, abs(GraphGame(model, g).nu_full))
+    game = GraphGame(model, g)
+    w = model.readout.weight[:, game.target]
+    tol = 1e-12 * max(1.0, abs(game.nu_full))
     shapes = {}
     for nodes, keep in ball_layouts(g, model.num_layers):
         shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
     for (h, keep), group in shapes.items():  # each shape's balls in one forward
-        local = range(1 << h)
+        local = sorted(sum(1 << j for j in bits) for size in range(min(h, cap or h) + 1)
+                       for bits in combinations(range(h), size))
         got = _forward_ball(model, g, baseline, np.array(group).reshape(len(group), h),
-                            list(keep), local)
-        assert got.shape[:2] == (len(group), len(local))
+                            list(keep), local, w)
+        assert got.shape == (len(group), len(local))
         for nodes, row in zip(group, got):
             x = np.array([[g.features[v] if t >> j & 1 else baseline
                            for j, v in enumerate(nodes)] for t in local])
             restricted = np.ix_(nodes, nodes)
-            want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, 0]  # the center
+            want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, 0] @ w
             assert row.shape == want.shape
             assert np.abs(row - want).max() <= tol
+
+
+@pytest.mark.parametrize("seed,kinds,pooling,shape", TABLE_CASES)
+def test_trimmed_ball_forward_matches_the_untrimmed_stack(seed, kinds, pooling, shape):
+    _ball_forwards_match_the_stack(_table_graph(shape, seed), _biased_model(kinds, pooling, seed))
+
+
+def test_capped_ball_forward_of_64_nodes_matches_the_untrimmed_stack():
+    # the hub's ball holds all 64 nodes, so every bit of a uint64 code is a node
+    g, _ = star_instance(64)
+    _ball_forwards_match_the_stack(g, random_model("gcn", 3, 1, 16, 3), cap=2)
 
 
 # (case, node tables taken, balls laid out): the route a run takes. Runs at
@@ -364,9 +380,9 @@ def test_ball_forwards_build_no_masked_stack(monkeypatch):
     rows = []  # table rows per ball forward
     real = graphsi.game._forward_ball
 
-    def counting(model, g, baseline, nodes, keep, local):
+    def counting(model, g, baseline, nodes, keep, local, *args):
         rows.append(len(nodes) * len(local))
-        return real(model, g, baseline, nodes, keep, local)
+        return real(model, g, baseline, nodes, keep, local, *args)
 
     monkeypatch.setattr(graphsi.nn, "masked_features", refuse)
     monkeypatch.setattr(graphsi.game, "masked_features", refuse)
@@ -383,9 +399,9 @@ def test_a_truncated_run_forwards_each_ball_on_its_capped_codes(monkeypatch, lam
     rows = []  # table rows per ball forward
     real = graphsi.game._forward_ball
 
-    def counting(model, g, baseline, nodes, keep, local):
+    def counting(model, g, baseline, nodes, keep, local, *args):
         rows.append(len(nodes) * len(local))
-        return real(model, g, baseline, nodes, keep, local)
+        return real(model, g, baseline, nodes, keep, local, *args)
 
     monkeypatch.setattr(graphsi.game, "_forward_ball", counting)
     g, model = generate_instance("er", 48, 3, 9, "gcn", 2, 16, edge_prob=0.1)  # as in ROUTES
@@ -399,6 +415,33 @@ def test_a_truncated_run_forwards_each_ball_on_its_capped_codes(monkeypatch, lam
     assert sum(rows) == balls == truncated_bound(hoods, lam) - len(oversized)
     # the game forwards the oversized fields, and nu(empty) for the efficiency check
     assert set(ex.game_._memo) == oversized | {0}
+
+
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
+@pytest.mark.parametrize("lam", [1, 2])
+def test_a_truncated_run_on_a_64_node_ball_matches_the_dense_route(monkeypatch, kind, lam):
+    # the star's hub holds all 64 nodes in its ball: local bit 63 is a node
+    g, _ = star_instance(64)
+    model = random_model(kind, 3, 1, 16, 3)
+    widths, real = [], graphsi.game._forward_ball
+
+    def recording(model, g, baseline, nodes, keep, local, *args):
+        widths.append(nodes.shape[1])
+        return real(model, g, baseline, nodes, keep, local, *args)
+
+    monkeypatch.setattr(graphsi.game, "_forward_ball", recording)
+    tabled = GraphInteractionExplainer(model, lam=lam).fit(g)
+    assert 64 in widths  # the capped-table route
+    with monkeypatch.context() as patch:
+        patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+        dense = GraphInteractionExplainer(model, lam=lam).fit(g)
+    assert tabled.call_count_ == dense.call_count_
+    tol = 1e-12 * max(1.0, abs(dense.game_.nu_full))
+    for got, want in ((tabled.moebius_, dense.moebius_),
+                      (tabled.interactions_, dense.interactions_)):
+        (got_keys, got_values), (want_keys, want_values) = got.arrays, want.arrays
+        assert got_keys.tolist() == want_keys.tolist()
+        assert np.abs(got_values - want_values).max() <= tol
 
 
 def test_a_capped_table_is_its_balls_moebius_transform():
@@ -431,9 +474,9 @@ def test_balls_of_one_shape_share_one_forward(monkeypatch):
     calls = []  # (balls, keep, local indices) per ball forward
     real = graphsi.game._forward_ball
 
-    def recording(model, g, baseline, nodes, keep, local):
+    def recording(model, g, baseline, nodes, keep, local, *args):
         calls.append((np.atleast_2d(nodes).tolist(), list(keep), list(local)))
-        return real(model, g, baseline, nodes, keep, local)
+        return real(model, g, baseline, nodes, keep, local, *args)
 
     monkeypatch.setattr(graphsi.game, "_forward_ball", recording)
     for g, model in (generate_instance("tree", 64, 3, 9, "gin", 2, 16), star_instance()):

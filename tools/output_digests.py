@@ -4,7 +4,9 @@ Covers `graphsi explain` on demo path4 and er8 (all five indices, each
 exact, at --lambda 2 and with --normalize) and on the four perfbench
 workloads at seeds 0 and 1, whose inputs come from perfbench/inputs.py,
 plus truncated runs of the sparse64 graphs at --lambda 4 and of the hub
-graph at --lambda 3 (TABLE_LAMBDAS), which take capped node tables.
+graph at --lambda 3 (TABLE_LAMBDAS), which take capped node tables, and of
+a 64-node star under a 1-layer GIN and GCN at --lambda 2, whose hub's ball
+holds all 64 nodes.
 It also covers two routes no CLI run reaches, on both demos for all five
 indices: the explainer at ell=2 (the demo models have one layer, so the
 exact run takes the dense route) and brute_force_mi followed by
@@ -19,20 +21,36 @@ With a directory argument the outputs are kept there, to inspect what moved.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import graphsi.cli
 from graphsi import GraphGame, GraphInteractionExplainer, convert_mi, efficiency_check
 from graphsi.baselines import brute_force_mi
 from graphsi.export import build_si_graph, dumps_json
+from graphsi.generate import random_model
+from graphsi.graph import make_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 INDICES = ("sv", "sii", "ksii", "stii", "mi")
 MODES = {"exact": ["--exact"], "lambda2": ["--lambda", "2"], "normalize": ["--normalize"]}
 # Truncated runs on the exact workloads' graphs, which take capped node tables
 TABLE_LAMBDAS = {"sparse64": "4", "hub": "3"}
+
+
+def star64_files(workdir: Path, kind: str) -> list[str]:
+    """Graph and weight files of a 64-node star with hub 0 (the recipe of the
+    tests' star_instance) under a 1-layer model of width 16."""
+    rng = np.random.Generator(np.random.Philox(3))
+    g = make_graph(64, [(0, i) for i in range(1, 64)], rng.normal(size=(64, 3)))
+    paths = [workdir / f"star64_{kind}_{part}.json" for part in ("graph", "model")]
+    for path, obj in zip(paths, (g, random_model(kind, 3, 1, 16, 3))):
+        path.write_text(json.dumps(obj.to_json_dict()))
+    return [str(path) for path in paths]
 
 
 def runs(workdir: Path):
@@ -42,6 +60,11 @@ def runs(workdir: Path):
         for index in INDICES:
             for mode, flags in MODES.items():
                 yield f"{demo}_{index}_{mode}", ["explain", *files, "--index", index, *flags]
+    for kind in ("gin", "gcn"):
+        files = star64_files(workdir, kind)
+        for index in INDICES:
+            yield f"star64_{kind}_{index}_lambda2", ["explain", *files, "--index", index,
+                                                      "--lambda", "2"]
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     for workload in inputs.WORKLOADS:
