@@ -19,8 +19,8 @@ weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node bit j, and the
 size-s entries are read off, n*|D| operations per pass. Its sets off D
 (oversized truncated fields, gaps) take the loop.
 
-An exact run on node tables converts neither way: convert_tables reads
-the index values off the transformed ball tables with the same weight
+An exact run on node tables, which hold the pooling, converts neither
+way: convert_tables reads the index values off them with the same weight
 table, one superset butterfly per ball bit, and sums them by global mask.
 """
 
@@ -156,12 +156,10 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
                              lam=mi.lam, call_count=mi.call_count)
 
 
-def convert_tables(mi: InteractionValues, tables, index: str, k: int,
-                   mean: bool) -> InteractionValues:
+def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> InteractionValues:
     """The requested index at order k straight from the transformed node
-    tables that mi was summed from (GraphGame.node_tables), with no pass
-    over mi; "mi" returns mi unchanged. Under mean pooling (mean) the
-    balls' sums are divided by n, as mi's are.
+    tables that mi was summed from (GraphGame.node_tables, whose node games
+    hold the pooling), with no pass over mi; "mi" returns mi unchanged.
 
     The index value of S, |S| = s, is the sum over the balls holding S of
     sum_{S <= T <= N_i} w(s, |T|, k) m_i(T). So each order s weights every
@@ -193,8 +191,6 @@ def convert_tables(mi: InteractionValues, tables, index: str, k: int,
     for parts, values in zip(masks, found):  # by size, then ascending mask: canonical order
         keys, where = np.unique(np.concatenate(parts), return_inverse=True)
         sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
-        if mean:
-            sums /= mi.n
         out.update(zip(keys.tolist(), sums.tolist()))
     return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
                              lam=mi.lam, call_count=mi.call_count)

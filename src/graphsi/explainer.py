@@ -9,6 +9,8 @@ exact-or-truncated run together.
 
 from __future__ import annotations
 
+import math
+
 from .convert import efficiency_check
 from .errors import ParseError
 from .export import build_si_graph, to_dot
@@ -108,13 +110,18 @@ class GraphInteractionExplainer:
             check_budget(hoods, lam, self.ceiling)
             mi, si = graphshapiq_approx(game, hoods, lam, k, index=self.index)
             self.interaction_set_size_ = None
+        # the residual sums every exported value, so it is finite when they are
+        residual = efficiency_check(si, game.nu_full, game.nu_empty)
+        if not all(map(math.isfinite, (game.nu_full, game.nu_empty, residual))):
+            raise ParseError(f"the model overflows float64 on this graph: nu(N) = {game.nu_full}, "
+                             f"nu(empty) = {game.nu_empty}, efficiency residual = {residual}")
         self.graph_ = g
         self.game_ = game
         self.hoods_ = hoods
         self.moebius_ = mi
         self.interactions_ = si
         self.call_count_ = mi.call_count
-        self.efficiency_residual_ = efficiency_check(si, game.nu_full, game.nu_empty)
+        self.efficiency_residual_ = residual
         return self
 
     def _require_fitted(self) -> None:

@@ -13,6 +13,7 @@ import os
 import tempfile
 
 from .coalitions import iter_members
+from .errors import ParseError
 from .graph import Graph
 from .interactions import InteractionValues
 
@@ -20,9 +21,10 @@ EXPORT_PRUNE = 1e-12
 
 
 def format_float(x: float) -> str:
-    """Shortest 17-significant-digit decimal; round-trips float64 exactly."""
+    """Shortest 17-significant-digit decimal; round-trips float64 exactly.
+    A non-finite value comes from a model that overflows float64: ParseError."""
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
+        raise ParseError(f"cannot serialize non-finite value {x!r}; the model overflows float64")
     return format(float(x), ".17g")
 
 

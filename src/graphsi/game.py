@@ -12,29 +12,27 @@ distinct coalitions it forwarded; a run's cost is the sets of its
 Moebius map (its InteractionValues.call_count).
 
 A GraphGame with a linear readout also splits into node games
-(GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i w . h_i(T & N_i),
-where h_i is node i's last-layer embedding and N_i its
-model.num_layers-hop ball, divided by n under mean pooling. The Moebius
-transform is linear too, so m(S) = sum over the balls holding S of each
-ball table's transform at S, plus b at S = empty. node_tables forwards
-each ball's 2^|N_i| local coalitions once, laid out in hop order by
-graph.ball_layouts (bit j of a table index keeps the ball's j-th node),
-all balls of one shape (size and per-layer row counts) in one forward,
-and transforms each table in place. That one build serves an exact run
-at the model's depth twice without reading nu back set by set:
-moebius_arrays sums it into the run's Moebius values, and
+(GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i nu_i(T & N_i), where
+N_i is node i's model.num_layers-hop ball and nu_i its last-layer
+embedding dotted with the readout column (over n under mean pooling).
+The Moebius transform is linear too, so m(S) sums the ball tables'
+transforms at S over the balls holding S, plus b at S = empty.
+node_tables takes each ball's nu_i on its 2^|N_i| local coalitions (bit
+j of a table index keeps the ball's j-th node in graph.ball_layouts' hop
+order) from one nn._forward_ball call per ball shape (size and per-layer
+row counts), and transforms each table in place. That one build serves
+an exact run at the model's depth twice without reading nu back set by
+set: moebius_arrays sums it into the run's Moebius values, and
 convert.convert_tables takes the index values from it. A truncated run
-at order cap lam needs m(S) only for |S| <= lam, and m_i(S) reads ball
-i's table only on subsets of S: its node_tables(lam) forward a ball of
-more than lam nodes on its local codes of at most lam bits alone, and
-moebius_arrays sums them into the kept sets' values. A ball forward
-reads its first conv layer off the coalition bits, as one product of the
-bits and a column of ones with the layer's coefficients and constant
-terms, and folds the readout column w into its last layer, so it yields
-w . h_i without a d-wide last-layer embedding. Its values agree with the
-dense stack to rounding (about 1e-14 relative), not bit for bit. The
-node tables write nothing into the game: every coalition it evaluates
-is forwarded on the dense stack.
+at order cap lam needs m(S) only for |S| <= lam, which reads ball i's
+table only on subsets of S: node_tables(lam) forwards a ball of more
+than lam nodes on its local codes of at most lam bits alone, and
+moebius_arrays sums those into the kept sets' values. A ball forward
+reads its first conv layer off the coalition bits and folds the readout
+column into its last layer; its values agree with the dense stack to
+rounding (about 1e-14 relative), not bit for bit. The node tables write
+nothing into the game: every coalition it evaluates is forwarded on the
+dense stack.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ import numpy as np
 from .coalitions import MAX_PLAYERS, full_mask
 from .errors import ParseError, as_vector
 from .graph import Graph, ball_layouts
-from .nn import (GnnModel, _forward_ball, default_baseline, forward_graph, forward_node,
-                 masked_features)
+from .nn import (_CHUNK_BYTES, GnnModel, _forward_ball, default_baseline, forward_graph,
+                 forward_node, masked_features)
 
 
 def _capped_codes(h: int, cap: int) -> tuple[np.ndarray, ...]:
@@ -103,12 +101,6 @@ class GameOracle(Protocol):
     def evaluate_batch(self, coalitions) -> list[float]: ...
 
     def call_count(self) -> int: ...
-
-
-# Bytes of the widest (B, n, width) float64 intermediate of one stacked
-# forward; rows per chunk follow from it (64 at n=64, width 16). Stacks
-# much larger than the CPU cache run slower per row.
-_CHUNK_BYTES = 512 * 1024
 
 
 class _MaskedGame:
@@ -198,13 +190,13 @@ class GraphGame(_MaskedGame):
         baseline and target; writes nothing into the game. cap is a
         truncated run's order cap (None: no cap).
 
-        Node i's table holds at local index L its last-layer embedding
-        projected on the target's readout column, with the ball's j-th node
-        in hop order (graph.ball_layouts) kept for each bit j of L. Balls of
-        one shape, (size h, keep), are forwarded together, chunk by chunk, into
-        one (balls, 2^h) stack, which takes the dense subset butterfly in
-        place: tables[b, L] is m_b(L), ball b's Moebius value at L, before the
-        division by n of mean pooling. Its local indices become the global
+        Node i's table holds at local index L its node game nu_i, the
+        last-layer embedding dotted with the target's readout column (over n
+        under mean pooling), with the ball's j-th node in hop order
+        (graph.ball_layouts) kept for each bit j of L. The balls of one shape,
+        (size h, keep), take one _forward_ball call, whose (balls, 2^h) stack
+        takes the dense subset butterfly in place: tables[b, L] is m_b(L),
+        ball b's Moebius value at L. Its local indices become the global
         masks (balls, 2^h) and the set sizes (2^h,) by doubling.
 
         With an order cap, a shape of more than cap nodes holds only its local
@@ -218,7 +210,7 @@ class GraphGame(_MaskedGame):
         bits' nodes. Shapes of at most cap nodes keep the full 2^h path.
         """
         model = self.model
-        weight = model.readout.weight[:, self.target]
+        w = model.readout.weight[:, self.target] / {"sum": 1, "mean": self.n_players}[model.pooling]
         shapes: dict[tuple, list] = {}
         for nodes, keep in ball_layouts(self.graph, model.num_layers):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
@@ -230,12 +222,7 @@ class GraphGame(_MaskedGame):
             members = np.array(group, dtype="<u8")  # (balls, h)
             capped = cap is not None and h > cap
             local = codes[:np.searchsorted(codes, 1 << h)] if capped else np.arange(1 << h)
-            # widest array of a ball forward per row: the bits or layer 0's rows
-            rows = max(1, _CHUNK_BYTES // (8 * len(group) * max(h, keep[0] * model.width)))
-            stack = np.concatenate([
-                _forward_ball(model, self.graph, self.baseline, members, keep,
-                              local[start:start + rows], weight)
-                for start in range(0, len(local), rows)], axis=1)
+            stack = _forward_ball(model, self.graph, self.baseline, members, keep, local, w)
             if capped:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
                 size = counts[:len(local)]
                 for t in range(cap):
@@ -262,16 +249,14 @@ class GraphGame(_MaskedGame):
     def moebius_arrays(self, tables) -> tuple[np.ndarray, np.ndarray]:
         """Moebius values on I, the union of the balls' power sets, from
         node_tables: (keys, values) in canonical order; from capped tables,
-        on I's sets of at most cap members. The tables are summed
-        by global mask, by ascending shape and then node (divided by n under
-        mean pooling); m(empty), that sum at mask 0, then takes the readout
-        bias (0 under normalize).
+        on I's sets of at most cap members. The tables, which hold the
+        pooling, are summed by global mask, by ascending shape and then node;
+        m(empty), that sum at mask 0, then takes the readout bias (0 under
+        normalize).
         """
         keys, where = _unique_inverse([glob.ravel() for _, glob, _ in tables])
         # adds in input order
         sums = np.bincount(where, weights=np.concatenate([stack.ravel() for stack, _, _ in tables]))
-        if self.model.pooling == "mean":
-            sums /= self.n_players
         # keys ascend, so sums[0] is m(empty) without the readout bias
         sums[0] = 0.0 if self.normalize else sums[0] + float(self.model.readout.bias[self.target])
         count = np.empty(len(keys), dtype=np.uint8)

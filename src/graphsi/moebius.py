@@ -262,7 +262,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
         keys, values = game.moebius_arrays(tables)
         mi = InteractionValues(kind="mi", k=n, n=n, arrays=(keys, values), ell=hoods.ell,
                                call_count=len(keys))
-        return mi, convert.convert_tables(mi, tables, index, k, game.model.pooling == "mean")
+        return mi, convert.convert_tables(mi, tables, index, k)
     iset = build_interaction_set(hoods)
     return _interactions(game, hoods, iset.members, [], k, index, None)
 

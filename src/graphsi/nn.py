@@ -274,6 +274,12 @@ def masked_features(g: Graph, baseline: np.ndarray, coalitions) -> np.ndarray:
     return np.where(keep[:, :, None] == 1, g.features, baseline)
 
 
+# Bytes of the widest float64 intermediate of one forward chunk: a (B, n, width)
+# masked stack (64 rows at n=64, width 16) or a ball chunk's bits or layer-0 rows,
+# whose count sets the ball values' bits. Chunks far past the CPU cache run slower.
+_CHUNK_BYTES = 512 * 1024
+
+
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
@@ -290,27 +296,26 @@ def _gin_mlp(layer: GinLayer, agg: np.ndarray, flat: bool) -> np.ndarray:
 
 
 def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
-                x: np.ndarray, keep: list[int] | None = None, first: int = 0) -> np.ndarray:
-    """Last-layer node embeddings of x, (n, d) or (B, n, d), running conv
-    layers first.. (x is then the ReLU'd output of layer first - 1).
+                x: np.ndarray, keep: list[int] | None = None) -> np.ndarray:
+    """Last-layer node embeddings of x, (n, d) or (B, n, d), through every
+    conv layer of model (a ball forward passes its middle layers alone).
 
     keep, when given, holds per layer the number of leading rows that layer
     computes; every row they read must lie among the rows the layer before
-    kept (all rows of x before layer first). The row-wise weight products
+    kept (all rows of x before the first). The row-wise weight products
     then run as one 2-D (B*rows, d) product each: on a (B, rows, d) stack
     NumPy calls one small kernel per matrix. Without keep every matrix of a
     stack keeps the bits of a lone forward, so nothing is flattened: NumPy
     uses its vector-matrix kernel for a lone 1-row matrix, and the
     matrix-matrix kernel for a flattened stack.
     """
-    if first == 0 and x.shape[-1] != model.d_in:
+    if x.shape[-1] != model.d_in:
         raise DimensionMismatch(
             f"layers[0] expects input width {model.d_in}, features have {x.shape[-1]}")
     h = x
     flat = keep is not None
     last = len(model.layers) - 1
-    for idx in range(first, len(model.layers)):
-        layer = model.layers[idx]
+    for idx, layer in enumerate(model.layers):
         rows, cols = (keep[idx] if keep else None), h.shape[-2]
         if isinstance(layer, GcnLayer):
             h = _rowwise(a_hat[..., :rows, :cols] @ h, layer.weight, flat) + layer.bias
@@ -348,10 +353,11 @@ def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray
 
 def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.ndarray,
                   keep: list[int], local, w: np.ndarray) -> np.ndarray:
-    """Embeddings of the ball centers nodes[:, 0] after the last conv layer,
-    projected on the readout column w, (balls, len(local)): in row L of ball
-    b, bit j of L keeps the features of nodes[b, j] and the ball's other
-    nodes take the baseline.
+    """Node games of the balls, (balls, len(local)): row b holds the
+    embedding of center nodes[b, 0] after the last conv layer, projected on
+    w, the readout column (divided by n under mean pooling). In column L,
+    bit j of L keeps the features of nodes[b, j] and the ball's other nodes
+    take the baseline.
 
     nodes is a (balls, h) array of balls that share keep; each row with keep
     is a center's graph.ball_layouts entry at model.num_layers hops (the ball
@@ -365,22 +371,36 @@ def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.nda
     feature stack is built. Up to its output the last layer is linear, so w
     is folded into its weights (_projected) and no d-wide embedding of it is
     formed; a GCN last layer then weights each ball's rows by the center's
-    row of A_hat in one product per ball.
+    row of A_hat in one product per ball. The ball matrices, layer 0's
+    coefficients and the projected last layer are built once for all codes.
     """
     adj, a_hat = (matrix[nodes[:, None, :, None], nodes[:, None, None, :]]
                   for matrix in g.matrices)  # (balls, 1, h, h)
-    codes = np.asarray(local, dtype="<u8")
-    m = nodes.shape[1]
+    layers = model.layers[:-1] + (_projected(model.layers[-1], w),)
+    coef = _affine_layer(layers[0], adj, a_hat, g.features[nodes], baseline, keep[0])
+    middle = replace(model, layers=model.layers[1:-1])
+    rows = max(1, _CHUNK_BYTES // (8 * len(nodes) * max(nodes.shape[1], keep[0] * model.width)))
+    values = np.empty((len(nodes), len(local)))
+    for start in range(0, len(local), rows):
+        values[:, start:start + rows] = _ball_chunk(layers, middle, keep, adj, a_hat, coef,
+                                                    local[start:start + rows])
+    return values
+
+
+def _ball_chunk(layers: tuple, middle: GnnModel, keep: list[int], adj: np.ndarray,
+                a_hat: np.ndarray, coef: np.ndarray, codes) -> np.ndarray:
+    """_forward_ball on one chunk of codes; its temporaries die before the next chunk's."""
+    balls, m = len(coef), coef.shape[1] - 1
+    codes = np.asarray(codes, dtype="<u8")
     bits = np.empty((len(codes), m + 1))
     bits[:, :m] = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1,
                                 bitorder="little")[:, :m]
     bits[:, m] = 1.0  # layer 0's constants; a uint64 code has no bit 64 to hold them
-    layers = model.layers[:-1] + (_projected(model.layers[-1], w),)
-    h = _affine_layer(layers[0], adj, a_hat, g.features[nodes], baseline, bits, keep[0])
+    h = (bits @ coef.reshape(balls, m + 1, -1)).reshape(balls, len(codes), *coef.shape[2:])
+    h = h if isinstance(layers[0], GcnLayer) else _gin_mlp(layers[0], h, flat=True)
     if len(layers) > 2:  # the middle layers, trimmed
         np.maximum(h, 0.0, out=h)
-        h = _conv_stack(replace(model, layers=model.layers[:-1]), adj, a_hat, h, keep,
-                        first=1)
+        h = _conv_stack(middle, adj, a_hat, h, keep[1:])
     if len(layers) > 1:
         np.maximum(h, 0.0, out=h)
         last, cols = layers[-1], h.shape[-2]
@@ -403,18 +423,18 @@ def _projected(layer: GcnLayer | GinLayer, w: np.ndarray) -> GcnLayer | GinLayer
 
 
 def _affine_layer(layer: GcnLayer | GinLayer, adj: np.ndarray, a_hat: np.ndarray, x: np.ndarray,
-                  baseline: np.ndarray, bits: np.ndarray, rows: int) -> np.ndarray:
-    """Conv layer 0 of a ball forward on its leading rows, (balls, B, rows, d),
-    from the (B, m + 1) matrix whose first m columns hold which ball nodes
-    keep their features (0 or 1) and whose last is ones, the
-    (balls, 1, m, m) ball matrices and the (balls, m, d0) ball features.
+                  baseline: np.ndarray, rows: int) -> np.ndarray:
+    """Coefficients (balls, m + 1, rows, d) of conv layer 0 of a ball forward
+    on its leading rows, from the (balls, 1, m, m) ball matrices and the
+    (balls, m, d0) ball features. Layer 0's aggregation (a GCN layer's
+    output) is one product of these with a (B, m + 1) matrix, which ball
+    nodes keep their features (0 or 1) and then ones, with no add after it.
 
     With C = (1 + eps) I + A (GIN) or A_hat (GCN) over a ball, row r of
     C X(T) is (sum_j C_rj) baseline + sum_j bit_j C_rj (x_j - baseline).
     The coefficients of the bits and, as row m, the constant term (plus the
-    GCN bias) form one (balls, m + 1, rows * d) matrix, so the layer's
-    aggregation is one product with bits and nothing is added after it.
-    GCN folds its weight into the deltas and the baseline first.
+    GCN bias) form the matrix. GCN folds its weight into the deltas and the
+    baseline first.
     """
     balls, m = x.shape[:2]
     gcn = isinstance(layer, GcnLayer)
@@ -427,5 +447,4 @@ def _affine_layer(layer: GcnLayer | GinLayer, adj: np.ndarray, a_hat: np.ndarray
     coef = np.empty((balls, m + 1, rows, delta.shape[-1]))
     np.multiply(c.transpose(0, 2, 1)[..., None], delta[:, :, None, :], out=coef[:, :m])
     coef[:, m] = c.sum(axis=2)[..., None] * base + (layer.bias if gcn else 0.0)
-    agg = (bits @ coef.reshape(balls, m + 1, -1)).reshape(balls, len(bits), rows, -1)
-    return agg if gcn else _gin_mlp(layer, agg, flat=True)
+    return coef

@@ -185,6 +185,26 @@ def test_nonlinear_readout_exit_code(path4_args, demo_dir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("command", ["explain", "explain-dot", "benchmark", "audit-readout"])
+def test_an_overflowing_model_exits_two(path4_args, demo_dir, tmp_path, capsys, command):
+    # every weight is finite, so the model loads; its GIN epsilon overflows float64
+    model = json.loads((demo_dir / "path4_model.json").read_text())
+    model["layers"][0]["epsilon"] = 1e308
+    weights = tmp_path / "overflow.json"
+    weights.write_text(json.dumps(model))
+    run = [path4_args[0], str(weights)]
+    argv = {"explain": ["explain", *run],
+            "explain-dot": ["explain", *run, "--format", "dot"],
+            "benchmark": ["benchmark", *run, "--budgets", "4"],
+            "audit-readout": ["audit-readout", *run, str(demo_dir / "path4_mlp2.json")]}[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[-1].startswith("error:") and sum(line.startswith("error:") for line in lines) == 1
+
+
 def test_unwritable_output_exit_code(path4_args, tmp_path, capsys):
     rc = main(["explain", *path4_args, "--out", str(tmp_path / "no" / "dir" / "x.json")])
     assert rc == 1

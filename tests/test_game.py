@@ -483,17 +483,35 @@ def test_balls_of_one_shape_share_one_forward(monkeypatch):
         calls.clear()
         table_moebius(GraphGame(model, g))
         layouts = {nodes[0]: (nodes, keep) for nodes, keep in ball_layouts(g, model.num_layers)}
-        covered = {center: [] for center in layouts}
-        spans = set()
-        for balls, keep, local in calls:
-            for nodes in balls:  # every ball of the call has the call's (size, keep)
-                assert layouts[nodes[0]] == (nodes, keep)
-                covered[nodes[0]] += local
-            span = (len(balls[0]), tuple(keep), local[0], local[-1])
-            assert span not in spans  # one forward per shape and chunk
-            spans.add(span)
-        for center, (nodes, _) in layouts.items():
-            assert sorted(covered[center]) == list(range(1 << len(nodes)))
+        shapes = {}  # (size, keep) -> the centers of its balls
+        for center, (nodes, keep) in layouts.items():
+            shapes.setdefault((len(nodes), tuple(keep)), set()).add(center)
+        assert len(calls) == len(shapes)  # tree64 11, star14 2
+        for balls, keep, local in calls:  # one forward per shape, on all its balls and codes
+            h = len(balls[0])
+            assert {nodes[0] for nodes in balls} == shapes.pop((h, tuple(keep)))
+            assert all(layouts[nodes[0]] == (nodes, keep) for nodes in balls)
+            assert local == list(range(1 << h))
+        assert not shapes
+
+
+@pytest.mark.parametrize("pooling", ["sum", "mean"])
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_node_tables_do_not_depend_on_the_chunk_size(monkeypatch, layers, kind, pooling):
+    g = random_graph("er", 8, 3, layers, edge_prob=0.35)
+    model = _biased_model((kind,) * layers, pooling, layers)
+    game = GraphGame(model, g)
+    tol = 1e-12 * max(1.0, abs(game.nu_full))
+    for cap in (None, 2):
+        default = game.node_tables(cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphsi.nn, "_CHUNK_BYTES", 1)  # one code per chunk
+            chunked = game.node_tables(cap)
+        assert len(chunked) == len(default)
+        for (stack, glob, sizes), (want, want_glob, want_sizes) in zip(chunked, default):
+            assert glob.tolist() == want_glob.tolist() and sizes.tolist() == want_sizes.tolist()
+            assert stack.shape == want.shape and np.abs(stack - want).max() <= tol
 
 
 def test_repeated_evaluations_bitwise_identical(rng):

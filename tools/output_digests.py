@@ -6,7 +6,10 @@ workloads at seeds 0 and 1, whose inputs come from perfbench/inputs.py,
 plus truncated runs of the sparse64 graphs at --lambda 4 and of the hub
 graph at --lambda 3 (TABLE_LAMBDAS), which take capped node tables, and of
 a 64-node star under a 1-layer GIN and GCN at --lambda 2, whose hub's ball
-holds all 64 nodes.
+holds all 64 nodes. The hub and truncated graphs also run under mean pooling
+(MEAN_FLAGS, all five indices), and a 12-node path under a 3-layer GIN and
+GCN (exact and at --lambda 2, all five indices), whose ball forwards pass a
+middle layer.
 It also covers two routes no CLI run reaches, on both demos for all five
 indices: the explainer at ell=2 (the demo models have one layer, so the
 exact run takes the dense route) and brute_force_mi followed by
@@ -40,15 +43,14 @@ INDICES = ("sv", "sii", "ksii", "stii", "mi")
 MODES = {"exact": ["--exact"], "lambda2": ["--lambda", "2"], "normalize": ["--normalize"]}
 # Truncated runs on the exact workloads' graphs, which take capped node tables
 TABLE_LAMBDAS = {"sparse64": "4", "hub": "3"}
+# Workloads also run with their model under mean pooling, and their flags
+MEAN_FLAGS = {"hub": [], "truncated": ["--lambda", "3"]}
 
 
-def star64_files(workdir: Path, kind: str) -> list[str]:
-    """Graph and weight files of a 64-node star with hub 0 (the recipe of the
-    tests' star_instance) under a 1-layer model of width 16."""
-    rng = np.random.Generator(np.random.Philox(3))
-    g = make_graph(64, [(0, i) for i in range(1, 64)], rng.normal(size=(64, 3)))
-    paths = [workdir / f"star64_{kind}_{part}.json" for part in ("graph", "model")]
-    for path, obj in zip(paths, (g, random_model(kind, 3, 1, 16, 3))):
+def instance_files(workdir: Path, name: str, g, model) -> list[str]:
+    """The graph and weight files of one instance, named after it."""
+    paths = [workdir / f"{name}_{part}.json" for part in ("graph", "model")]
+    for path, obj in zip(paths, (g, model)):
         path.write_text(json.dumps(obj.to_json_dict()))
     return [str(path) for path in paths]
 
@@ -61,10 +63,21 @@ def runs(workdir: Path):
             for mode, flags in MODES.items():
                 yield f"{demo}_{index}_{mode}", ["explain", *files, "--index", index, *flags]
     for kind in ("gin", "gcn"):
-        files = star64_files(workdir, kind)
+        # a 64-node star with hub 0 (the recipe of the tests' star_instance), 1 layer of width 16
+        rng = np.random.Generator(np.random.Philox(3))
+        g = make_graph(64, [(0, i) for i in range(1, 64)], rng.normal(size=(64, 3)))
+        files = instance_files(workdir, f"star64_{kind}", g, random_model(kind, 3, 1, 16, 3))
         for index in INDICES:
             yield f"star64_{kind}_{index}_lambda2", ["explain", *files, "--index", index,
                                                       "--lambda", "2"]
+        # a 12-node path under 3 layers of width 16
+        rng = np.random.Generator(np.random.Philox(5))
+        g = make_graph(12, [(i, i + 1) for i in range(11)], rng.normal(size=(12, 3)))
+        files = instance_files(workdir, f"path12_{kind}", g, random_model(kind, 3, 3, 16, 5))
+        for index in INDICES:
+            for mode, flags in (("exact", []), ("lambda2", ["--lambda", "2"])):
+                yield f"path12_{kind}_{index}_{mode}", ["explain", *files, "--index", index,
+                                                        *flags]
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     for workload in inputs.WORKLOADS:
@@ -77,6 +90,13 @@ def runs(workdir: Path):
                     lam = TABLE_LAMBDAS[workload]
                     yield (f"{workload}_s{seed}_{call.name}_lambda{lam}",
                            [*call.argv("")[:-2], "--lambda", lam])
+                if workload in MEAN_FLAGS:
+                    mean = workdir / f"{workload}_s{seed}_{call.name}_mean.json"
+                    mean.write_text(json.dumps(dict(call.model, pooling="mean")))
+                    for index in INDICES:
+                        yield (f"{workload}_s{seed}_{call.name}_mean_{index}",
+                               ["explain", call.graph_path, str(mean), "--index", index,
+                                *MEAN_FLAGS[workload]])
 
 
 def api_outputs():
