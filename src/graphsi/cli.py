@@ -19,7 +19,7 @@ from .baselines import audit_nonlinear_readout, compare_estimators
 from .complexity import scaling_study
 from .errors import BudgetExceeded, NonlinearReadout, ParseError, read_json
 from .explainer import GraphInteractionExplainer
-from .export import atomic_write_text, dumps_json, format_float
+from .export import atomic_write_text, dumps_json, dumps_si_graph, format_float
 from .generate import generate_instance
 from .graph import load_graph
 from .interactions import INDEX_KINDS
@@ -94,7 +94,8 @@ def cmd_explain(args) -> int:
         ceiling=_runtime_options(args))
     explainer.fit(args.graph)
     if args.format == "json":
-        text = dumps_json(explainer.to_export())
+        doc = explainer.to_export()
+        text = dumps_si_graph(doc, dumps_json(doc["metadata"]))
     else:
         text = explainer.to_dot()
     _emit(text, args.out)

@@ -12,7 +12,8 @@ import math
 import os
 import tempfile
 
-from .coalitions import iter_members
+import numpy as np
+
 from .errors import ParseError
 from .graph import Graph
 from .interactions import InteractionValues
@@ -104,18 +105,27 @@ def build_si_graph(si: InteractionValues, nu_full: float, nu_empty: float,
     """SI-Graph document: per-node values, hyperedge values, run metadata.
 
     Nodes are always listed (tiny magnitudes as exact 0.0); hyperedges
-    below the pruning threshold are dropped. The empty set never appears
-    as an element; its value is nu_empty in the metadata.
+    below the pruning threshold are dropped, the rest kept in canonical
+    order. The empty set never appears; its value is nu_empty in the metadata.
     """
-    nodes = []
-    for i in range(si.n):
-        value = si.get(1 << i)
-        nodes.append({"id": i, "value": value if abs(value) >= EXPORT_PRUNE else 0.0})
+    keys, values = si.arrays
+    sizes = np.fromiter(map(int.bit_count, keys.tolist()), dtype=np.uint8, count=len(keys))
+    node = [0.0] * si.n
+    single = sizes == 1
+    for i, value in zip((np.frexp(keys[single])[1] - 1).tolist(), values[single].tolist()):
+        node[i] = value  # the key is 2^i, whose binary exponent is i + 1
+    nodes = [{"id": i, "value": value if abs(value) >= EXPORT_PRUNE else 0.0}
+             for i, value in enumerate(node)]
+    kept = np.flatnonzero((sizes >= 2) & ~(np.abs(values) < EXPORT_PRUNE))
+    kept = kept[np.lexsort((keys[kept], sizes[kept]))]
+    octets = keys[kept].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little").view(bool)
     hyperedges = []
-    for mask, value in si.sorted_items():
-        if mask.bit_count() < 2 or abs(value) < EXPORT_PRUNE:
-            continue
-        hyperedges.append({"members": list(iter_members(mask)), "value": value})
+    for size in sorted(set(sizes[kept].tolist())):
+        group = sizes[kept] == size
+        members = (np.flatnonzero(bits[group]) % 64).reshape(-1, size).tolist()
+        hyperedges += [{"members": m, "value": value}
+                       for m, value in zip(members, values[kept[group]].tolist())]
     metadata = {
         "index": si.kind,
         "k": si.k,
@@ -127,6 +137,23 @@ def build_si_graph(si: InteractionValues, nu_full: float, nu_empty: float,
         "efficiency_residual": efficiency_residual,
     }
     return {"nodes": nodes, "hyperedges": hyperedges, "metadata": metadata}
+
+
+def dumps_si_graph(doc: dict, metadata: str) -> str:
+    """dumps_json(doc) of an SI-Graph document, one template per entry;
+    metadata is dumps_json(doc["metadata"])."""
+    sep = ",\n        "
+    nodes = [f'    {{\n      "id": {node["id"]},\n'
+             f'      "value": {format_float(node["value"])}\n    }}' for node in doc["nodes"]]
+    hyperedges = [f'    {{\n      "members": [\n        {sep.join(map(str, edge["members"]))}\n'
+                  f'      ],\n      "value": {format_float(edge["value"])}\n    }}'
+                  for edge in doc["hyperedges"]]
+    nodes, hyperedges = ("[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+                         for entries in (nodes, hyperedges))
+    # dumps_json writes no raw newline inside a string, so each one starts a line
+    metadata = metadata[:-1].replace("\n", "\n  ")
+    return (f'{{\n  "nodes": {nodes},\n  "hyperedges": {hyperedges},\n'
+            f'  "metadata": {metadata}\n}}\n')
 
 
 def _color(value: float) -> str:

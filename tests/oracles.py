@@ -346,3 +346,28 @@ def masked_game_oracle(model_doc: dict, n, edges, features, baseline, target):
                   for i in range(n)]
         return gnn_forward_oracle(model_doc, n, edges, masked)[target]
     return nu
+
+
+# -- export ------------------------------------------------------------------
+
+
+def si_graph_oracle(si, nu_full, nu_empty, efficiency_residual) -> dict:
+    """SI-Graph document of an interaction map, read off its values dict.
+
+    Every node is listed, a magnitude below 1e-12 as 0.0; every set of two
+    or more members whose magnitude is not below 1e-12 (so NaN stays) is a
+    hyperedge, ordered by size, then by mask.
+    """
+    sets = {frozenset(i for i in range(64) if mask >> i & 1): value
+            for mask, value in si.values.items()}
+    nodes = []
+    for i in range(si.n):
+        value = sets.get(frozenset([i]), 0.0)
+        nodes.append({"id": i, "value": value if abs(value) >= 1e-12 else 0.0})
+    hyperedges = [{"members": sorted(s), "value": value}
+                  for s, value in sorted(sets.items(), key=lambda item: _set_order(item[0]))
+                  if len(s) >= 2 and not abs(value) < 1e-12]
+    metadata = {"index": si.kind, "k": si.k, "ell": si.ell, "lambda": si.lam,
+                "call_count": si.call_count, "nu_N": nu_full, "nu_empty": nu_empty,
+                "efficiency_residual": efficiency_residual}
+    return {"nodes": nodes, "hyperedges": hyperedges, "metadata": metadata}

@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphsi.cli import main
+from graphsi.errors import ParseError
 from graphsi.export import (
     EXPORT_PRUNE,
     atomic_write_text,
     build_si_graph,
     dumps_json,
+    dumps_si_graph,
     format_float,
     to_dot,
 )
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.graph import make_graph
-from graphsi.interactions import InteractionValues
+from graphsi.interactions import INDEX_KINDS, InteractionValues
+from oracles import si_graph_oracle
 
 
 def si_values(n, values, kind="ksii", k=2, **meta):
@@ -206,6 +210,102 @@ def test_a_map_built_from_arrays_equals_the_dict_built_one():
     assert from_arrays != InteractionValues(**meta, values={**values, 0b1: 0.2})
     with pytest.raises(TypeError):
         InteractionValues(**meta, values=dict(values), arrays=arrays)
+
+
+# ---------------------------------------------------------------- the CLI's template writer
+
+
+def written(doc):
+    """The text graphsi explain writes for a document."""
+    return dumps_si_graph(doc, dumps_json(doc["metadata"]))
+
+
+@pytest.mark.parametrize("lam", [None, 1])
+@pytest.mark.parametrize("index", INDEX_KINDS)
+@pytest.mark.parametrize("demo", ["path4", "er8"])
+def test_explain_writes_the_bytes_of_the_document(demo_dir, tmp_path, demo, index, lam):
+    files = [str(demo_dir / f"{demo}_{part}.json") for part in ("graph", "model")]
+    flags = ["--exact"] if lam is None else ["--lambda", str(lam)]
+    out = tmp_path / "si.json"
+    assert main(["explain", *files, "--index", index, *flags, "--out", str(out)]) == 0
+    ex = GraphInteractionExplainer(files[1], index=index, lam=lam).fit(files[0])
+    want = si_graph_oracle(ex.interactions_, ex.game_.nu_full, ex.game_.nu_empty,
+                           ex.efficiency_residual_)
+    assert ex.to_export() == want
+    assert out.read_bytes() == dumps_json(want).encode()
+
+
+def arrays_map(values, **meta):
+    """The map of values, built from arrays in the dict's (non-canonical) order."""
+    arrays = (np.array(list(values), dtype=np.uint64), np.array(list(values.values())))
+    return InteractionValues(**meta, arrays=arrays)
+
+
+EDGE_MAPS = {
+    "sv, no hyperedges": si_values(3, {0b001: 0.5, 0b010: -0.25, 0b100: 0.0}, kind="sv", k=1),
+    "pruned nodes": si_values(3, {0b001: -0.0, 0b010: 1e-13, 0b100: -1e-12, 0b011: 1e-13,
+                                  0b110: -0.0, 0b101: 2.5}, ell=1, call_count=6),
+    "three and four members": si_values(
+        5, {0b00001: 1.0, 0b10110: -0.125, 0b00111: 2.0 ** -40, 0b01011: 3.0, 0b11110: -7.5,
+            0b00011: 0.1}, kind="mi", k=5, ell=2, lam=4, call_count=31),
+    "arrays, non-canonical order": arrays_map(
+        {0b110: 1e16, 0b1: 0.1, 0b11: -1e16, 0b1000: 3.3, 0b111: 2.0 ** -30, 0b10: -0.7},
+        kind="ksii", k=3, n=4, ell=1, lam=2, call_count=9),
+    "one node": si_values(1, {0b0: 0.3, 0b1: -0.7}, kind="mi", k=1, ell=1, call_count=2),
+    "64 nodes": arrays_map({1 << 63: 0.5, (1 << 63) | 1: -2.0, (1 << 63) | (1 << 40) | 2: 1.5},
+                           kind="mi", k=64, n=64),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MAPS)
+def test_the_writer_keeps_the_bytes_of_the_document(name):
+    si = EDGE_MAPS[name]
+    want = si_graph_oracle(si, 1.25, -0.5, 1e-17)
+    doc = build_si_graph(si, 1.25, -0.5, 1e-17)
+    assert doc == want
+    assert written(doc) == dumps_json(want)
+
+
+def test_pruned_nodes_are_written_as_zero():
+    text = written(build_si_graph(EDGE_MAPS["pruned nodes"], 0.0, 0.0, 0.0))
+    assert [node["value"] for node in json.loads(text)["nodes"]] == [0.0, 0.0, -1e-12]
+    assert '"value": -0\n' not in text and '"value": 0\n' in text
+    assert [edge["members"] for edge in json.loads(text)["hyperedges"]] == [[0, 2]]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("mask", [0b01, 0b11])
+def test_a_non_finite_value_meets_the_same_refusal(mask, bad):
+    si = si_values(2, {0b01: 1.0, 0b10: 2.0, 0b11: 0.5, mask: bad})
+    want = si_graph_oracle(si, 0.0, 0.0, 0.0)
+    if mask == 0b01 and math.isnan(bad):  # a NaN node is not above the threshold: 0.0
+        assert written(build_si_graph(si, 0.0, 0.0, 0.0)) == dumps_json(want)
+        return
+    with pytest.raises(ParseError) as old:
+        dumps_json(want)
+    with pytest.raises(ParseError) as new:
+        written(build_si_graph(si, 0.0, 0.0, 0.0))
+    assert str(new.value) == str(old.value)
+
+
+def test_explain_refuses_a_non_finite_value_with_exit_two(demo_dir, tmp_path, capsys, monkeypatch):
+    # the fit refuses a non-finite map first, so this one is put in after it
+    real_fit = GraphInteractionExplainer.fit
+
+    def fit(self, graph):
+        real_fit(self, graph)
+        si = self.interactions_
+        self.interactions_ = InteractionValues(si.kind, si.k, si.n,
+                                               {**si.values, 0b11: math.inf})
+        return self
+
+    monkeypatch.setattr(GraphInteractionExplainer, "fit", fit)
+    out = tmp_path / "si.json"
+    files = [str(demo_dir / f"path4_{part}.json") for part in ("graph", "model")]
+    assert main(["explain", *files, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot serialize non-finite value inf; the model overflows float64\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- DOT rendering

@@ -495,6 +495,34 @@ def test_balls_of_one_shape_share_one_forward(monkeypatch):
         assert not shapes
 
 
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
+def test_middle_layers_compute_only_the_rows_the_next_layer_reads(monkeypatch, kind):
+    # a 3-layer ball forward runs its one middle layer through _conv_stack on
+    # keep[1:]: keep[1] rows, the ones within one hop of the center
+    g = make_graph(12, [(i, i + 1) for i in range(11)],
+                   np.random.Generator(np.random.Philox(5)).normal(size=(12, 3)))
+    model = random_model(kind, 3, 3, 16, 5)
+    w = model.readout.weight[:, GraphGame(model, g).target]
+    stacks = []  # (layers, keep, output rows) per _conv_stack call
+    real = graphsi.nn._conv_stack
+
+    def recording(model, adj, a_hat, x, keep=None):
+        h = real(model, adj, a_hat, x, keep)
+        stacks.append((len(model.layers), keep, h.shape[-2]))
+        return h
+
+    monkeypatch.setattr(graphsi.nn, "_conv_stack", recording)
+    shapes = {}
+    for nodes, keep in ball_layouts(g, model.num_layers):
+        shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
+    assert any(keep[0] > keep[1] for _, keep in shapes)  # so keep[:-1] would be caught
+    for (h, keep), group in shapes.items():
+        stacks.clear()
+        _forward_ball(model, g, default_baseline(g), np.array(group), list(keep),
+                      list(range(1 << h)), w)
+        assert stacks and all(stack == (1, list(keep[1:]), keep[1]) for stack in stacks)
+
+
 @pytest.mark.parametrize("pooling", ["sum", "mean"])
 @pytest.mark.parametrize("kind", ["gin", "gcn"])
 @pytest.mark.parametrize("layers", [1, 2, 3])

@@ -21,6 +21,7 @@ import graphsi.moebius
 from graphsi.coalitions import DIRECT_MAX, mask_of, small_family
 from graphsi.convert import convert_mi, efficiency_check
 from graphsi.explainer import GraphInteractionExplainer
+from graphsi.export import dumps_json, dumps_si_graph
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_model
 from graphsi.graph import khop_neighborhoods
@@ -29,7 +30,7 @@ from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
 
 from helpers import mask_to_set, table_moebius
 from oracles import (conversion_oracle, fast_moebius_oracle, fast_zeta_oracle, gamma,
-                     interaction_set_oracle, khop_oracle)
+                     interaction_set_oracle, khop_oracle, si_graph_oracle)
 
 # An ER graph whose 1-hop fields lie on both sides of DIRECT_MAX, so the
 # exact run is mixed: tested on every run, whatever the draws cover.
@@ -207,3 +208,20 @@ def test_truncated_runs_from_capped_tables_match_the_dense_route(case):
                 assert list(got.values) == list(want.values)  # the same sets, in the same order
                 assert got.call_count == want.call_count
                 assert max(abs(v - want.values[t]) for t, v in got.values.items()) <= tol
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(instances(), st.sampled_from(INDICES), st.sampled_from([None, 1]))
+@example(MIXED, "mi", None)
+def test_the_explain_writer_gives_the_documents_bytes(case, index, lam):
+    # graphsi explain's text (cmd_explain's writer pair) and to_export()
+    # against the document read off the map's values, written by dumps_json
+    *shape, baseline, normalize, ell = case
+    g, model = build(*shape)
+    ex = GraphInteractionExplainer(model, index=index, ell=ell, lam=lam, baseline=baseline,
+                                   normalize=normalize).fit(g)
+    want = si_graph_oracle(ex.interactions_, ex.game_.nu_full, ex.game_.nu_empty,
+                           ex.efficiency_residual_)
+    doc = ex.to_export()
+    assert doc == want
+    assert dumps_si_graph(doc, dumps_json(doc["metadata"])) == dumps_json(want)

@@ -9,7 +9,9 @@ a 64-node star under a 1-layer GIN and GCN at --lambda 2, whose hub's ball
 holds all 64 nodes. The hub and truncated graphs also run under mean pooling
 (MEAN_FLAGS, all five indices), and a 12-node path under a 3-layer GIN and
 GCN (exact and at --lambda 2, all five indices), whose ball forwards pass a
-middle layer.
+middle layer. The `--format dot` renderings of demo path4 and er8 and of a
+14-node star under a 1-layer GIN (all five indices, exact) cover the DOT
+writer, which draws the same SI-Graph document.
 It also covers two routes no CLI run reaches, on both demos for all five
 indices: the explainer at ell=2 (the demo models have one layer, so the
 exact run takes the dense route) and brute_force_mi followed by
@@ -78,6 +80,15 @@ def runs(workdir: Path):
             for mode, flags in (("exact", []), ("lambda2", ["--lambda", "2"])):
                 yield f"path12_{kind}_{index}_{mode}", ["explain", *files, "--index", index,
                                                         *flags]
+    # the star of the tests' star_instance: hub 0, 14 nodes, 1 GIN layer of width 16
+    rng = np.random.Generator(np.random.Philox(3))
+    g = make_graph(14, [(0, i) for i in range(1, 14)], rng.normal(size=(14, 3)))
+    dot_runs = {"star14": instance_files(workdir, "star14", g, random_model("gin", 3, 1, 16, 3))}
+    for demo in ("path4", "er8"):
+        dot_runs[demo] = [str(ROOT / "demo" / f"{demo}_{part}.json") for part in ("graph", "model")]
+    for name, files in dot_runs.items():
+        for index in INDICES:
+            yield f"{name}_{index}_dot", ["explain", *files, "--index", index, "--format", "dot"]
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     for workload in inputs.WORKLOADS:
@@ -119,7 +130,7 @@ def main(argv: list[str]) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         lines = []
         for name, args in runs(Path(scratch)):
-            out = outdir / f"{name}.json"
+            out = outdir / f"{name}.{'dot' if '--format' in args else 'json'}"
             code = graphsi.cli.main([*args, "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{name}: exit code {code}")
