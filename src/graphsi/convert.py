@@ -159,25 +159,28 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
 def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> InteractionValues:
     """The requested index at order k straight from the transformed node
     tables that mi was summed from (GraphGame.node_tables, whose node games
-    hold the pooling), with no pass over mi; "mi" returns mi unchanged.
+    hold the pooling), with no pass over mi's values; "mi" returns mi
+    unchanged.
 
     The index value of S, |S| = s, is the sum over the balls holding S of
     sum_{S <= T <= N_i} w(s, |T|, k) m_i(T). So each order s weights every
     table by w(s, |L|, k), one superset butterfly per local bit j,
     v[L] += v[L + 2^j] on every L without bit j, sums it down, and the
-    size-s entries are summed by global mask. m(empty) and the readout
-    bias reach no set of size >= 1.
+    size-s entries are summed by global mask onto mi's size-s keys, which a
+    row table (one hop narrower than the fields) may leave at 0.0. m(empty)
+    and the biases reach no set of size >= 1.
     """
     if mi.kind != "mi":
         raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
     if index == "mi":
         return mi
     weight = _index_weight(index, k, mi.n)
-    # sizes[-1] is h, the size of the whole ball
-    w = _weight_table(weight, k, max(int(sizes[-1]) for _, _, sizes in tables))
-    masks, found = [[] for _ in w], [[] for _ in w]  # per order, one part per ball shape
+    keys, start = mi.arrays[0], 1  # canonical order: keys[0] is the empty set, keys[-1] widest
+    w = _weight_table(weight, k, int(keys[-1]).bit_count())
+    # per order, one part per ball shape; an order above every row ball's size keeps 0.0
+    masks, found = [[np.empty(0, "<u8")] for _ in w], [[np.empty(0)] for _ in w]
     for stack, glob, sizes in tables:
-        h = int(sizes[-1])
+        h = int(sizes[-1])  # the size of the whole ball
         orders = min(len(w), h)
         v = w[:orders, sizes][:, None, :] * stack  # (orders, balls, 2^h)
         for j in range(h):
@@ -188,10 +191,16 @@ def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> Interac
             masks[s].append(glob[:, at].ravel())
             found[s].append(v[s][:, at].ravel())
     out: dict[int, float] = {}
-    for parts, values in zip(masks, found):  # by size, then ascending mask: canonical order
-        keys, where = np.unique(np.concatenate(parts), return_inverse=True)
-        sums = np.bincount(where, weights=np.concatenate(values))  # adds in input order
-        out.update(zip(keys.tolist(), sums.tolist()))
+    for s, (parts, values) in enumerate(zip(masks, found), start=1):
+        end, top = start, len(keys)
+        while end < top:  # a binary search for the first key of more than s members
+            mid = (end + top) // 2
+            end, top = (mid + 1, top) if int(keys[mid]).bit_count() <= s else (end, mid)
+        same, start = keys[start:end], end
+        # adds in input order
+        sums = np.bincount(np.searchsorted(same, np.concatenate(parts)),
+                           weights=np.concatenate(values), minlength=len(same))
+        out.update(zip(same.tolist(), sums.tolist()))
     return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
                              lam=mi.lam, call_count=mi.call_count)
 

@@ -14,25 +14,32 @@ Moebius map (its InteractionValues.call_count).
 A GraphGame with a linear readout also splits into node games
 (GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i nu_i(T & N_i), where
 N_i is node i's model.num_layers-hop ball and nu_i its last-layer
-embedding dotted with the readout column (over n under mean pooling).
+embedding dotted with the readout column w (over n under mean pooling).
 The Moebius transform is linear too, so m(S) sums the ball tables'
-transforms at S over the balls holding S, plus b at S = empty.
-node_tables takes each ball's nu_i on its 2^|N_i| local coalitions (bit
-j of a table index keeps the ball's j-th node in graph.ball_layouts' hop
-order) from one nn._forward_ball call per ball shape (size and per-layer
-row counts), and transforms each table in place. That one build serves
-an exact run at the model's depth twice without reading nu back set by
-set: moebius_arrays sums it into the run's Moebius values, and
-convert.convert_tables takes the index values from it. A truncated run
-at order cap lam needs m(S) only for |S| <= lam, which reads ball i's
-table only on subsets of S: node_tables(lam) forwards a ball of more
-than lam nodes on its local codes of at most lam bits alone, and
-moebius_arrays sums those into the kept sets' values. A ball forward
-reads its first conv layer off the coalition bits and folds the readout
-column into its last layer; its values agree with the dense stack to
-rounding (about 1e-14 relative), not bit for bit. The node tables write
-nothing into the game: every coalition it evaluates is forwarded on the
-dense stack.
+transforms at S over the balls holding S, plus b at S = empty. No
+activation follows the last conv layer, so a GCN last layer after another
+splits one hop deeper (nn._table_hops): nu(T) = b + n (b_L . w) +
+sum_r c_r phi_r(T & N'_r), with N'_r node r's ball one hop narrower than
+N_r, phi_r = ReLU(h_r) . (W_L w) for r's embedding h_r before that layer,
+and c_r = sum_i A_hat[i, r]. Such a model's tables hold these row games;
+GIN last layers and 1-layer models keep the node games. node_tables takes
+each ball's game on its 2^|N_i| local coalitions (bit j of a table index
+keeps the ball's j-th node in graph.ball_layouts' hop order) from one
+nn._forward_ball call per ball shape (size and per-layer row counts), and
+transforms each table in place. That one build serves an exact run at the
+model's depth twice without reading nu back set by set: moebius_arrays
+builds it and sums it into the run's Moebius values on I (where a set in
+no row ball reads exactly 0.0), and convert.convert_tables takes the
+index values from it. A truncated run at order cap lam needs m(S) only for
+|S| <= lam, which reads ball i's table only on subsets of S:
+moebius_arrays(lam) has node_tables(lam) forward a ball of more than lam
+nodes on its local codes of at most lam bits alone, and sums those into
+the kept sets' values, with the one cap for both. A ball
+forward reads its first conv layer off the coalition bits and folds the
+readout column into its last layer; its values agree with the dense stack
+to rounding (about 1e-14 relative), not bit for bit. The node tables
+write nothing into the game: every coalition it evaluates is forwarded on
+the dense stack.
 """
 
 from __future__ import annotations
@@ -46,8 +53,8 @@ import numpy as np
 from .coalitions import MAX_PLAYERS, full_mask
 from .errors import ParseError, as_vector
 from .graph import Graph, ball_layouts
-from .nn import (_CHUNK_BYTES, GnnModel, _forward_ball, default_baseline, forward_graph,
-                 forward_node, masked_features)
+from .nn import (_CHUNK_BYTES, GnnModel, _forward_ball, _table_hops, default_baseline,
+                 forward_graph, forward_node, masked_features)
 
 
 def _capped_codes(h: int, cap: int) -> tuple[np.ndarray, ...]:
@@ -71,6 +78,25 @@ def _capped_codes(h: int, cap: int) -> tuple[np.ndarray, ...]:
         held[new][slot], drop[new][slot] = j, fits
         filled = new.stop
     return codes, sizes, held, drop
+
+
+def _masks(members: np.ndarray, capped) -> tuple[np.ndarray, np.ndarray]:
+    """A ball shape's global masks (balls, codes) and set sizes (codes,), for
+    its members (balls, h) and codes as GraphGame._shapes gives them: on the
+    full 2^h path by doubling, else a code's mask ORs its held bits' nodes."""
+    if capped is None:
+        glob, size = np.zeros((len(members), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
+        for j in range(members.shape[1]):
+            glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])], axis=1)
+            size = np.concatenate([size, size + 1])
+        return glob, size
+    size, held, _ = capped
+    bit = np.concatenate([np.left_shift(1, members), np.zeros_like(members[:, :1])],
+                         axis=1)  # held's -1 picks the trailing 0
+    glob = np.take(bit, held[:, 0], axis=1)
+    for t in range(1, held.shape[1]):
+        glob |= np.take(bit, held[:, t], axis=1)
+    return glob, size
 
 
 def _unique_inverse(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +209,24 @@ class GraphGame(_MaskedGame):
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
 
+    def _shapes(self, hops: int, cap: int | None):
+        """Per ball shape (size h, keep) at hops hops, ascending: (members, keep,
+        local codes, capped), as node_tables reads them; capped is None on the
+        full 2^h path and else the codes' (sizes, held, drop) (_capped_codes)."""
+        shapes: dict[tuple, list] = {}
+        for nodes, keep in ball_layouts(self.graph, hops):
+            shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
+        widest = max(h for h, _ in shapes)
+        if cap is not None and cap < widest:  # one family: a shape's codes are a prefix
+            codes, counts, held, drop = _capped_codes(widest, cap)
+        for (h, keep), group in sorted(shapes.items()):
+            members = np.array(group, dtype="<u8")  # (balls, h)
+            if cap is not None and h > cap:
+                width = sum(comb(h, t) for t in range(cap + 1))
+                yield members, keep, codes[:width], (counts[:width], held[:width], drop[:width])
+            else:
+                yield members, keep, np.arange(1 << h), None
+
     def node_tables(self, cap: int | None = None,
                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Each ball shape's transformed node tables, freshly built: a list of
@@ -190,14 +234,14 @@ class GraphGame(_MaskedGame):
         baseline and target; writes nothing into the game. cap is a
         truncated run's order cap (None: no cap).
 
-        Node i's table holds at local index L its node game nu_i, the
-        last-layer embedding dotted with the target's readout column (over n
-        under mean pooling), with the ball's j-th node in hop order
-        (graph.ball_layouts) kept for each bit j of L. The balls of one shape,
-        (size h, keep), take one _forward_ball call, whose (balls, 2^h) stack
-        takes the dense subset butterfly in place: tables[b, L] is m_b(L),
-        ball b's Moebius value at L. Its local indices become the global
-        masks (balls, 2^h) and the set sizes (2^h,) by doubling.
+        Ball b's table holds at local index L its node (or row) game
+        (nn._forward_ball, on balls nn._table_hops(model) hops wide), with the
+        ball's j-th node in hop order (graph.ball_layouts) kept for each bit j
+        of L. The balls of one shape, (size h, keep), take one _forward_ball
+        call, whose (balls, 2^h) stack takes the dense subset butterfly in
+        place: tables[b, L] is m_b(L), ball b's Moebius value at L. Its local
+        indices become the global masks (balls, 2^h) and the set sizes (2^h,)
+        by doubling.
 
         With an order cap, a shape of more than cap nodes holds only its local
         codes of at most cap bits, ascending (_capped_codes): C(h, <= cap)
@@ -211,58 +255,66 @@ class GraphGame(_MaskedGame):
         """
         model = self.model
         w = model.readout.weight[:, self.target] / {"sum": 1, "mean": self.n_players}[model.pooling]
-        shapes: dict[tuple, list] = {}
-        for nodes, keep in ball_layouts(self.graph, model.num_layers):
-            shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
-        widest = max(h for h, _ in shapes)
-        if cap is not None and cap < widest:  # one family: a shape's codes are a prefix
-            codes, counts, held, drop = _capped_codes(widest, cap)
         tables = []
-        for (h, keep), group in sorted(shapes.items()):
-            members = np.array(group, dtype="<u8")  # (balls, h)
-            capped = cap is not None and h > cap
-            local = codes[:np.searchsorted(codes, 1 << h)] if capped else np.arange(1 << h)
+        for members, keep, local, capped in self._shapes(_table_hops(model), cap):
             stack = _forward_ball(model, self.graph, self.baseline, members, keep, local, w)
-            if capped:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
-                size = counts[:len(local)]
+            glob, size = _masks(members, capped)
+            if capped is None:
+                for j in range(members.shape[1]):
+                    v = stack.reshape(len(stack), -1, 2, 1 << j)
+                    v[:, :, 1, :] -= v[:, :, 0, :]
+            else:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
                 for t in range(cap):
                     at = np.flatnonzero(size > t)
-                    partners = drop[at, t]
+                    partners = capped[2][at, t]
                     for row in stack:  # 1-d fancy indexing: 2-3 times faster than (balls, at)
                         row[at] -= row[partners]
-                bit = np.concatenate([np.left_shift(1, members), np.zeros_like(members[:, :1])],
-                                     axis=1)  # held's -1 picks the trailing 0
-                glob = np.take(bit, held[:len(local), 0], axis=1)
-                for t in range(1, cap):
-                    glob |= np.take(bit, held[:len(local), t], axis=1)
-            else:
-                glob, size = np.zeros((len(group), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
-                for j in range(h):
-                    v = stack.reshape(len(group), -1, 2, 1 << j)
-                    v[:, :, 1, :] -= v[:, :, 0, :]
-                    glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])],
-                                          axis=1)
-                    size = np.concatenate([size, size + 1])
             tables.append((stack, glob, size))
         return tables
 
-    def moebius_arrays(self, tables) -> tuple[np.ndarray, np.ndarray]:
-        """Moebius values on I, the union of the balls' power sets, from
-        node_tables: (keys, values) in canonical order; from capped tables,
-        on I's sets of at most cap members. The tables, which hold the
-        pooling, are summed by global mask, by ascending shape and then node;
-        m(empty), that sum at mask 0, then takes the readout bias (0 under
-        normalize).
+    def moebius_arrays(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray, list]:
+        """Moebius values on I, the union of the fields' power sets, and the
+        node_tables(cap) they are summed from: (keys, values, tables), keys in
+        canonical order; with cap, on I's sets of at most cap members. The
+        tables, which hold the pooling, are summed by global mask, by
+        ascending shape and then node; m(empty), that sum at mask 0, then
+        takes the readout bias (0 under normalize).
+
+        Node tables hold I's masks: one argsort of them gives the keys and
+        where each table entry goes. Row tables are one hop narrower than
+        the fields, so I's masks are the fields' (_shapes, no forward),
+        sorted one size at a time, and the row masks are looked up among
+        them: a set in no row ball reads exactly 0.0, and m(empty) also
+        takes n (b_L . w). Each way is the faster one on its own tables
+        (BENCH_28.json, series u and v).
         """
-        keys, where = _unique_inverse([glob.ravel() for _, glob, _ in tables])
-        # adds in input order
-        sums = np.bincount(where, weights=np.concatenate([stack.ravel() for stack, _, _ in tables]))
-        # keys ascend, so sums[0] is m(empty) without the readout bias
-        sums[0] = 0.0 if self.normalize else sums[0] + float(self.model.readout.bias[self.target])
-        count = np.empty(len(keys), dtype=np.uint8)
-        count[where] = np.concatenate([np.tile(size, len(stack)) for stack, _, size in tables])
-        order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
-        return keys[order], sums[order]
+        model, tables = self.model, self.node_tables(cap)
+        bias = float(model.readout.bias[self.target])
+        globs = [glob.ravel() for _, glob, _ in tables]
+        stacks = [stack.ravel() for stack, _, _ in tables]  # concatenated once the keys are known
+        if _table_hops(model) == model.num_layers:
+            keys, where = _unique_inverse(globs)
+            count = np.empty(len(keys), dtype=np.uint8)
+            count[where] = np.concatenate([np.tile(size, len(glob)) for _, glob, size in tables])
+            order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
+            keys, sums = keys[order], np.bincount(where, weights=np.concatenate(stacks))[order]
+        else:
+            fields = [_masks(members, capped)
+                      for members, _, _, capped in self._shapes(model.num_layers, cap)]
+            keys = []
+            for s in range(max(int(size.max()) for _, size in fields) + 1):
+                masks = np.concatenate([glob[:, size == s].ravel() for glob, size in fields])
+                masks.sort()
+                keys.append(masks[np.append(True, masks[1:] != masks[:-1])])
+            keys = np.concatenate(keys)  # by size, then ascending mask, each once
+            rank = np.argsort(keys)  # every row ball lies in its center's field
+            where = rank[np.searchsorted(keys, np.concatenate(globs), sorter=rank)]
+            sums = np.bincount(where, weights=np.concatenate(stacks), minlength=len(keys))
+            bias += (float(model.layers[-1].bias @ model.readout.weight[:, self.target])
+                     * {"sum": self.n_players, "mean": 1}[model.pooling])  # n (b_L . w)
+        # bincount adds in input order; keys[0] is the empty set, sums[0] without the biases
+        sums[0] = 0.0 if self.normalize else sums[0] + bias
+        return keys, sums, tables
 
     def evaluate_batch(self, coalitions) -> list[float]:
         """Values in input order; the empty coalition is forwarded last when normalizing."""

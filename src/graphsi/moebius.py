@@ -258,8 +258,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     check_budget(hoods, None, ceiling, getattr(game, "graph", None))
     if _tables_take(game, hoods):
-        tables = game.node_tables()
-        keys, values = game.moebius_arrays(tables)
+        keys, values, tables = game.moebius_arrays()
         mi = InteractionValues(kind="mi", k=n, n=n, arrays=(keys, values), ell=hoods.ell,
                                call_count=len(keys))
         return mi, convert.convert_tables(mi, tables, index, k)
@@ -293,6 +292,6 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
     if not _tables_take(game, hoods):
         kept = _support(_unique_maximal(hoods.hoods), lam)
         return _interactions(game, hoods, kept, oversized, k, index, lam)
-    keys, m = game.moebius_arrays(game.node_tables(lam))
+    keys, m, _ = game.moebius_arrays(lam)
     return _surrogates(game, hoods, keys, m, oversized, game.evaluate_batch(oversized),
                        k, index, lam)

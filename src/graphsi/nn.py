@@ -351,32 +351,46 @@ def forward_node(model: GnnModel, g: Graph, x: np.ndarray, i: int) -> np.ndarray
     return h[..., i, :].copy()  # a view would pin the whole stack
 
 
+def _table_hops(model: GnnModel) -> int:
+    """Hops of model's node table balls: one fewer than its layers when the
+    last, linear as no activation follows it, is a GCN layer after another."""
+    return model.num_layers - (model.num_layers > 1 and isinstance(model.layers[-1], GcnLayer))
+
+
 def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.ndarray,
                   keep: list[int], local, w: np.ndarray) -> np.ndarray:
     """Node games of the balls, (balls, len(local)): row b holds the
     embedding of center nodes[b, 0] after the last conv layer, projected on
-    w, the readout column (divided by n under mean pooling). In column L,
-    bit j of L keeps the features of nodes[b, j] and the ball's other nodes
-    take the baseline.
+    w, the readout column (divided by n under mean pooling). Where
+    _table_hops drops a GCN last layer it holds the center r's row game
+    c_r ReLU(h_r) . (W_L w), with h_r its embedding after the layer before
+    and c_r = sum_i A_hat[i, r] over the graph, the weight with which h_r
+    reaches the pooled value (the bias adds n (b_L . w), which no ball
+    holds). In column L, bit j of L keeps the features of nodes[b, j] and
+    the ball's other nodes take the baseline.
 
     nodes is a (balls, h) array of balls that share keep; each row with keep
-    is a center's graph.ball_layouts entry at model.num_layers hops (the ball
-    by hop distance, and per conv layer the leading rows it computes). The
-    conv layers run on the full graph's adjacency and A_hat restricted to
-    each ball, so degrees stay those of the full graph. A layer's row r hops
-    from the center reads the previous layer's rows within r + 1 hops, so
-    layer l computes only the rows within num_layers - 1 - l hops, each exact
-    because all it reads lies in the ball; the last computes the center
-    alone. Layer 0 is read off the bits of L (_affine_layer); no masked
-    feature stack is built. Up to its output the last layer is linear, so w
-    is folded into its weights (_projected) and no d-wide embedding of it is
-    formed; a GCN last layer then weights each ball's rows by the center's
-    row of A_hat in one product per ball. The ball matrices, layer 0's
-    coefficients and the projected last layer are built once for all codes.
+    is a center's graph.ball_layouts entry at _table_hops(model) hops (the
+    ball by hop distance, and per conv layer the leading rows it computes).
+    The conv layers run on the full graph's adjacency and A_hat restricted
+    to each ball, so degrees stay those of the full graph. A layer's row r
+    hops from the center reads the previous layer's rows within r + 1 hops,
+    so layer l computes only keep[l] rows, each exact because all it reads
+    lies in the ball; the last computes the center alone. Layer 0 is read
+    off the bits of L (_affine_layer); no masked feature stack is built. Up
+    to its output a node game's last layer is linear, so w is folded into
+    its weights (_projected) and no d-wide embedding of it is formed. The
+    ball matrices, layer 0's coefficients and the projected last layer are
+    built once for all codes.
     """
     adj, a_hat = (matrix[nodes[:, None, :, None], nodes[:, None, None, :]]
                   for matrix in g.matrices)  # (balls, 1, h, h)
-    layers = model.layers[:-1] + (_projected(model.layers[-1], w),)
+    if _table_hops(model) < model.num_layers:  # c_r (W_L w) per row ball, as the last layer
+        last = np.multiply.outer(g.matrices[1].sum(axis=0)[nodes[:, 0]],
+                                 model.layers[-1].weight @ w)[..., None]  # (balls, d, 1)
+    else:
+        last = _projected(model.layers[-1], w)
+    layers = model.layers[:-1] + (last,)
     coef = _affine_layer(layers[0], adj, a_hat, g.features[nodes], baseline, keep[0])
     middle = replace(model, layers=model.layers[1:-1])
     rows = max(1, _CHUNK_BYTES // (8 * len(nodes) * max(nodes.shape[1], keep[0] * model.width)))
@@ -404,9 +418,8 @@ def _ball_chunk(layers: tuple, middle: GnnModel, keep: list[int], adj: np.ndarra
     if len(layers) > 1:
         np.maximum(h, 0.0, out=h)
         last, cols = layers[-1], h.shape[-2]
-        if isinstance(last, GcnLayer):  # A_hat's center row . (h @ W w) + b . w
-            hw = _rowwise(h, last.weight, flat=True)[..., 0]  # (balls, B, cols)
-            return (hw @ a_hat[:, 0, 0, :cols, None])[..., 0] + last.bias
+        if isinstance(last, np.ndarray):  # a row game: (balls, B, d) @ (balls, d, 1)
+            return (h[..., 0, :] @ last)[..., 0]
         h = _gin_mlp(last, (1.0 + last.epsilon) * h[..., :1, :] + adj[..., :1, :cols] @ h,
                      flat=True)
     return h[..., 0, 0]

@@ -52,6 +52,6 @@ def star_instance(n: int = 14, seed: int = 3):
 
 def table_moebius(game):
     """Moebius values on I in canonical order, from freshly built node tables
-    (moebius_arrays of node_tables); writes nothing into the game."""
-    keys, values = game.moebius_arrays(game.node_tables())
+    (moebius_arrays); writes nothing into the game."""
+    keys, values, _ = game.moebius_arrays()
     return dict(zip(keys.tolist(), values.tolist()))

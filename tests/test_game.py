@@ -24,6 +24,7 @@ from graphsi.nn import (
     LinearReadout,
     _conv_stack,
     _forward_ball,
+    _table_hops,
     default_baseline,
     ensure_baseline,
     forward_graph,
@@ -286,15 +287,19 @@ def test_node_tables_write_nothing_into_the_game(normalize):
 
 def _ball_forwards_match_the_stack(g, model, cap=None):
     """Each ball shape's projected ball forward against the untrimmed dense
-    stack on the ball, at the center, times the readout column; with cap,
-    on the local codes of at most cap bits only."""
+    stack on the ball, at the center: times the readout column, or, when
+    _table_hops drops a GCN last layer, the row game c_r ReLU(h_r) . W_L w
+    over the layers before it, with c_r center r's column sum of A_hat; with
+    cap, on the local codes of at most cap bits only."""
     baseline = default_baseline(g)
     adj, a_hat = g.matrices
     game = GraphGame(model, g)
     w = model.readout.weight[:, game.target]
     tol = 1e-12 * max(1.0, abs(game.nu_full))
+    rows = _table_hops(model) < model.num_layers
+    below = dataclasses.replace(model, layers=model.layers[:-1]) if rows else model
     shapes = {}
-    for nodes, keep in ball_layouts(g, model.num_layers):
+    for nodes, keep in ball_layouts(g, _table_hops(model)):
         shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
     for (h, keep), group in shapes.items():  # each shape's balls in one forward
         local = sorted(sum(1 << j for j in bits) for size in range(min(h, cap or h) + 1)
@@ -306,7 +311,12 @@ def _ball_forwards_match_the_stack(g, model, cap=None):
             x = np.array([[g.features[v] if t >> j & 1 else baseline
                            for j, v in enumerate(nodes)] for t in local])
             restricted = np.ix_(nodes, nodes)
-            want = _conv_stack(model, adj[restricted], a_hat[restricted], x)[:, 0] @ w
+            center = _conv_stack(below, adj[restricted], a_hat[restricted], x)[:, 0]
+            if rows:
+                want = a_hat[:, nodes[0]].sum() * (np.maximum(center, 0.0)
+                                                   @ (model.layers[-1].weight @ w))
+            else:
+                want = center @ w
             assert row.shape == want.shape
             assert np.abs(row - want).max() <= tol
 
@@ -394,8 +404,9 @@ def test_ball_forwards_build_no_masked_stack(monkeypatch):
             2 ** h.bit_count() for h in khop_neighborhoods(g, model.num_layers).hoods)
 
 
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
 @pytest.mark.parametrize("lam", [2, 3])
-def test_a_truncated_run_forwards_each_ball_on_its_capped_codes(monkeypatch, lam):
+def test_a_truncated_run_forwards_each_ball_on_its_capped_codes(monkeypatch, lam, kind):
     rows = []  # table rows per ball forward
     real = graphsi.game._forward_ball
 
@@ -404,15 +415,21 @@ def test_a_truncated_run_forwards_each_ball_on_its_capped_codes(monkeypatch, lam
         return real(model, g, baseline, nodes, keep, local, *args)
 
     monkeypatch.setattr(graphsi.game, "_forward_ball", counting)
-    g, model = generate_instance("er", 48, 3, 9, "gcn", 2, 16, edge_prob=0.1)  # as in ROUTES
+    g, model = generate_instance("er", 48, 3, 9, kind, 2, 16, edge_prob=0.1)  # as in ROUTES
     ex = GraphInteractionExplainer(model, lam=lam).fit(g)
     hoods = ex.hoods_
     sizes = [h.bit_count() for h in hoods.hoods]
     assert max(sizes) > lam
-    # sum_i C(|N_i|, <= lam): the truncated bound less one row per oversized field
-    balls = sum(comb(h, j) for h in sizes for j in range(min(h, lam) + 1))
     oversized = {h for h in hoods.hoods if h.bit_count() > lam}
-    assert sum(rows) == balls == truncated_bound(hoods, lam) - len(oversized)
+    # sum_i C(|N_i|, <= lam): the truncated bound less one row per oversized field
+    fields = sum(comb(h, j) for h in sizes for j in range(min(h, lam) + 1))
+    assert fields == truncated_bound(hoods, lam) - len(oversized)
+    if kind == "gin":
+        assert sum(rows) == fields
+    else:  # a GCN last layer: row tables over the 1-hop balls, sum_r C(|N_1(r)|, <= lam)
+        narrow = [h.bit_count() for h in khop_neighborhoods(g, 1).hoods]
+        assert sum(rows) == sum(comb(h, j) for h in narrow for j in range(min(h, lam) + 1))
+        assert sum(rows) * 10 < fields  # lam 2: 1,139 rows against 13,663
     # the game forwards the oversized fields, and nu(empty) for the efficiency check
     assert set(ex.game_._memo) == oversized | {0}
 

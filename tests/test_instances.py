@@ -13,6 +13,7 @@ Moebius transform of the same floats.
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,7 +27,8 @@ from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_model
 from graphsi.graph import khop_neighborhoods
 from graphsi.interactions import InteractionValues
-from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
+from graphsi.moebius import build_interaction_set, graphshapiq_approx, graphshapiq_exact
+from graphsi.nn import GcnLayer, _table_hops
 
 from helpers import mask_to_set, table_moebius
 from oracles import (conversion_oracle, fast_moebius_oracle, fast_zeta_oracle, gamma,
@@ -208,6 +210,95 @@ def test_truncated_runs_from_capped_tables_match_the_dense_route(case):
                 assert list(got.values) == list(want.values)  # the same sets, in the same order
                 assert got.call_count == want.call_count
                 assert max(abs(v - want.values[t]) for t, v in got.values.items()) <= tol
+
+
+@st.composite
+def gcn_last_instances(draw):
+    """Instances whose last conv layer is a GCN layer after one or two
+    others, so their node tables are row tables over the balls one hop
+    narrower than the fields: (kind, n, seed, kinds, baseline)."""
+    kind = draw(st.sampled_from(["path", "cycle", "tree", "er"]))
+    n = draw(st.integers(min_value=3 if kind == "cycle" else 1, max_value=9))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    depth = draw(st.integers(min_value=2, max_value=3))
+    kinds = tuple(draw(st.sampled_from(["gin", "gcn"])) for _ in range(depth - 1)) + ("gcn",)
+    baseline = draw(st.none() | st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    return kind, n, seed, kinds, baseline
+
+
+def build_biased(kind, n, seed, kinds, pooling):
+    """build's graph and model, with drawn biases on the GCN layers (the
+    last one's reaches the pooled value through no ball)."""
+    g, model = build(kind, n, seed, kinds, pooling)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return g, dataclasses.replace(model, layers=tuple(
+        dataclasses.replace(layer, bias=rng.normal(size=layer.bias.shape))
+        if isinstance(layer, GcnLayer) else layer for layer in model.layers))
+
+
+# a 9-node path under two GCN layers: {0, 3} lies in node 1's 2-hop field
+# but in no 1-hop ball
+ROW_PATH = ("path", 9, 5, ("gcn", "gcn"), None)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(gcn_last_instances())
+@example(ROW_PATH)
+def test_sets_off_the_row_balls_read_exactly_zero(case):
+    # every set of I in no row ball's power set, under sum and mean pooling:
+    # exactly 0.0 from the row tables, exact and capped at lambda, and within
+    # the rounding bound of 0 in the transform of the dense power set
+    kind, n, seed, kinds, baseline = case
+    for pooling in ("sum", "mean"):
+        g, model = build_biased(kind, n, seed, kinds, pooling)
+        assert _table_hops(model) == model.num_layers - 1
+        rows = khop_neighborhoods(g, model.num_layers - 1).hoods
+        iset = build_interaction_set(khop_neighborhoods(g, model.num_layers)).members
+        off = [t for t in iset if all(t & ~row for row in rows)]
+        assert off or case != ROW_PATH
+        dense = GraphGame(model, g, baseline)
+        want = fast_moebius_oracle(dense.evaluate_batch(range(1 << g.n)))
+        assert max((abs(want[t]) for t in off), default=0.0) <= 1e-12 * max(1.0, abs(dense.nu_full))
+        game = GraphGame(model, g, baseline)
+        got = table_moebius(game)
+        assert list(got) == list(iset)
+        assert [got[t] for t in off] == [0.0] * len(off)
+        for lam in (1, 2, 3):
+            keys, values, _ = game.moebius_arrays(lam)
+            capped = dict(zip(keys.tolist(), values.tolist()))
+            assert [capped[t] for t in off if t.bit_count() <= lam] == \
+                [0.0] * sum(t.bit_count() <= lam for t in off)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(gcn_last_instances(), st.sampled_from(["sum", "mean"]))
+@example(ROW_PATH, "mean")
+def test_row_tables_match_the_dense_route(case, pooling):
+    # every index at k = 1-3 (1-4 on ROW_PATH, above its widest row ball of
+    # 3 nodes), exact and at lambda 1-3, with and without normalize: the row
+    # route against the dense stack, each forced
+    kind, n, seed, kinds, baseline = case
+    top = 4 if case == ROW_PATH else 3
+    g, model = build_biased(kind, n, seed, kinds, pooling)
+    hoods = khop_neighborhoods(g, model.num_layers)
+    for normalize in (False, True):
+        games = {take: GraphGame(model, g, baseline, normalize) for take in (True, False)}
+        tol = 1e-12 * max(1.0, abs(games[False].nu_full))
+        for lam in (None, 1, 2, 3):
+            for index in INDICES:
+                for k in range(1, min(1 if index == "sv" else top, g.n) + 1):
+                    runs = []
+                    for take, game in games.items():
+                        with pytest.MonkeyPatch.context() as patch:
+                            patch.setattr(graphsi.moebius, "_tables_take",
+                                          lambda game, hoods, take=take: take)
+                            runs.append(graphshapiq_exact(game, hoods, k, index) if lam is None
+                                        else graphshapiq_approx(game, hoods, min(lam, g.n), k,
+                                                                index))
+                    for got, want in zip(*runs):  # the Moebius maps, then the index values
+                        assert list(got.values) == list(want.values)  # the same sets and order
+                        assert got.call_count == want.call_count
+                        assert max(abs(v - want.values[t]) for t, v in got.values.items()) <= tol
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

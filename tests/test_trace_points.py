@@ -14,6 +14,7 @@ from pathlib import Path
 
 import graphsi.cli
 import graphsi.game
+from graphsi.generate import generate_instance
 from helpers import star_instance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -59,13 +60,20 @@ def test_every_patch_point_is_called(demo_dir, tmp_path, monkeypatch):
     star_graph, star_model = tmp_path / "star14_graph.json", tmp_path / "star14_model.json"
     star_graph.write_text(json.dumps(g.to_json_dict()))
     star_model.write_text(json.dumps(model.to_json_dict()))
+    # the 2-layer GCN er48 of test_game.ROUTES: a truncated run on row tables
+    g, model = generate_instance("er", 48, 3, 9, "gcn", 2, 16, edge_prob=0.1)
+    er_graph, er_model = tmp_path / "er48_graph.json", tmp_path / "er48_model.json"
+    er_graph.write_text(json.dumps(g.to_json_dict()))
+    er_model.write_text(json.dumps(model.to_json_dict()))
     path4 = [str(demo_dir / "path4_graph.json"), str(demo_dir / "path4_model.json")]
     runs = {"path4": path4, "path4-lambda1": path4 + ["--lambda", "1"],
-            "star14": [str(star_graph), str(star_model)]}
+            "star14": [str(star_graph), str(star_model)],
+            "er48-gcn": [str(er_graph), str(er_model), "--lambda", "2"]}
     for name, args in runs.items():
         run[0] = name
         out = tmp_path / f"{name}.json"
         assert graphsi.cli.main(["explain", *args, "--out", str(out)]) == 0
 
     assert {point for _, point in reached} >= set(points)
-    assert {name for name, point in reached if point[1] == "_forward_ball"} == {"star14"}
+    balled = {name for name, point in reached if point[1] == "_forward_ball"}
+    assert balled == {"star14", "er48-gcn"}

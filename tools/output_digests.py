@@ -9,7 +9,10 @@ a 64-node star under a 1-layer GIN and GCN at --lambda 2, whose hub's ball
 holds all 64 nodes. The hub and truncated graphs also run under mean pooling
 (MEAN_FLAGS, all five indices), and a 12-node path under a 3-layer GIN and
 GCN (exact and at --lambda 2, all five indices), whose ball forwards pass a
-middle layer. The `--format dot` renderings of demo path4 and er8 and of a
+middle layer. The tree64 graph of sparse64 also runs exact under a 2-layer
+GCN with biases (row_model), with sum and mean pooling and all five
+indices: a GCN last layer after another takes row tables one hop narrower
+than the fields. The `--format dot` renderings of demo path4 and er8 and of a
 14-node star under a 1-layer GIN (all five indices, exact) cover the DOT
 writer, which draws the same SI-Graph document.
 It also covers two routes no CLI run reaches, on both demos for all five
@@ -25,6 +28,7 @@ With a directory argument the outputs are kept there, to inspect what moved.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -38,7 +42,7 @@ from graphsi import GraphGame, GraphInteractionExplainer, convert_mi, efficiency
 from graphsi.baselines import brute_force_mi
 from graphsi.export import build_si_graph, dumps_json
 from graphsi.generate import random_model
-from graphsi.graph import make_graph
+from graphsi.graph import graph_from_json, make_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 INDICES = ("sv", "sii", "ksii", "stii", "mi")
@@ -55,6 +59,16 @@ def instance_files(workdir: Path, name: str, g, model) -> list[str]:
     for path, obj in zip(paths, (g, model)):
         path.write_text(json.dumps(obj.to_json_dict()))
     return [str(path) for path in paths]
+
+
+def row_model(d0: int, seed: int):
+    """A 2-layer GCN of width 16 with drawn biases: its node tables are row
+    tables, and m(empty) takes the last layer's bias."""
+    model = random_model("gcn", d0, 2, 16, seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    return dataclasses.replace(model, layers=tuple(
+        dataclasses.replace(layer, bias=rng.normal(size=layer.bias.shape))
+        for layer in model.layers))
 
 
 def runs(workdir: Path):
@@ -101,6 +115,14 @@ def runs(workdir: Path):
                     lam = TABLE_LAMBDAS[workload]
                     yield (f"{workload}_s{seed}_{call.name}_lambda{lam}",
                            [*call.argv("")[:-2], "--lambda", lam])
+                if (workload, call.name) == ("sparse64", "tree64"):
+                    model = row_model(len(call.graph["features"][0]), seed)
+                    for pooling in ("sum", "mean"):
+                        name = f"{workload}_s{seed}_tree64_gcn2_{pooling}"
+                        files = instance_files(workdir, name, graph_from_json(call.graph),
+                                               dataclasses.replace(model, pooling=pooling))
+                        for index in INDICES:
+                            yield f"{name}_{index}", ["explain", *files, "--index", index]
                 if workload in MEAN_FLAGS:
                     mean = workdir / f"{workload}_s{seed}_{call.name}_mean.json"
                     mean.write_text(json.dumps(dict(call.model, pooling="mean")))
