@@ -20,7 +20,7 @@ from typing import Container
 
 import numpy as np
 
-from .coalitions import full_mask, iter_subsets, mask_of, small_family, sort_key
+from .coalitions import field_sets, full_mask, iter_subsets, mask_of, small_family
 from .explainer import GraphInteractionExplainer
 from .game import GameOracle, GraphGame
 from .generate import seeded_rng
@@ -100,21 +100,15 @@ def permutation_sampling_sii(game: GameOracle, k: int, budget: int, seed: int,
     canonical order until the next draw would exceed the budget.
 
     With `informed`, sets outside it are never sampled and are reported
-    as exact zeros, so the whole budget goes to the survivors.
+    as exact zeros, so the whole budget goes to the survivors. The map
+    holds the targets, then the zeros, each in canonical order.
     """
     n = game.n_players
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
-    targets: list[int] = []
-    zeros: list[int] = []
-    for size in range(1, k + 1):
-        for combo in combinations(range(n), size):
-            s_mask = mask_of(combo)
-            if informed is not None and s_mask not in informed:
-                zeros.append(s_mask)
-            else:
-                targets.append(s_mask)
-    targets.sort(key=sort_key)
+    sets = field_sets([full_mask(n)], k)[1:].tolist()  # every set of 1..k players
+    targets = [s for s in sets if informed is None or s in informed]
+    zeros = [s for s in sets if informed is not None and s not in informed]
     round_cost = sum(1 << t.bit_count() for t in targets)
     if targets and budget < round_cost:
         raise ValueError(

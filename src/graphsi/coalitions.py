@@ -9,10 +9,14 @@ A family of masks is one uint64 array; pair_index pairs each member that
 holds node bit j with its mask without j. Over a down-closed family a
 butterfly on those pairs needs no 2^h table: n*|F| operations per pass
 (trimmed Moebius inversion, Bjorklund, Husfeldt, Kaski & Koivisto 2008).
+
+field_sets is the one enumeration of the subsets of a list of fields: I,
+a truncated run's kept sets, a row run's keys, a sampler's targets.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -104,3 +108,71 @@ def pair_index(keys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             wanted = keys[rows] ^ np.uint64(1 << 8 * byte + j)
             at = np.searchsorted(keys, wanted)  # wanted lies below keys[rows], so in range
             yield order[rows], np.where(keys[at] == wanted, order[at], absent)
+
+
+def _capped_codes(h: int, cap: int) -> tuple[np.ndarray, ...]:
+    """The local codes of h bits with at most cap set, ascending, as
+    (codes, sizes, held, drop): held[c, t] is code c's t-th lowest bit and
+    drop[c, t] the position of code c without it (past c's size, -1 and an
+    unread position). Built by doubling over the bits, so the codes of
+    fewer bits come first: a ball of h' < h nodes takes a prefix."""
+    total = sum(comb(h, t) for t in range(cap + 1))
+    codes, sizes = np.zeros(total, dtype="<u8"), np.zeros(total, dtype=np.uint8)
+    held, drop = np.full((total, cap), -1, dtype=np.int8), np.zeros((total, cap), dtype=np.intp)
+    filled = 1  # code 0
+    for j in range(h):  # each code with room gains bit j, its highest
+        fits = np.flatnonzero(sizes[:filled] < cap)
+        new = slice(filled, filled + len(fits))
+        slot = (np.arange(len(fits)), sizes[fits])
+        gained = np.zeros(filled, dtype=np.intp)  # a code's position once it gains j
+        gained[fits] = np.arange(new.start, new.stop)
+        codes[new], sizes[new] = codes[fits] | np.uint64(1 << j), sizes[fits] + 1
+        held[new], drop[new] = held[fits], gained[drop[fits]]  # a lower bit dropped keeps j
+        held[new][slot], drop[new][slot] = j, fits
+        filled = new.stop
+    return codes, sizes, held, drop
+
+
+def _masks(members: np.ndarray, held: np.ndarray | None) -> np.ndarray:
+    """The global masks (rows, codes) of fields or balls with members (rows,
+    h): on all 2^h local codes by doubling when held is None, else on the
+    capped codes with these held bits (_capped_codes), ORing their nodes."""
+    bit = np.left_shift(np.uint64(1), members)
+    if held is None:
+        glob = np.zeros((len(members), 1 << members.shape[1]), dtype="<u8")
+        for j in range(members.shape[1]):
+            np.bitwise_or(glob[:, :1 << j], bit[:, j:j + 1], out=glob[:, 1 << j:2 << j])
+        return glob
+    bit = np.concatenate([bit, np.zeros_like(bit[:, :1])], axis=1)  # held's -1 picks the trailing 0
+    glob = np.take(bit, held[:, 0], axis=1)
+    for t in range(1, held.shape[1]):
+        glob |= np.take(bit, held[:, t], axis=1)
+    return glob
+
+
+def set_sizes(masks: np.ndarray) -> np.ndarray:
+    """Member counts of uint64 masks, as uint8 (SWAR: np.bitwise_count needs NumPy 2)."""
+    x = masks - (masks >> 1 & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + (x >> 2 & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return (x * 0x0101010101010101 >> 56).astype(np.uint8)
+
+
+def field_sets(fields, cap: int | None = None) -> np.ndarray:
+    """Every subset of at most cap >= 1 members (any size without a cap) of
+    the given field masks, each once, as uint64 masks in canonical order
+    (sort_key). The fields of h members take one _masks call, on the 2^h
+    local codes or, for h > cap, a prefix of the widest field's capped
+    codes. One sort drops the repeats; a stable sort by size follows."""
+    groups: dict[int, list[list[int]]] = {}
+    for field in fields:
+        groups.setdefault(field.bit_count(), []).append(list(iter_members(field)))
+    if cap is not None and cap < max(groups):
+        held = _capped_codes(max(groups), cap)[2]
+    masks = np.concatenate([
+        _masks(np.array(group, dtype="<u8"), None if cap is None or h <= cap
+               else held[:sum(comb(h, t) for t in range(cap + 1))]).ravel()
+        for h, group in groups.items()])
+    masks.sort()
+    masks = masks[np.append(True, masks[1:] != masks[:-1])]
+    return masks[np.argsort(set_sizes(masks), kind="stable")]

@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .coalitions import iter_members, pair_index, small_family
+from .coalitions import iter_members, pair_index, set_sizes, small_family
 from .interactions import InteractionValues
 
 
@@ -103,15 +103,15 @@ def _weight_table(weight, k: int, top: int) -> np.ndarray:
                      for s in range(1, min(k, top) + 1)])
 
 
-def _convert_family(keys: np.ndarray, found: np.ndarray, masks: list[int], weight, k: int,
+def _convert_family(keys: np.ndarray, found: np.ndarray, weight, k: int,
                     out: dict[int, float]) -> list[bool]:
     """Write into out every index value of D, the down-closed part of the
-    support (keys and found, masks the keys as ints), and flag in map order
-    the sets outside D, left to the loop. A set is in D when all its subsets
-    are: an AND-butterfly over the pair index decides it (an absent set
-    reads as False) before the sums run over D alone.
+    support (keys and found), and flag in map order the sets outside D,
+    left to the loop. A set is in D when all its subsets are: an
+    AND-butterfly over the pair index decides it (an absent set reads as
+    False) before the sums run over D alone.
     """
-    sizes = np.fromiter(map(int.bit_count, masks), dtype=np.uint8, count=len(masks))
+    sizes = set_sizes(keys)
     w = _weight_table(weight, k, int(sizes.max()))
     pairs = list(pair_index(keys))
     inside = np.append(np.ones(len(keys), dtype=bool), False)
@@ -141,7 +141,7 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
     masks = keys.tolist()
     looped = zip(masks, found.tolist())
     if not small_family(reversed(masks)):
-        looped = compress(looped, _convert_family(keys, found, masks, weight, k, out))
+        looped = compress(looped, _convert_family(keys, found, weight, k, out))
     for s_tilde, value in looped:
         bits = [1 << i for i in iter_members(s_tilde)]
         for size in range(1, min(k, len(bits)) + 1):

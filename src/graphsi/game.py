@@ -50,53 +50,11 @@ from typing import Protocol
 
 import numpy as np
 
-from .coalitions import MAX_PLAYERS, full_mask
+from .coalitions import MAX_PLAYERS, _capped_codes, _masks, field_sets, full_mask, set_sizes
 from .errors import ParseError, as_vector
-from .graph import Graph, ball_layouts
+from .graph import Graph, ball_layouts, khop_neighborhoods
 from .nn import (_CHUNK_BYTES, GnnModel, _forward_ball, _table_hops, default_baseline,
                  forward_graph, forward_node, masked_features)
-
-
-def _capped_codes(h: int, cap: int) -> tuple[np.ndarray, ...]:
-    """The local codes of h bits with at most cap set, ascending, as
-    (codes, sizes, held, drop): held[c, t] is code c's t-th lowest bit and
-    drop[c, t] the position of code c without it (past c's size, -1 and an
-    unread position). Built by doubling over the bits, so the codes of
-    fewer bits come first: a ball of h' < h nodes takes a prefix."""
-    total = sum(comb(h, t) for t in range(cap + 1))
-    codes, sizes = np.zeros(total, dtype="<u8"), np.zeros(total, dtype=np.uint8)
-    held, drop = np.full((total, cap), -1, dtype=np.int8), np.zeros((total, cap), dtype=np.intp)
-    filled = 1  # code 0
-    for j in range(h):  # each code with room gains bit j, its highest
-        fits = np.flatnonzero(sizes[:filled] < cap)
-        new = slice(filled, filled + len(fits))
-        slot = (np.arange(len(fits)), sizes[fits])
-        gained = np.zeros(filled, dtype=np.intp)  # a code's position once it gains j
-        gained[fits] = np.arange(new.start, new.stop)
-        codes[new], sizes[new] = codes[fits] | np.uint64(1 << j), sizes[fits] + 1
-        held[new], drop[new] = held[fits], gained[drop[fits]]  # a lower bit dropped keeps j
-        held[new][slot], drop[new][slot] = j, fits
-        filled = new.stop
-    return codes, sizes, held, drop
-
-
-def _masks(members: np.ndarray, capped) -> tuple[np.ndarray, np.ndarray]:
-    """A ball shape's global masks (balls, codes) and set sizes (codes,), for
-    its members (balls, h) and codes as GraphGame._shapes gives them: on the
-    full 2^h path by doubling, else a code's mask ORs its held bits' nodes."""
-    if capped is None:
-        glob, size = np.zeros((len(members), 1), dtype="<u8"), np.zeros(1, dtype=np.uint8)
-        for j in range(members.shape[1]):
-            glob = np.concatenate([glob, glob | np.left_shift(1, members[:, j:j + 1])], axis=1)
-            size = np.concatenate([size, size + 1])
-        return glob, size
-    size, held, _ = capped
-    bit = np.concatenate([np.left_shift(1, members), np.zeros_like(members[:, :1])],
-                         axis=1)  # held's -1 picks the trailing 0
-    glob = np.take(bit, held[:, 0], axis=1)
-    for t in range(1, held.shape[1]):
-        glob |= np.take(bit, held[:, t], axis=1)
-    return glob, size
 
 
 def _unique_inverse(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -211,21 +169,23 @@ class GraphGame(_MaskedGame):
 
     def _shapes(self, hops: int, cap: int | None):
         """Per ball shape (size h, keep) at hops hops, ascending: (members, keep,
-        local codes, capped), as node_tables reads them; capped is None on the
-        full 2^h path and else the codes' (sizes, held, drop) (_capped_codes)."""
+        local codes, sizes, held, drop), as node_tables reads them; held and
+        drop are the capped codes' (_capped_codes), None on the 2^h path."""
         shapes: dict[tuple, list] = {}
         for nodes, keep in ball_layouts(self.graph, hops):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
         widest = max(h for h, _ in shapes)
-        if cap is not None and cap < widest:  # one family: a shape's codes are a prefix
+        full = np.arange(1 << (widest if cap is None else min(cap, widest)), dtype="<u8")
+        full_sizes = set_sizes(full)  # on either path a shape's codes and sizes are a prefix
+        if cap is not None and cap < widest:
             codes, counts, held, drop = _capped_codes(widest, cap)
         for (h, keep), group in sorted(shapes.items()):
             members = np.array(group, dtype="<u8")  # (balls, h)
             if cap is not None and h > cap:
                 width = sum(comb(h, t) for t in range(cap + 1))
-                yield members, keep, codes[:width], (counts[:width], held[:width], drop[:width])
+                yield members, keep, codes[:width], counts[:width], held[:width], drop[:width]
             else:
-                yield members, keep, np.arange(1 << h), None
+                yield members, keep, full[:1 << h], full_sizes[:1 << h], None, None
 
     def node_tables(self, cap: int | None = None,
                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -240,8 +200,8 @@ class GraphGame(_MaskedGame):
         of L. The balls of one shape, (size h, keep), take one _forward_ball
         call, whose (balls, 2^h) stack takes the dense subset butterfly in
         place: tables[b, L] is m_b(L), ball b's Moebius value at L. Its local
-        indices become the global masks (balls, 2^h) and the set sizes (2^h,)
-        by doubling.
+        indices become the global masks (balls, 2^h) by doubling
+        (coalitions._masks), and their set sizes (2^h,) are set_sizes'.
 
         With an order cap, a shape of more than cap nodes holds only its local
         codes of at most cap bits, ascending (_capped_codes): C(h, <= cap)
@@ -256,17 +216,17 @@ class GraphGame(_MaskedGame):
         model = self.model
         w = model.readout.weight[:, self.target] / {"sum": 1, "mean": self.n_players}[model.pooling]
         tables = []
-        for members, keep, local, capped in self._shapes(_table_hops(model), cap):
+        for members, keep, local, size, held, drop in self._shapes(_table_hops(model), cap):
             stack = _forward_ball(model, self.graph, self.baseline, members, keep, local, w)
-            glob, size = _masks(members, capped)
-            if capped is None:
+            glob = _masks(members, held)
+            if held is None:
                 for j in range(members.shape[1]):
                     v = stack.reshape(len(stack), -1, 2, 1 << j)
                     v[:, :, 1, :] -= v[:, :, 0, :]
             else:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
                 for t in range(cap):
                     at = np.flatnonzero(size > t)
-                    partners = capped[2][at, t]
+                    partners = drop[at, t]
                     for row in stack:  # 1-d fancy indexing: 2-3 times faster than (balls, at)
                         row[at] -= row[partners]
             tables.append((stack, glob, size))
@@ -281,12 +241,12 @@ class GraphGame(_MaskedGame):
         takes the readout bias (0 under normalize).
 
         Node tables hold I's masks: one argsort of them gives the keys and
-        where each table entry goes. Row tables are one hop narrower than
-        the fields, so I's masks are the fields' (_shapes, no forward),
-        sorted one size at a time, and the row masks are looked up among
-        them: a set in no row ball reads exactly 0.0, and m(empty) also
-        takes n (b_L . w). Each way is the faster one on its own tables
-        (BENCH_28.json, series u and v).
+        where each table entry goes, and a stable sort by set_sizes the
+        canonical order. Row tables are one hop narrower than the fields, so
+        the keys are the fields' sets (coalitions.field_sets, capped at cap)
+        and the row masks are looked up among them: a set in no row ball
+        reads exactly 0.0, and m(empty) also takes n (b_L . w). Each way is
+        the faster one on its own tables (BENCH_28.json).
         """
         model, tables = self.model, self.node_tables(cap)
         bias = float(model.readout.bias[self.target])
@@ -294,19 +254,10 @@ class GraphGame(_MaskedGame):
         stacks = [stack.ravel() for stack, _, _ in tables]  # concatenated once the keys are known
         if _table_hops(model) == model.num_layers:
             keys, where = _unique_inverse(globs)
-            count = np.empty(len(keys), dtype=np.uint8)
-            count[where] = np.concatenate([np.tile(size, len(glob)) for _, glob, size in tables])
-            order = np.argsort(count, kind="stable")  # keys ascend already: (size, mask) order
+            order = np.argsort(set_sizes(keys), kind="stable")  # keys ascend: (size, mask) order
             keys, sums = keys[order], np.bincount(where, weights=np.concatenate(stacks))[order]
         else:
-            fields = [_masks(members, capped)
-                      for members, _, _, capped in self._shapes(model.num_layers, cap)]
-            keys = []
-            for s in range(max(int(size.max()) for _, size in fields) + 1):
-                masks = np.concatenate([glob[:, size == s].ravel() for glob, size in fields])
-                masks.sort()
-                keys.append(masks[np.append(True, masks[1:] != masks[:-1])])
-            keys = np.concatenate(keys)  # by size, then ascending mask, each once
+            keys = field_sets(khop_neighborhoods(self.graph, model.num_layers).hoods, cap)
             rank = np.argsort(keys)  # every row ball lies in its center's field
             where = rank[np.searchsorted(keys, np.concatenate(globs), sorter=rank)]
             sums = np.bincount(where, weights=np.concatenate(stacks), minlength=len(keys))

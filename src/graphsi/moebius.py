@@ -19,9 +19,10 @@ values (GraphGame.moebius_arrays) and reads its index values off them
 tables capped at lambda into its kept sets' Moebius values, evaluates
 only its oversized fields and converts with convert.convert_mi. Every
 other run evaluates its family, transforms it here and converts it with
-convert.convert_mi. Either way the Moebius map is an InteractionValues
-built from key and value arrays; its values dict is made only when
-something reads it.
+convert.convert_mi. The family (I, or its sets of at most lambda members)
+and a row run's keys come from coalitions.field_sets. Either way the
+Moebius map is an InteractionValues built from key and value arrays; its
+values dict is made only when something reads it.
 
 Cost of the transform: each run off the tables takes one of two routes,
 decided by coalitions.small_family over the evaluated sets. A large run
@@ -36,13 +37,12 @@ fast there (coalitions.DIRECT_MAX), with the bits path4_mi.json pins.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
-from .coalitions import (_unique_maximal, full_mask, iter_members, iter_subsets, pair_index,
+from .coalitions import (_unique_maximal, field_sets, full_mask, iter_subsets, pair_index,
                          small_family, sort_key)
 from .complexity import count_evaluated, degree_bound
 from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
@@ -104,22 +104,6 @@ def check_budget(hoods: NeighborhoodIndex, lam: int | None, ceiling: int, graph=
                          ceiling, suggestion)
 
 
-def _support(maximal: list[int], lam: int) -> list[int]:
-    """Every subset of size <= lam of the given fields, canonically ordered.
-
-    A subset is a combination of its field's member bits, so its mask is
-    their sum. lam = n_max gives the union of the fields' power sets.
-    Collecting the subsets by size and sorting each size by mask gives the
-    sort_key order without a key call per member.
-    """
-    by_size: list[set[int]] = [set() for _ in range(lam + 1)]
-    for hood in maximal:
-        bits = [1 << i for i in iter_members(hood)]
-        for size in range(min(lam, len(bits)) + 1):
-            by_size[size].update(map(sum, combinations(bits, size)))
-    return [m for same_size in by_size for m in sorted(same_size)]
-
-
 def build_interaction_set(hoods: NeighborhoodIndex) -> InteractionSet:
     """Union of the power sets of all receptive fields, canonically ordered.
 
@@ -127,8 +111,7 @@ def build_interaction_set(hoods: NeighborhoodIndex) -> InteractionSet:
     fields first, which refuses it when |I| exceeds the ceiling.
     """
     maximal = _unique_maximal(hoods.hoods)
-    n_max = max(h.bit_count() for h in hoods.hoods)
-    return InteractionSet(members=tuple(_support(maximal, n_max)),
+    return InteractionSet(members=tuple(field_sets(maximal).tolist()),
                           maximal_hoods=tuple(maximal))
 
 
@@ -290,7 +273,7 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
     if not _tables_take(game, hoods):
-        kept = _support(_unique_maximal(hoods.hoods), lam)
+        kept = field_sets(hoods.hoods, lam).tolist()
         return _interactions(game, hoods, kept, oversized, k, index, lam)
     keys, m, _ = game.moebius_arrays(lam)
     return _surrogates(game, hoods, keys, m, oversized, game.evaluate_batch(oversized),

@@ -152,7 +152,7 @@ def test_sv_sampler_statistical_gate():
     truth = brute_force_index(DictGame(n, table), n, "sv", 1)
     hits = 0
     for seed in range(20):
-        est, stderr = permutation_sampling_sv(DictGame(n, table), 200_000, seed)
+        est, stderr = permutation_sampling_sv(DictGame(n, table), 20_000, seed)
         for i in range(n):
             if abs(est.values[1 << i] - truth.values[1 << i]) <= 3 * stderr[i]:
                 hits += 1

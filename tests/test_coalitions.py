@@ -2,18 +2,22 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphsi.coalitions import (
     MAX_PLAYERS,
+    field_sets,
     full_mask,
     is_subset,
     iter_members,
     iter_subsets,
     mask_of,
     pair_index,
+    set_sizes,
     sort_key,
 )
+
+from oracles import interaction_set_oracle
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
 small_masks = st.integers(min_value=0, max_value=(1 << 9) - 1)
@@ -118,3 +122,46 @@ def test_pair_index_matches_a_set_oracle_on_drawn_families(bits, local):
     # drawn subsets of six drawn node bits, in drawn order: a family with gaps
     keys = [sum(1 << bits[i] for i in iter_members(mask)) for mask in local]
     assert pair_index_sets(keys) == pair_index_oracle(keys)
+
+
+def field_sets_oracle(fields: list[int], cap: int | None) -> list[int]:
+    """The oracle's union of the fields' power sets, cut at cap, canonically ordered."""
+    sets = interaction_set_oracle([list(iter_members(f)) for f in fields])
+    return sorted((mask_of(s) for s in sets if cap is None or len(s) <= cap), key=sort_key)
+
+
+@pytest.mark.parametrize("fields", [
+    [1],  # one one-node field
+    [1 << 63, 1 << 5, 1 << 63],  # one-node fields, one of them twice
+    [(1 << 63) | (1 << 40) | 1, 1 << 63, (1 << 63) | 1],  # node 63, with non-maximal fields
+    [0b1111, 0b0110, 0b1111, 0b11110000],  # a duplicate and a non-maximal field
+    [full_mask(9)],
+])
+@pytest.mark.parametrize("cap", [None, 1, 2, 3])
+def test_field_sets_match_the_interaction_set_oracle(fields, cap):
+    got = field_sets(fields, cap)
+    assert got.dtype == np.uint64
+    assert got.tolist() == field_sets_oracle(fields, cap)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=8),
+                min_size=1, max_size=5), st.data())
+def test_field_sets_match_the_interaction_set_oracle_on_drawn_fields(fields, data):
+    masks = [mask_of(f) for f in fields]
+    # a drawn field once more and a drawn non-empty subset of one: duplicate and non-maximal fields
+    masks.append(data.draw(st.sampled_from(masks)))
+    inner = data.draw(st.sampled_from(masks))
+    masks.append(data.draw(st.sampled_from([t for t in iter_subsets(inner) if t])))
+    for cap in (None, 1, 2, 3):
+        assert field_sets(masks, cap).tolist() == field_sets_oracle(masks, cap)
+
+
+def test_set_sizes_match_bit_count():
+    rng = np.random.Generator(np.random.Philox(11))
+    masks = np.concatenate([np.array([0, (1 << 64) - 1, 1 << 63], dtype=np.uint64),
+                            np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)),
+                            rng.integers(0, 1 << 64, size=1000, dtype=np.uint64)])
+    got = set_sizes(masks)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [m.bit_count() for m in masks.tolist()]

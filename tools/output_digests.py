@@ -15,11 +15,14 @@ indices: a GCN last layer after another takes row tables one hop narrower
 than the fields. The `--format dot` renderings of demo path4 and er8 and of a
 14-node star under a 1-layer GIN (all five indices, exact) cover the DOT
 writer, which draws the same SI-Graph document.
-It also covers two routes no CLI run reaches, on both demos for all five
-indices: the explainer at ell=2 (the demo models have one layer, so the
-exact run takes the dense route) and brute_force_mi followed by
-convert_mi, each written as dumps_json(build_si_graph(...)). Outputs of
-two commits compare with one diff:
+The `graphsi benchmark` CSVs of demo er8 at --order 2 and path4 at
+--order 1 (BENCHMARKS: two budgets, seeds 0 and 1) cover the samplers.
+It also covers three routes no CLI run reaches, on both demos for all five
+indices: the explainer at ell=2, exact and at lam=2 (the demo models have
+one layer, so both runs take the dense route, the truncated one on fields
+of up to eight nodes), and brute_force_mi followed by convert_mi, each
+written as dumps_json(build_si_graph(...)). Outputs of two commits compare
+with one diff:
 
     PYTHONPATH=src python tools/output_digests.py > digests.txt
 
@@ -51,6 +54,9 @@ MODES = {"exact": ["--exact"], "lambda2": ["--lambda", "2"], "normalize": ["--no
 TABLE_LAMBDAS = {"sparse64": "4", "hub": "3"}
 # Workloads also run with their model under mean pooling, and their flags
 MEAN_FLAGS = {"hub": [], "truncated": ["--lambda", "3"]}
+# `graphsi benchmark` runs on the demos: demo -> flags
+BENCHMARKS = {"er8": ["--order", "2", "--budgets", "200,2000", "--seeds", "0,1"],
+              "path4": ["--order", "1", "--budgets", "50,500", "--seeds", "0,1"]}
 
 
 def instance_files(workdir: Path, name: str, g, model) -> list[str]:
@@ -78,6 +84,7 @@ def runs(workdir: Path):
         for index in INDICES:
             for mode, flags in MODES.items():
                 yield f"{demo}_{index}_{mode}", ["explain", *files, "--index", index, *flags]
+        yield f"{demo}_benchmark", ["benchmark", *files, *BENCHMARKS[demo]]
     for kind in ("gin", "gcn"):
         # a 64-node star with hub 0 (the recipe of the tests' star_instance), 1 layer of width 16
         rng = np.random.Generator(np.random.Philox(3))
@@ -139,6 +146,8 @@ def api_outputs():
         for index in INDICES:
             ex = GraphInteractionExplainer(model, index=index, ell=2).fit(graph)
             yield f"{demo}_{index}_ell2", dumps_json(ex.to_export())
+            truncated = GraphInteractionExplainer(model, index=index, ell=2, lam=2).fit(graph)
+            yield f"{demo}_{index}_ell2_lambda2", dumps_json(truncated.to_export())
             game = GraphGame(ex.game_.model, ex.graph_)
             si = convert_mi(brute_force_mi(game, ex.graph_.n), index, ex.interactions_.k)
             residual = efficiency_check(si, game.nu_full, game.nu_empty)
@@ -152,7 +161,8 @@ def main(argv: list[str]) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         lines = []
         for name, args in runs(Path(scratch)):
-            out = outdir / f"{name}.{'dot' if '--format' in args else 'json'}"
+            suffix = "dot" if "--format" in args else "csv" if args[0] == "benchmark" else "json"
+            out = outdir / f"{name}.{suffix}"
             code = graphsi.cli.main([*args, "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{name}: exit code {code}")
