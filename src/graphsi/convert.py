@@ -22,6 +22,16 @@ size-s entries are read off, n*|D| operations per pass. Its sets off D
 An exact run on node tables, which hold the pooling, converts neither
 way: convert_tables reads the index values off them with the same weight
 table, one superset butterfly per ball bit, and sums them by global mask.
+So does a truncated run on row tables (a GCN last layer after another),
+whose tables capped at lambda sum down in _capped_supersets: on the capped
+codes the superset sum is the transpose of the subset sum, which is
+GraphGame.node_tables' capped slot passes with + for -, so the transposed
+passes run in reverse, pass t adding each code of more than t bits onto
+itself less its t-th lowest bit. Only its surrogates, the sets of more
+than lambda members, take the loop. A truncated run on node tables keeps
+convert_mi: their capped codes outnumber the kept sets (114,241 against
+17,292 on the truncated benchmark's graph under a GIN), and reading them
+off measured slower.
 """
 
 from __future__ import annotations
@@ -129,6 +139,22 @@ def _convert_family(keys: np.ndarray, found: np.ndarray, weight, k: int,
     return (~inside[:-1]).tolist()
 
 
+def _subset_loop(sets, weight, k: int, out: dict[int, float]) -> None:
+    """Add w(s, |S~|, k) m(S~) to out[S] for each (S~, m(S~)) of sets, in
+    that order, and each subset S of S~ of s = 1..k members; a set new to out
+    goes last."""
+    for s_tilde, value in sets:
+        bits = [1 << i for i in iter_members(s_tilde)]
+        for size in range(1, min(k, len(bits)) + 1):
+            w = weight(size, len(bits), k)
+            if w == 0.0:
+                continue
+            contribution = value * w
+            for combo in combinations(bits, size):
+                key = sum(combo)  # the bits are disjoint, so the sum is the union
+                out[key] = out.get(key, 0.0) + contribution
+
+
 def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
     """The requested index at order k; "mi" returns the input unchanged."""
     if mi.kind != "mi":
@@ -142,65 +168,81 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
     looped = zip(masks, found.tolist())
     if not small_family(reversed(masks)):
         looped = compress(looped, _convert_family(keys, found, weight, k, out))
-    for s_tilde, value in looped:
-        bits = [1 << i for i in iter_members(s_tilde)]
-        for size in range(1, min(k, len(bits)) + 1):
-            w = weight(size, len(bits), k)
-            if w == 0.0:
-                continue
-            contribution = value * w
-            for combo in combinations(bits, size):
-                key = sum(combo)  # the bits are disjoint, so the sum is the union
-                out[key] = out.get(key, 0.0) + contribution
+    _subset_loop(looped, weight, k, out)
     return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
                              lam=mi.lam, call_count=mi.call_count)
+
+
+def _capped_supersets(v: np.ndarray, sizes: np.ndarray, drop: np.ndarray) -> None:
+    """Turn each row of v (rows, codes), on the capped codes of
+    coalitions._capped_codes with these sizes and drop, into its sums over
+    supersets among those codes, in place. The transpose of node_tables'
+    capped passes with their sign flipped: for t = cap - 1 down to 0, each
+    code c of more than t bits adds its value onto drop[c, t], c less its
+    t-th lowest bit. Several codes drop onto one in a pass, so bincount sums
+    them, all reads before the writes."""
+    starts = np.arange(0, v.size, v.shape[1])[:, None]
+    for t in reversed(range(drop.shape[1])):
+        at = np.flatnonzero(sizes > t)
+        into = (starts + drop[at, t]).ravel()
+        v += np.bincount(into, weights=v[:, at].ravel(), minlength=v.size).reshape(v.shape)
 
 
 def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> InteractionValues:
     """The requested index at order k straight from the transformed node
     tables that mi was summed from (GraphGame.node_tables, whose node games
-    hold the pooling), with no pass over mi's values; "mi" returns mi
-    unchanged.
+    hold the pooling), with no pass over mi's values of the sets they hold;
+    "mi" returns mi unchanged.
 
     The index value of S, |S| = s, is the sum over the balls holding S of
     sum_{S <= T <= N_i} w(s, |T|, k) m_i(T). So each order s weights every
-    table by w(s, |L|, k), one superset butterfly per local bit j,
-    v[L] += v[L + 2^j] on every L without bit j, sums it down, and the
-    size-s entries are summed by global mask onto mi's size-s keys, which a
-    row table (one hop narrower than the fields) may leave at 0.0. m(empty)
-    and the biases reach no set of size >= 1.
+    table by w(s, |L|, k) and sums it down over supersets: a 2^h table by
+    one butterfly pass per local bit j, v[L] += v[L + 2^j] on every L
+    without bit j; a table capped at lambda by _capped_supersets, on its
+    codes alone. The size-s entries are summed by global mask onto mi's
+    size-s keys, which a row table (one hop narrower than the fields) may
+    leave at 0.0. m(empty) and the biases reach no set of size >= 1. A
+    truncated map's sets of more than lambda members, its surrogates, are
+    in no table: they take convert_mi's subset loop, in map order.
     """
     if mi.kind != "mi":
         raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
     if index == "mi":
         return mi
     weight = _index_weight(index, k, mi.n)
-    keys, start = mi.arrays[0], 1  # canonical order: keys[0] is the empty set, keys[-1] widest
-    w = _weight_table(weight, k, int(keys[-1]).bit_count())
+    keys, found = mi.arrays  # canonical order: keys[0] is the empty set, keys[-1] widest
+    sizes = set_sizes(keys)
+    w = _weight_table(weight, k, int(sizes[-1]))
+    orders = len(w) if mi.lam is None else min(len(w), mi.lam)  # the tables' sets hold <= lam
     # per order, one part per ball shape; an order above every row ball's size keeps 0.0
-    masks, found = [[np.empty(0, "<u8")] for _ in w], [[np.empty(0)] for _ in w]
-    for stack, glob, sizes in tables:
-        h = int(sizes[-1])  # the size of the whole ball
-        orders = min(len(w), h)
-        v = w[:orders, sizes][:, None, :] * stack  # (orders, balls, 2^h)
-        for j in range(h):
-            pairs = v.reshape(orders, len(stack), -1, 2, 1 << j)
-            pairs[:, :, :, 0, :] += pairs[:, :, :, 1, :]
-        for s in range(orders):
-            at = sizes == s + 1
+    masks = [[np.empty(0, "<u8")] for _ in range(orders)]
+    sums = [[np.empty(0)] for _ in range(orders)]
+    for stack, glob, counts, drop in tables:
+        h = int(counts.max())  # the ball's size, or the cap on a capped table
+        top = min(orders, h)
+        # (orders, balls, codes) in C order, so the balls of all orders merge into one axis
+        v = np.multiply(w[:top, counts][:, None, :], stack, order="C")
+        if drop is None:
+            for j in range(h):
+                pairs = v.reshape(top, len(stack), -1, 2, 1 << j)
+                pairs[:, :, :, 0, :] += pairs[:, :, :, 1, :]
+        else:
+            _capped_supersets(v.reshape(-1, v.shape[-1]), counts, drop)
+        for s in range(top):
+            at = counts == s + 1
             masks[s].append(glob[:, at].ravel())
-            found[s].append(v[s][:, at].ravel())
+            sums[s].append(v[s][:, at].ravel())
+    bounds = np.searchsorted(sizes, np.arange(1, orders + 2)).tolist()
     out: dict[int, float] = {}
-    for s, (parts, values) in enumerate(zip(masks, found), start=1):
-        end, top = start, len(keys)
-        while end < top:  # a binary search for the first key of more than s members
-            mid = (end + top) // 2
-            end, top = (mid + 1, top) if int(keys[mid]).bit_count() <= s else (end, mid)
-        same, start = keys[start:end], end
+    for s, (parts, values) in enumerate(zip(masks, sums)):
+        same = keys[bounds[s]:bounds[s + 1]]
         # adds in input order
-        sums = np.bincount(np.searchsorted(same, np.concatenate(parts)),
-                           weights=np.concatenate(values), minlength=len(same))
-        out.update(zip(same.tolist(), sums.tolist()))
+        total = np.bincount(np.searchsorted(same, np.concatenate(parts)),
+                            weights=np.concatenate(values), minlength=len(same))
+        out.update(zip(same.tolist(), total.tolist()))
+    if mi.lam is not None:  # the surrogates
+        rest = int(np.searchsorted(sizes, mi.lam, side="right"))
+        _subset_loop(zip(keys[rest:].tolist(), found[rest:].tolist()), weight, k, out)
     return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
                              lam=mi.lam, call_count=mi.call_count)
 

@@ -14,6 +14,7 @@ import tempfile
 
 import numpy as np
 
+from .coalitions import set_sizes
 from .errors import ParseError
 from .graph import Graph
 from .interactions import InteractionValues
@@ -109,7 +110,7 @@ def build_si_graph(si: InteractionValues, nu_full: float, nu_empty: float,
     order. The empty set never appears; its value is nu_empty in the metadata.
     """
     keys, values = si.arrays
-    sizes = np.fromiter(map(int.bit_count, keys.tolist()), dtype=np.uint8, count=len(keys))
+    sizes = set_sizes(keys)
     node = [0.0] * si.n
     single = sizes == 1
     for i, value in zip((np.frexp(keys[single])[1] - 1).tolist(), values[single].tolist()):

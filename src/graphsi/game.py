@@ -34,7 +34,10 @@ index values from it. A truncated run at order cap lam needs m(S) only for
 |S| <= lam, which reads ball i's table only on subsets of S:
 moebius_arrays(lam) has node_tables(lam) forward a ball of more than lam
 nodes on its local codes of at most lam bits alone, and sums those into
-the kept sets' values, with the one cap for both. A ball
+the kept sets' values, with the one cap for both. Capped row tables also
+give the kept sets' index values (convert.convert_tables, by the
+transpose of the capped passes); capped node tables leave the conversion
+to convert.convert_mi. A ball
 forward reads its first conv layer off the coalition bits and folds the
 readout column into its last layer; its values agree with the dense stack
 to rounding (about 1e-14 relative), not bit for bit. The node tables
@@ -187,10 +190,10 @@ class GraphGame(_MaskedGame):
             else:
                 yield members, keep, full[:1 << h], full_sizes[:1 << h], None, None
 
-    def node_tables(self, cap: int | None = None,
-                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def node_tables(self, cap: int | None = None) -> list[tuple]:
         """Each ball shape's transformed node tables, freshly built: a list of
-        (tables, masks, sizes), shapes ascending. Reads the model, graph,
+        (tables, masks, sizes, drop), shapes ascending; drop is the capped
+        codes' (below), None on the 2^h path. Reads the model, graph,
         baseline and target; writes nothing into the game. cap is a
         truncated run's order cap (None: no cap).
 
@@ -205,7 +208,8 @@ class GraphGame(_MaskedGame):
 
         With an order cap, a shape of more than cap nodes holds only its local
         codes of at most cap bits, ascending (_capped_codes): C(h, <= cap)
-        columns of tables and masks, and their sizes. That family is
+        columns of tables and masks, their sizes, and drop (C(h, <= cap), cap):
+        each code's position less its t-th lowest bit. That family is
         down-closed, and cap passes transform it: pass t subtracts from each
         code of more than t bits the value of that code without its t-th
         lowest bit, all reads before the writes, so after pass t a code holds
@@ -229,7 +233,7 @@ class GraphGame(_MaskedGame):
                     partners = drop[at, t]
                     for row in stack:  # 1-d fancy indexing: 2-3 times faster than (balls, at)
                         row[at] -= row[partners]
-            tables.append((stack, glob, size))
+            tables.append((stack, glob, size, drop))
         return tables
 
     def moebius_arrays(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray, list]:
@@ -250,8 +254,8 @@ class GraphGame(_MaskedGame):
         """
         model, tables = self.model, self.node_tables(cap)
         bias = float(model.readout.bias[self.target])
-        globs = [glob.ravel() for _, glob, _ in tables]
-        stacks = [stack.ravel() for stack, _, _ in tables]  # concatenated once the keys are known
+        globs = [table[1].ravel() for table in tables]
+        stacks = [table[0].ravel() for table in tables]  # concatenated once the keys are known
         if _table_hops(model) == model.num_layers:
             keys, where = _unique_inverse(globs)
             order = np.argsort(set_sizes(keys), kind="stable")  # keys ascend: (size, mask) order

@@ -16,9 +16,11 @@ coalitions.small_family evaluates nothing set by set: it builds the
 game's node tables once, sums them by global mask into its Moebius
 values (GraphGame.moebius_arrays) and reads its index values off them
 (convert.convert_tables). A truncated run on such a game sums node
-tables capped at lambda into its kept sets' Moebius values, evaluates
-only its oversized fields and converts with convert.convert_mi. Every
-other run evaluates its family, transforms it here and converts it with
+tables capped at lambda into its kept sets' Moebius values and evaluates
+only its oversized fields. It converts on the capped tables too when they
+are row tables (convert.convert_tables, whose subset loop takes only the
+surrogates), with convert.convert_mi on node tables. Every other run
+evaluates its family, transforms it here and converts it with
 convert.convert_mi. The family (I, or its sets of at most lambda members)
 and a row run's keys come from coalitions.field_sets. Either way the
 Moebius map is an InteractionValues built from key and value arrays; its
@@ -49,6 +51,7 @@ from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
 from .interactions import InteractionSet, InteractionValues
+from .nn import _table_hops
 
 DEFAULT_CEILING = 2 ** 24
 
@@ -173,13 +176,15 @@ def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int
     m = _moebius_map(keys, nu, small_family(reversed(sets)))
     del sets
     nu = nu[len(kept):]  # free the kept sets' game values: the rest needs only the map
-    return _surrogates(game, hoods, keys, m, oversized, nu, k, index, lam)
+    mi = _surrogates(game, hoods, keys, m, oversized, nu, lam)
+    return mi, convert.convert_mi(mi, index, k)
 
 
 def _surrogates(game: GameOracle, hoods: NeighborhoodIndex, kept: np.ndarray, m: np.ndarray,
-                oversized: list[int], nu: Sequence[float], k: int, index: str, lam: int | None,
-                ) -> tuple[InteractionValues, InteractionValues]:
-    """The run's map, kept + oversized in that order, and its conversion.
+                oversized: list[int], nu: Sequence[float], lam: int | None) -> InteractionValues:
+    """The run's Moebius map, kept + oversized in that order, which is
+    canonical (the oversized fields, sorted, hold more than lam members and
+    the kept sets at most lam); the caller converts it.
 
     kept holds the kept sets and m their Moebius values, nu the oversized
     fields' game values. Each oversized field, smallest first, gets what the
@@ -201,9 +206,8 @@ def _surrogates(game: GameOracle, hoods: NeighborhoodIndex, kept: np.ndarray, m:
         # the builtin sum in map order keeps the outputs' bits (it compensates from Python 3.12)
         found[len(kept) + oversized.index(star)] += grand - sum(found.tolist())
     n = len(hoods.hoods)
-    mi = InteractionValues(kind="mi", k=n, n=n, arrays=(keys, found), ell=hoods.ell, lam=lam,
-                           call_count=len(keys))
-    return mi, convert.convert_mi(mi, index, k)
+    return InteractionValues(kind="mi", k=n, n=n, arrays=(keys, found), ell=hoods.ell, lam=lam,
+                             call_count=len(keys))
 
 
 def _tables_take(game: GameOracle, hoods: NeighborhoodIndex) -> bool:
@@ -263,7 +267,11 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
     A game that _tables_take admits takes the kept sets' Moebius values
     from its node tables capped at lam (GraphGame.node_tables) and
     evaluates only the oversized fields; call_count is still the kept sets
-    plus the oversized fields.
+    plus the oversized fields. On row tables (nn._table_hops one hop short
+    of the model's depth) the kept sets' index values come off the same
+    capped tables (convert.convert_tables), and only the surrogates take
+    the subset loop; node tables, whose capped codes far outnumber the
+    kept sets, convert with convert.convert_mi.
     """
     _check_readout(game)
     n = len(hoods.hoods)
@@ -275,6 +283,8 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
     if not _tables_take(game, hoods):
         kept = field_sets(hoods.hoods, lam).tolist()
         return _interactions(game, hoods, kept, oversized, k, index, lam)
-    keys, m, _ = game.moebius_arrays(lam)
-    return _surrogates(game, hoods, keys, m, oversized, game.evaluate_batch(oversized),
-                       k, index, lam)
+    keys, m, tables = game.moebius_arrays(lam)
+    mi = _surrogates(game, hoods, keys, m, oversized, game.evaluate_batch(oversized), lam)
+    if _table_hops(game.model) < game.model.num_layers:  # row tables
+        return mi, convert.convert_tables(mi, tables, index, k)
+    return mi, convert.convert_mi(mi, index, k)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import graphsi.convert
-from graphsi.coalitions import full_mask, is_subset, iter_subsets, mask_of
+from graphsi.coalitions import _capped_codes, full_mask, is_subset, iter_subsets, mask_of
 from graphsi.convert import (
+    _capped_supersets,
     bernoulli_numbers,
     convert_mi,
     efficiency_check,
@@ -351,3 +353,22 @@ def test_gapped_sets_take_the_loop(index, monkeypatch):
     convert_mi(mi, index, 1 if index == "sv" else 2)
     assert looped == gapped
     assert_within_rounding_bound(mi, index, (1, 2, 3))
+
+
+def test_capped_superset_sums_match_a_brute_force_sum():
+    # every capped code's sum over its supersets among the codes, on h <= 8
+    # bits at every cap < h; integer values keep the sums exact
+    rng = np.random.Generator(np.random.Philox(11))
+    collided = 0  # passes in which several codes drop onto one
+    for h in range(2, 9):
+        for cap in range(1, h):
+            codes, sizes, _, drop = _capped_codes(h, cap)
+            for t in range(cap):
+                targets = drop[sizes > t, t]
+                collided += len(np.unique(targets)) < len(targets)
+            superset = (codes[None, :] & codes[:, None]) == codes[:, None]  # [c, d]: c <= d
+            v = rng.integers(-50, 50, size=(3, len(codes))).astype(float)
+            want = v @ superset.T
+            _capped_supersets(v, sizes, drop)
+            assert v.tolist() == want.tolist(), (h, cap)
+    assert collided

@@ -468,7 +468,7 @@ def test_a_capped_table_is_its_balls_moebius_transform():
     layouts = {nodes[0]: nodes for nodes, _ in ball_layouts(g, model.num_layers)}
     cap = 2
     checked = 0
-    for stack, glob, sizes in game.node_tables(cap):
+    for stack, glob, sizes, _ in game.node_tables(cap):
         for values, masks in zip(stack, glob):
             nodes = layouts[int(masks[1]).bit_length() - 1]  # local code 1 keeps the center
             codes = [c for c in range(1 << len(nodes)) if c.bit_count() <= cap]
@@ -554,7 +554,7 @@ def test_node_tables_do_not_depend_on_the_chunk_size(monkeypatch, layers, kind, 
             patch.setattr(graphsi.nn, "_CHUNK_BYTES", 1)  # one code per chunk
             chunked = game.node_tables(cap)
         assert len(chunked) == len(default)
-        for (stack, glob, sizes), (want, want_glob, want_sizes) in zip(chunked, default):
+        for (stack, glob, sizes, _), (want, want_glob, want_sizes, _) in zip(chunked, default):
             assert glob.tolist() == want_glob.tolist() and sizes.tolist() == want_sizes.tolist()
             assert stack.shape == want.shape and np.abs(stack - want).max() <= tol
 

@@ -301,6 +301,32 @@ def test_row_tables_match_the_dense_route(case, pooling):
                         assert max(abs(v - want.values[t]) for t, v in got.values.items()) <= tol
 
 
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(gcn_last_instances())
+@example(ROW_PATH)
+def test_truncated_row_runs_convert_on_their_tables_as_convert_mi_does(case):
+    # every index at k = 1-3 and lambda = 1-3 (k > lambda included), sum and
+    # mean pooling, with and without normalize: the index values a truncated
+    # run reads off its capped row tables against convert_mi of its map
+    kind, n, seed, kinds, baseline = case
+    for pooling in ("sum", "mean"):
+        g, model = build_biased(kind, n, seed, kinds, pooling)
+        assert _table_hops(model) == model.num_layers - 1  # row tables
+        hoods = khop_neighborhoods(g, model.num_layers)
+        for normalize in (False, True):
+            game = GraphGame(model, g, baseline, normalize)
+            tol = 1e-12 * max(1.0, abs(game.nu_full))
+            for lam in range(1, min(3, g.n) + 1):
+                for index in INDICES[1:]:
+                    for k in range(1, min(1 if index == "sv" else 3, g.n) + 1):
+                        with pytest.MonkeyPatch.context() as patch:
+                            patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: True)
+                            mi, got = graphshapiq_approx(game, hoods, lam, k, index)
+                        want = convert_mi(mi, index, k).values
+                        assert list(got.values) == list(want)  # the same sets, in the same order
+                        assert max(abs(v - want[t]) for t, v in got.values.items()) <= tol
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(instances(), st.sampled_from(INDICES), st.sampled_from([None, 1]))
 @example(MIXED, "mi", None)

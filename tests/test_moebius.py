@@ -317,6 +317,32 @@ def test_a_truncated_run_builds_one_pair_index_per_butterfly(monkeypatch):
     assert list(dense.values) == list(mi.values)
 
 
+@pytest.mark.parametrize("kind,converted",
+                         [("gcn", []), ("gin", ["_convert_family", "pair_index"])])
+def test_a_truncated_row_table_run_converts_on_its_tables(monkeypatch, kind, converted):
+    # the truncated benchmark workload's shape, a 2-layer GCN on an ER graph of
+    # 48 nodes at lambda 3: its row tables give the index values; a GIN last
+    # layer keeps node tables, converted by the pair index and ranked zeta
+    calls: list[str] = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(moebius, "pair_index", counted("pair_index", moebius.pair_index))
+    monkeypatch.setattr(convert, "pair_index", counted("pair_index", convert.pair_index))
+    monkeypatch.setattr(convert, "_convert_family",
+                        counted("_convert_family", convert._convert_family))
+    g, model = generate_instance("er", 48, 3, 9, kind, 2, 16, edge_prob=0.1)
+    hoods = khop_neighborhoods(g, 2)
+    assert moebius._tables_take(GraphGame(model, g), hoods)
+    mi, si = graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
+    assert sorted(set(calls)) == converted
+    assert len(si.values) > 48 and any(t.bit_count() > 3 for t in mi.values)  # surrogates
+
+
 def test_brute_force_mi_is_one_field():
     for n in (4, 6):
         table = random_table(n, seed=40 + n)

@@ -7,14 +7,17 @@ plus truncated runs of the sparse64 graphs at --lambda 4 and of the hub
 graph at --lambda 3 (TABLE_LAMBDAS), which take capped node tables, and of
 a 64-node star under a 1-layer GIN and GCN at --lambda 2, whose hub's ball
 holds all 64 nodes. The hub and truncated graphs also run under mean pooling
-(MEAN_FLAGS, all five indices), and a 12-node path under a 3-layer GIN and
-GCN (exact and at --lambda 2, all five indices), whose ball forwards pass a
-middle layer. The tree64 graph of sparse64 also runs exact under a 2-layer
-GCN with biases (row_model), with sum and mean pooling and all five
-indices: a GCN last layer after another takes row tables one hop narrower
-than the fields. The `--format dot` renderings of demo path4 and er8 and of a
-14-node star under a 1-layer GIN (all five indices, exact) cover the DOT
-writer, which draws the same SI-Graph document.
+(MEAN_FLAGS, all five indices). The truncated graph also runs under its own
+sum pooling with all five indices, and with k-SII at --order 3 --lambda 2,
+whose sets of three members come only from the surrogates. A 12-node path
+runs under a 3-layer GIN and GCN (exact and at --lambda 2, all five
+indices), whose ball forwards pass a middle layer. The tree64 graph of
+sparse64 also runs exact under a 2-layer GCN with biases (row_model), with
+sum and mean pooling and all five indices: a GCN last layer after another
+takes row tables one hop narrower than the fields. The `--format dot`
+renderings of demo path4 and er8 and of a 14-node star under a 1-layer GIN
+(all five indices, exact) cover the DOT writer, which draws the same
+SI-Graph document.
 The `graphsi benchmark` CSVs of demo er8 at --order 2 and path4 at
 --order 1 (BENCHMARKS: two budgets, seeds 0 and 1) cover the samplers.
 It also covers three routes no CLI run reaches, on both demos for all five
@@ -130,6 +133,14 @@ def runs(workdir: Path):
                                                dataclasses.replace(model, pooling=pooling))
                         for index in INDICES:
                             yield f"{name}_{index}", ["explain", *files, "--index", index]
+                if workload == "truncated":
+                    for index in INDICES:
+                        yield (f"{workload}_s{seed}_{call.name}_{index}",
+                               ["explain", call.graph_path, call.model_path, "--index", index,
+                                "--lambda", "3"])
+                    yield (f"{workload}_s{seed}_{call.name}_order3_lambda2",
+                           ["explain", call.graph_path, call.model_path, "--index", "ksii",
+                            "--order", "3", "--lambda", "2"])
                 if workload in MEAN_FLAGS:
                     mean = workdir / f"{workload}_s{seed}_{call.name}_mean.json"
                     mean.write_text(json.dumps(dict(call.model, pooling="mean")))
