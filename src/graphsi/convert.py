@@ -8,30 +8,18 @@ the Shapley value is k-SII at k=1. The k-SII weights are assembled in
 exact rational arithmetic (Bernoulli numbers cancel catastrophically in
 floats) and realized to float64 once.
 
-As in the transform, coalitions.small_family picks the route. A small
-support takes the loop over subsets, C(|S~|, <= k) terms per set, the
-faster route there (coalitions.DIRECT_MAX). A large one, read as the
-map's key and value arrays, builds one pair index over its keys. An
-AND-butterfly over it finds the largest down-closed part D; then the
-ranked zeta transform of trimmed Moebius inversion (Bjorklund, Husfeldt,
-Kaski & Koivisto 2007) sums D down on the same pairs: each order s <= k
-weights D by w(s, |S~|, k), f[S ^ j] += f[S] per node bit j, and the
-size-s entries are read off, n*|D| operations per pass. Its sets off D
-(oversized truncated fields, gaps) take the loop.
-
-An exact run on node tables, which hold the pooling, converts neither
-way: convert_tables reads the index values off them with the same weight
-table, one superset butterfly per ball bit, and sums them by global mask.
-So does a truncated run on row tables (a GCN last layer after another),
-whose tables capped at lambda sum down in _capped_supersets: on the capped
-codes the superset sum is the transpose of the subset sum, which is
-GraphGame.node_tables' capped slot passes with + for -, so the transposed
-passes run in reverse, pass t adding each code of more than t bits onto
-itself less its t-th lowest bit. Only its surrogates, the sets of more
-than lambda members, take the loop. A truncated run on node tables keeps
-convert_mi: their capped codes outnumber the kept sets (114,241 against
-17,292 on the truncated benchmark's graph under a GIN), and reading them
-off measured slower.
+convert_mi takes, on a small support (coalitions.small_family), the loop
+over subsets, C(|S~|, <= k) terms per set, the faster route there
+(coalitions.DIRECT_MAX). A large one, read as the map's key and value
+arrays, builds one pair index over its keys. An AND-butterfly over it
+finds the largest down-closed part D; then the ranked zeta transform of
+trimmed Moebius inversion (Bjorklund, Husfeldt, Kaski & Koivisto 2007)
+sums D down on the same pairs: each order s <= k weights D by
+w(s, |S~|, k), f[S ^ j] += f[S] per node bit j, and the size-s entries
+are read off, n*|D| operations per pass. Its sets off D (oversized
+truncated fields, gaps) take the loop. convert_tables reads the index
+values off the node tables a map was summed from, with the same weight
+table.
 """
 
 from __future__ import annotations

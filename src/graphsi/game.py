@@ -15,34 +15,20 @@ A GraphGame with a linear readout also splits into node games
 (GraphSHAP-IQ, arXiv 2501.16944): nu(T) = b + sum_i nu_i(T & N_i), where
 N_i is node i's model.num_layers-hop ball and nu_i its last-layer
 embedding dotted with the readout column w (over n under mean pooling).
-The Moebius transform is linear too, so m(S) sums the ball tables'
-transforms at S over the balls holding S, plus b at S = empty. No
-activation follows the last conv layer, so a GCN last layer after another
-splits one hop deeper (nn._table_hops): nu(T) = b + n (b_L . w) +
+No activation follows the last conv layer, so a GCN last layer after
+another splits one hop deeper (nn._table_hops): nu(T) = b + n (b_L . w) +
 sum_r c_r phi_r(T & N'_r), with N'_r node r's ball one hop narrower than
 N_r, phi_r = ReLU(h_r) . (W_L w) for r's embedding h_r before that layer,
 and c_r = sum_i A_hat[i, r]. Such a model's tables hold these row games;
-GIN last layers and 1-layer models keep the node games. node_tables takes
-each ball's game on its 2^|N_i| local coalitions (bit j of a table index
-keeps the ball's j-th node in graph.ball_layouts' hop order) from one
-nn._forward_ball call per ball shape (size and per-layer row counts), and
-transforms each table in place. That one build serves an exact run at the
-model's depth twice without reading nu back set by set: moebius_arrays
-builds it and sums it into the run's Moebius values on I (where a set in
-no row ball reads exactly 0.0), and convert.convert_tables takes the
-index values from it. A truncated run at order cap lam needs m(S) only for
-|S| <= lam, which reads ball i's table only on subsets of S:
-moebius_arrays(lam) has node_tables(lam) forward a ball of more than lam
-nodes on its local codes of at most lam bits alone, and sums those into
-the kept sets' values, with the one cap for both. Capped row tables also
-give the kept sets' index values (convert.convert_tables, by the
-transpose of the capped passes); capped node tables leave the conversion
-to convert.convert_mi. A ball
-forward reads its first conv layer off the coalition bits and folds the
-readout column into its last layer; its values agree with the dense stack
-to rounding (about 1e-14 relative), not bit for bit. The node tables
-write nothing into the game: every coalition it evaluates is forwarded on
-the dense stack.
+GIN last layers and 1-layer models keep the node games. The Moebius
+transform is linear too, so m(S) sums the tables' transforms at S over
+the balls holding S, plus the biases at S = empty (moebius_arrays). For
+|S| <= lam that reads a ball's table only on subsets of S, so a table
+capped at lam holds only its codes of at most lam bits. A ball forward
+reads its first conv layer off the coalition bits and folds the readout
+column into its last layer; its values agree with the dense stack to
+about 1e-14 relative (measured), not bit for bit. The tables write
+nothing into the game.
 """
 
 from __future__ import annotations
@@ -145,11 +131,7 @@ class GraphGame(_MaskedGame):
     this selects the sole component). That construction pass is not a
     coalition evaluation and does not enter call_count.
 
-    Coalitions are forwarded on the dense stack, and call_count counts
-    them. With a linear readout a run may instead take its Moebius values
-    from node tables (node_tables), which counts nothing; a truncated one
-    still forwards its oversized fields. moebius._tables_take decides
-    which.
+    call_count counts the coalitions forwarded on the dense stack; node_tables adds none.
 
     Args:
         model: loaded GnnModel

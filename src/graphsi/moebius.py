@@ -11,29 +11,35 @@ the surviving sets plus each full receptive field, and repairs the
 efficiency gap so the recovered values still sum to the full
 prediction.
 
-An exact run of a GraphGame at the model's depth whose fields are not a
-coalitions.small_family evaluates nothing set by set: it builds the
-game's node tables once, sums them by global mask into its Moebius
-values (GraphGame.moebius_arrays) and reads its index values off them
-(convert.convert_tables). A truncated run on such a game sums node
-tables capped at lambda into its kept sets' Moebius values and evaluates
-only its oversized fields. It converts on the capped tables too when they
-are row tables (convert.convert_tables, whose subset loop takes only the
-surrogates), with convert.convert_mi on node tables. Every other run
-evaluates its family, transforms it here and converts it with
-convert.convert_mi. The family (I, or its sets of at most lambda members)
-and a row run's keys come from coalitions.field_sets. Either way the
-Moebius map is an InteractionValues built from key and value arrays; its
-values dict is made only when something reads it.
+_route picks each run's route once, testing in this order: no field of
+more than DIRECT_MAX members (coalitions.small_family) gives sums; then a
+game that is no GraphGame, or an ell other than the model's depth, gives
+butterfly; then nn._table_hops gives nodes at the model's depth and rows
+one hop short (a GCN last layer after another). _run follows the route.
+F is the family a dense route evaluates: I, or the sets of at most lambda
+members (coalitions.field_sets), plus a truncated run's oversized fields.
 
-Cost of the transform: each run off the tables takes one of two routes,
-decided by coalitions.small_family over the evaluated sets. A large run
-(some set of more than DIRECT_MAX members) transforms its down-closed kept
-family with one trimmed butterfly (Bjorklund, Husfeldt, Kaski & Koivisto 2008),
-m[S] -= m[S ^ j] on every set holding node bit j for each j in ascending
-order: n*|F| operations per pass and no 2^h table. A small run gives
-each set its per-set sum, 2^|S| <= 16 terms, without NumPy: twice as
-fast there (coalitions.DIRECT_MAX), with the bits path4_mi.json pins.
+  route      evaluation      Moebius values    index values     m(S) rounds within
+  sums       F, dense stack  per-set sums      subset loop      gamma_{2^|S|-1} sum|nu|
+  butterfly  F, dense stack  family butterfly  convert_mi       gamma_{|S|} sum|nu|
+  nodes      node tables     table sums        exact: tables,   table transforms, sums
+                                               else convert_mi  by mask, ball forwards
+  rows       row tables      table sums        tables           as nodes
+
+sum|nu| sums |nu(T)| over the subsets T of S. Per-set sums (moebius_transform)
+take 2^|S| <= 16 terms a set without NumPy: twice the butterfly's speed
+there (coalitions.DIRECT_MAX), and the bits demo/path4_mi.json pins, which
+alone keep small families off the tables. The family butterfly
+(_moebius_map) runs m[S] -= m[S ^ j] over the down-closed F, node bit j
+ascending (Bjorklund, Husfeldt, Kaski & Koivisto 2008): n*|F| operations a
+pass, no 2^h table. Table sums (GraphGame.moebius_arrays) transform each
+ball's table, capped at lambda on a truncated run, and sum them by global
+mask. Index values come from convert.convert_mi or, off the tables,
+convert.convert_tables, each rounding once per term. Capped node tables
+keep convert_mi: their codes outnumber the kept sets (114,241 to 17,292
+on the truncated benchmark's graph under a GIN), and converting on them
+measured slower. Every route ends in _surrogates, for the oversized
+fields. The map is an InteractionValues built from key and value arrays.
 """
 
 from __future__ import annotations
@@ -141,10 +147,8 @@ def moebius_transform(game, coalition: int, values: dict[int, float] | None = No
 
 def _moebius_map(keys: np.ndarray, nu: Sequence[float], small: bool) -> np.ndarray:
     """m on every set of the down-closed family keys, in key order, from nu
-    in key order (entries past the keys are not read). A small run (no
-    evaluated set of more than DIRECT_MAX members) takes moebius_transform's
-    per-set sum, any other the butterfly over the family.
-    """
+    in key order (entries past the keys are not read): moebius_transform's
+    per-set sums when small, else the butterfly over the family."""
     if small:
         values = dict(zip(keys.tolist(), nu))
         return np.fromiter((moebius_transform(None, s, values) for s in values),
@@ -164,27 +168,11 @@ def _check_readout(game) -> None:
             "fields (run the readout audit to quantify them)")
 
 
-def _interactions(game: GameOracle, hoods: NeighborhoodIndex, kept: Sequence[int],
-                  oversized: list[int], k: int, index: str, lam: int | None,
-                  ) -> tuple[InteractionValues, InteractionValues]:
-    """Evaluate kept + oversized in one batch, transform the kept sets, then
-    _surrogates. The map runs as arrays from the game values to the conversion.
-    """
-    sets = [*kept, *oversized]
-    nu = game.evaluate_batch(sets)
-    keys = np.fromiter(kept, dtype=np.uint64, count=len(kept))
-    m = _moebius_map(keys, nu, small_family(reversed(sets)))
-    del sets
-    nu = nu[len(kept):]  # free the kept sets' game values: the rest needs only the map
-    mi = _surrogates(game, hoods, keys, m, oversized, nu, lam)
-    return mi, convert.convert_mi(mi, index, k)
-
-
 def _surrogates(game: GameOracle, hoods: NeighborhoodIndex, kept: np.ndarray, m: np.ndarray,
                 oversized: list[int], nu: Sequence[float], lam: int | None) -> InteractionValues:
     """The run's Moebius map, kept + oversized in that order, which is
     canonical (the oversized fields, sorted, hold more than lam members and
-    the kept sets at most lam); the caller converts it.
+    the kept sets at most lam).
 
     kept holds the kept sets and m their Moebius values, nu the oversized
     fields' game values. Each oversized field, smallest first, gets what the
@@ -210,30 +198,43 @@ def _surrogates(game: GameOracle, hoods: NeighborhoodIndex, kept: np.ndarray, m:
                              call_count=len(keys))
 
 
-def _tables_take(game: GameOracle, hoods: NeighborhoodIndex) -> bool:
-    """Whether a run reads its Moebius values off the game's node tables
-    (capped at lambda on a truncated run): a GraphGame whose balls are the
-    fields (ell is the model's depth) and whose fields are not a small
-    family. A small family keeps the dense stack only for the bits
-    demo/path4_mi.json pins: tables would make its fits faster too."""
-    return (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers
-            and not small_family(hoods.hoods))
+def _route(game: GameOracle, hoods: NeighborhoodIndex) -> str:
+    """The run's route, a row of the module docstring's table."""
+    if small_family(hoods.hoods):
+        return "sums"
+    if not (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers):
+        return "butterfly"
+    return "nodes" if _table_hops(game.model) == game.model.num_layers else "rows"
+
+
+def _run(game: GameOracle, hoods: NeighborhoodIndex, lam: int | None, k: int, index: str,
+         ) -> tuple[InteractionValues, InteractionValues]:
+    """(mi, si) of an exact run (lam None) or one capped at lam, on its _route."""
+    route = _route(game, hoods)
+    oversized = sorted({h for h in hoods.hoods if lam is not None and h.bit_count() > lam},
+                       key=sort_key)
+    if route in ("nodes", "rows"):
+        keys, m, tables = game.moebius_arrays(lam)
+        nu = game.evaluate_batch(oversized)
+    else:
+        kept = (build_interaction_set(hoods).members if lam is None
+                else field_sets(hoods.hoods, lam).tolist())
+        nu = game.evaluate_batch([*kept, *oversized])
+        keys = np.fromiter(kept, dtype=np.uint64, count=len(kept))
+        m = _moebius_map(keys, nu, route == "sums")
+        nu = nu[len(kept):]  # free the kept sets' game values: the rest needs only the map
+    mi = _surrogates(game, hoods, keys, m, oversized, nu, lam)
+    if route == "rows" or route == "nodes" and lam is None:
+        return mi, convert.convert_tables(mi, tables, index, k)
+    return mi, convert.convert_mi(mi, index, k)
 
 
 def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index: str = "ksii",
                       ceiling: int = DEFAULT_CEILING,
                       ) -> tuple[InteractionValues, InteractionValues]:
-    """Exact interactions from one game evaluation per non-trivial set.
-
-    Evaluates nu on every member of the interaction set (and nothing
-    else), computes the Moebius interactions there, and converts them to
-    the requested index at order k. Interactions outside the set are
-    exactly zero and never materialized.
-
-    A GraphGame at the model's depth whose fields are not a small family
-    gives the Moebius and index values straight from its node tables
-    instead (GraphGame.node_tables), which forwards nothing; mi builds its
-    map on first read, and call_count is |I|.
+    """Exact interactions: the Moebius values on the interaction set I,
+    converted to the requested index at order k. Interactions outside I
+    are exactly zero and never materialized; mi's call_count is |I|.
 
     Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and, before
     anything is evaluated, BudgetExceeded (with a graph game's degree bound)
@@ -244,13 +245,7 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     check_budget(hoods, None, ceiling, getattr(game, "graph", None))
-    if _tables_take(game, hoods):
-        keys, values, tables = game.moebius_arrays()
-        mi = InteractionValues(kind="mi", k=n, n=n, arrays=(keys, values), ell=hoods.ell,
-                               call_count=len(keys))
-        return mi, convert.convert_tables(mi, tables, index, k)
-    iset = build_interaction_set(hoods)
-    return _interactions(game, hoods, iset.members, [], k, index, None)
+    return _run(game, hoods, None, k, index)
 
 
 def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,
@@ -258,20 +253,11 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
                        ) -> tuple[InteractionValues, InteractionValues]:
     """Order-truncated interactions with an efficiency repair.
 
-    Keeps interaction-set members of size at most lam, evaluates them
-    plus each distinct oversized receptive field, and recovers one
-    surrogate Moebius value per such field from the recovery identity,
-    with the efficiency gap tau on the largest one. Exact whenever
+    The Moebius values of the interaction-set members of at most lam
+    members, plus one surrogate per distinct oversized receptive field
+    (_surrogates), converted to the requested index at order k; mi's
+    call_count is the kept sets plus the oversized fields. Exact whenever
     lam >= n_max - 1.
-
-    A game that _tables_take admits takes the kept sets' Moebius values
-    from its node tables capped at lam (GraphGame.node_tables) and
-    evaluates only the oversized fields; call_count is still the kept sets
-    plus the oversized fields. On row tables (nn._table_hops one hop short
-    of the model's depth) the kept sets' index values come off the same
-    capped tables (convert.convert_tables), and only the surrogates take
-    the subset loop; node tables, whose capped codes far outnumber the
-    kept sets, convert with convert.convert_mi.
     """
     _check_readout(game)
     n = len(hoods.hoods)
@@ -279,12 +265,4 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
         raise ValueError(f"lambda must be in 1..{n}, got {lam}")
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    oversized = sorted({h for h in hoods.hoods if h.bit_count() > lam}, key=sort_key)
-    if not _tables_take(game, hoods):
-        kept = field_sets(hoods.hoods, lam).tolist()
-        return _interactions(game, hoods, kept, oversized, k, index, lam)
-    keys, m, tables = game.moebius_arrays(lam)
-    mi = _surrogates(game, hoods, keys, m, oversized, game.evaluate_batch(oversized), lam)
-    if _table_hops(game.model) < game.model.num_layers:  # row tables
-        return mi, convert.convert_tables(mi, tables, index, k)
-    return mi, convert.convert_mi(mi, index, k)
+    return _run(game, hoods, lam, k, index)

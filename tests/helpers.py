@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from graphsi.coalitions import iter_members, mask_of
+import graphsi.moebius
+from graphsi.coalitions import iter_members, mask_of, small_family
 from graphsi.generate import random_model
 from graphsi.graph import make_graph
+from graphsi.nn import _table_hops
 
 
 class DictGame:
@@ -55,3 +57,16 @@ def table_moebius(game):
     (moebius_arrays); writes nothing into the game."""
     keys, values, _ = game.moebius_arrays()
     return dict(zip(keys.tolist(), values.tolist()))
+
+
+def force_route(patch, tables: bool) -> None:
+    """Send every run through patch (a pytest MonkeyPatch) to the tables or
+    to the dense stack, whatever its fields: "nodes" or "rows" as
+    nn._table_hops gives, or "sums" or "butterfly" as small_family gives,
+    so a forced run keeps the transform moebius._route would give it."""
+    def route(game, hoods):
+        if tables:
+            return "nodes" if _table_hops(game.model) == game.model.num_layers else "rows"
+        return "sums" if small_family(hoods.hoods) else "butterfly"
+
+    patch.setattr(graphsi.moebius, "_route", route)

@@ -16,11 +16,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import DictGame, random_table
+from helpers import DictGame, force_route, random_table
 from oracles import fast_moebius_oracle
 
 import graphsi.game
-import graphsi.moebius
 from graphsi.baselines import audit_nonlinear_readout, permutation_sampling_sii
 from graphsi.cli import main
 from graphsi.coalitions import full_mask, mask_of
@@ -35,8 +34,7 @@ from graphsi.graph import (
     load_graph,
     make_graph,
 )
-from graphsi.moebius import (_tables_take, build_interaction_set, graphshapiq_approx,
-                             graphshapiq_exact)
+from graphsi.moebius import _route, build_interaction_set, graphshapiq_approx, graphshapiq_exact
 from graphsi.nn import load_model
 
 
@@ -111,7 +109,8 @@ def test_call_count_equals_interaction_set_size(fifty_cases):
         est = estimate_calls(g, ell)
         assert mi.call_count == len(mi.values) == est.exact_I
         # the game forwarded I on the dense stack, nothing when node tables gave it
-        assert game.call_count() == (0 if _tables_take(game, hoods) else est.exact_I)
+        tables = _route(game, hoods) in ("nodes", "rows")
+        assert game.call_count() == (0 if tables else est.exact_I)
         d_max, _, _ = graph_stats(g, ell)
         as_num = lambda v: v if isinstance(v, int) else math.inf
         assert est.exact_I <= as_num(est.bound_sum) <= as_num(est.bound_nmax)
@@ -214,7 +213,7 @@ def test_efficiency_exact_and_every_truncation_order():
 
 
 def test_truncated_efficiency_at_every_order_under_mean_pooling(monkeypatch):
-    # on both routes: capped node tables where _tables_take admits the game,
+    # on both routes: capped tables where moebius._route takes them,
     # and the dense stack, forced, for every run
     ball_forwards = []
     real = graphsi.game._forward_ball
@@ -230,7 +229,7 @@ def test_truncated_efficiency_at_every_order_under_mean_pooling(monkeypatch):
     for dense in (False, True):
         with monkeypatch.context() as patch:
             if dense:
-                patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+                force_route(patch, tables=False)
             for idx, (kind, n, layers, model_kind) in enumerate(specs):
                 g, model = generate_instance(kind, n, 3, 7100 + idx, model_kind, layers, 4,
                                              edge_prob=0.4)
@@ -242,7 +241,8 @@ def test_truncated_efficiency_at_every_order_under_mean_pooling(monkeypatch):
                     game = GraphGame(model, g)
                     _, si = graphshapiq_approx(game, hoods, lam, k=2, index="ksii")
                     assert abs(efficiency_check(si, game.nu_full, game.nu_empty)) < 1e-8
-                    assert bool(ball_forwards) == (not dense and _tables_take(game, hoods))
+                    tables = _route(game, hoods) in ("nodes", "rows")
+                    assert bool(ball_forwards) == (not dense and tables)
                     tabled += bool(ball_forwards)
     assert tabled  # some runs took the tables
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import graphsi.game
-import graphsi.moebius
 from graphsi.baselines import (
     audit_nonlinear_readout,
     brute_force_mi,
@@ -23,7 +22,7 @@ from graphsi.moebius import (build_interaction_set, graphshapiq_approx, graphsha
                              moebius_transform)
 from graphsi.nn import GnnModel, Mlp2Readout, load_model
 
-from helpers import DictGame, mask_to_set, random_table, table_as_nu
+from helpers import DictGame, force_route, mask_to_set, random_table, table_as_nu
 from oracles import fast_moebius_oracle, shapley_oracle, sii_oracle, stii_oracle
 
 
@@ -362,7 +361,7 @@ def test_compare_estimators_forwards_each_coalition_once(demo_dir, monkeypatch):
     assert sum(stacks) == 1 + 8
     forwards.clear()
     with monkeypatch.context() as patch:  # on the dense stack every run reads I, 136 sets
-        patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+        force_route(patch, tables=False)
         dense = compare_estimators(model, graph, 2, [], [0])
     assert [row[:3] for row in dense] == [row[:3] for row in rows]
     construction, *stacks = forwards

@@ -8,7 +8,9 @@ import threading
 import numpy as np
 import pytest
 
+import graphsi.convert
 import graphsi.game
+import graphsi.moebius
 import graphsi.nn
 from graphsi.coalitions import full_mask, mask_of
 from graphsi.errors import ParseError
@@ -32,7 +34,7 @@ from graphsi.nn import (
     load_model,
     masked_features,
 )
-from helpers import star_instance, table_moebius
+from helpers import force_route, star_instance, table_moebius
 from oracles import fast_moebius_oracle, moebius_oracle
 
 
@@ -332,55 +334,70 @@ def test_capped_ball_forward_of_64_nodes_matches_the_untrimmed_stack():
     _ball_forwards_match_the_stack(g, random_model("gcn", 3, 1, 16, 3), cap=2)
 
 
-# (case, node tables taken, balls laid out): the route a run takes. Runs at
-# the model's depth whose fields exceed DIRECT_MAX take the tables, capped at
-# lambda on a truncated run (er48); small families and runs at another ell
-# lay out no ball.
-ROUTES = [("path4", False, False), ("er8", True, True), ("tree20", False, False),
-          ("path40", False, False), ("er48", True, True), ("path40-ell1", False, False),
-          ("star14", True, True), ("tree64", True, True)]
+# (case, moebius._route, the conversion that ran). Runs whose fields all
+# have at most DIRECT_MAX members take the per-set sums; larger fields at
+# another ell than the model's depth (er8-ell2) the family butterfly; the
+# rest the tables: row tables under a GCN last layer after another (er48,
+# tree64-gcn), else node tables, which a truncated run (star14-lam3) converts
+# with convert_mi. Only table routes lay out or forward a ball.
+ROUTES = [("path4", "sums", "convert_mi"), ("er8", "nodes", "convert_tables"),
+          ("tree20", "sums", "convert_mi"), ("path40", "sums", "convert_mi"),
+          ("er48", "rows", "convert_tables"), ("path40-ell1", "sums", "convert_mi"),
+          ("star14", "nodes", "convert_tables"), ("tree64", "nodes", "convert_tables"),
+          ("er8-ell2", "butterfly", "convert_mi"), ("star14-lam3", "nodes", "convert_mi"),
+          ("tree64-gcn", "rows", "convert_tables")]
 
 
 def _route_run(name: str, demo_dir) -> GraphInteractionExplainer:
-    if name in ("path4", "er8"):  # the demo graphs; path4's MI output is pinned
-        g = load_graph(demo_dir / f"{name}_graph.json")
-        model = load_model(demo_dir / f"{name}_model.json")
-    elif name == "star14":
+    if name in ("path4", "er8", "er8-ell2"):  # the demo graphs; path4's MI output is pinned
+        demo = name.split("-")[0]
+        g = load_graph(demo_dir / f"{demo}_graph.json")
+        model = load_model(demo_dir / f"{demo}_model.json")
+    elif name.startswith("star14"):
         g, model = star_instance()
     else:  # a molecule-sized tree and paths; ER and a degree-3 tree, 2 layers
         kind, n, layers, model_kind = {"tree20": ("tree", 20, 1, "gin"),
                                        "path40": ("path", 40, 1, "gin"),
                                        "path40-ell1": ("path", 40, 2, "gin"),
                                        "er48": ("er", 48, 2, "gcn"),
-                                       "tree64": ("tree", 64, 2, "gin")}[name]
+                                       "tree64": ("tree", 64, 2, "gin"),
+                                       "tree64-gcn": ("tree", 64, 2, "gcn")}[name]
         g, model = generate_instance(kind, n, 3, 9, model_kind, layers, 16, edge_prob=0.1)
     if name == "er48":  # 2-hop balls of up to 34 nodes: a truncated run
         assert max(h.bit_count() for h in khop_neighborhoods(g, 2).hoods) == 34
         return GraphInteractionExplainer(model, lam=2).fit(g)
+    if name == "star14-lam3":  # the hub's field of 14 nodes is oversized
+        return GraphInteractionExplainer(model, lam=3).fit(g)
     if name == "path40-ell1":  # 1-hop fields of 3 nodes, 2-hop balls of 5
         return GraphInteractionExplainer(model, ell=1).fit(g)
+    if name == "er8-ell2":  # the demo model has one layer
+        return GraphInteractionExplainer(model, ell=2).fit(g)
     return GraphInteractionExplainer(model).fit(g)
 
 
-@pytest.mark.parametrize("name,tabled,laid", ROUTES)
-def test_cost_rule_takes_the_faster_evaluator(demo_dir, monkeypatch, name, tabled, laid):
-    # the field-size rule that replaced the cost rule; the name keeps the test ids
+@pytest.mark.parametrize("name,route,conversion", ROUTES)
+def test_each_case_takes_its_route(demo_dir, monkeypatch, name, route, conversion):
+    routes, conversions = [], []
     laid_out, ball_forwards = [], []  # a ball layout is computed only to build node tables
     real_layouts, real_ball = graphsi.game.ball_layouts, graphsi.game._forward_ball
 
-    def counting(g, hops):
-        laid_out.append(hops)
-        return real_layouts(g, hops)
+    def recording(into, value, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            into.append(out if value is None else value)
+            return out
+        return wrapper
 
-    def forwarding(*args):
-        ball_forwards.append(args)
-        return real_ball(*args)
-
-    monkeypatch.setattr(graphsi.game, "ball_layouts", counting)
-    monkeypatch.setattr(graphsi.game, "_forward_ball", forwarding)
+    monkeypatch.setattr(graphsi.moebius, "_route", recording(routes, None, graphsi.moebius._route))
+    for converter in ("convert_mi", "convert_tables"):
+        monkeypatch.setattr(graphsi.convert, converter,
+                            recording(conversions, converter, getattr(graphsi.convert, converter)))
+    monkeypatch.setattr(graphsi.game, "ball_layouts", recording(laid_out, True, real_layouts))
+    monkeypatch.setattr(graphsi.game, "_forward_ball", recording(ball_forwards, True, real_ball))
     _route_run(name, demo_dir)
-    assert bool(ball_forwards) == tabled
-    assert bool(laid_out) == laid
+    assert routes == [route]
+    assert conversions == [conversion]
+    assert bool(ball_forwards) == bool(laid_out) == (route in ("nodes", "rows"))
 
 
 def test_ball_forwards_build_no_masked_stack(monkeypatch):
@@ -450,7 +467,7 @@ def test_a_truncated_run_on_a_64_node_ball_matches_the_dense_route(monkeypatch, 
     tabled = GraphInteractionExplainer(model, lam=lam).fit(g)
     assert 64 in widths  # the capped-table route
     with monkeypatch.context() as patch:
-        patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+        force_route(patch, tables=False)
         dense = GraphInteractionExplainer(model, lam=lam).fit(g)
     assert tabled.call_count_ == dense.call_count_
     tol = 1e-12 * max(1.0, abs(dense.game_.nu_full))

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import graphsi.game
-import graphsi.moebius
 from graphsi.coalitions import DIRECT_MAX, mask_of, small_family
 from graphsi.convert import convert_mi, efficiency_check
 from graphsi.explainer import GraphInteractionExplainer
@@ -30,7 +29,7 @@ from graphsi.interactions import InteractionValues
 from graphsi.moebius import build_interaction_set, graphshapiq_approx, graphshapiq_exact
 from graphsi.nn import GcnLayer, _table_hops
 
-from helpers import mask_to_set, table_moebius
+from helpers import force_route, mask_to_set, table_moebius
 from oracles import (conversion_oracle, fast_moebius_oracle, fast_zeta_oracle, gamma,
                      interaction_set_oracle, khop_oracle, si_graph_oracle)
 
@@ -99,7 +98,7 @@ def test_pipeline_agrees_with_the_dense_power_set(case):
     fields = khop_neighborhoods(g, ell).hoods
     assert bool(balls) == (ell == model.num_layers and not small_family(fields))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+        force_route(patch, tables=False)
         stacked = GraphInteractionExplainer(model, index="mi", ell=ell, baseline=baseline,
                                             normalize=normalize).fit(g).moebius_.values
     assert list(ex.moebius_.values) == list(stacked)
@@ -109,7 +108,7 @@ def test_pipeline_agrees_with_the_dense_power_set(case):
     # I covers the receptive fields (nu's Moebius transform vanishes off them)
     if ell >= model.num_layers:
         with pytest.MonkeyPatch.context() as patch:  # the dense stack, whose values nu holds
-            patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: False)
+            force_route(patch, tables=False)
             mi, _ = graphshapiq_exact(GraphGame(model, g), khop_neighborhoods(g, ell),
                                       k=1, index="sv")
         # exact rationals, all scaled by one power of two that makes every nu an integer
@@ -170,7 +169,7 @@ def test_index_values_from_node_tables(case):
                 if k > g.n:
                     continue
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: True)
+                    force_route(patch, tables=True)
                     _, got = graphshapiq_exact(game, hoods, k, index)
                 want = convert_mi(mi, index, k).values
                 assert list(got.values) == list(want)  # the same sets, in the same order
@@ -202,8 +201,7 @@ def test_truncated_runs_from_capped_tables_match_the_dense_route(case):
             runs = []
             for tables in (True, False):
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(graphsi.moebius, "_tables_take",
-                                  lambda game, hoods, take=tables: take)
+                    force_route(patch, tables)
                     game = GraphGame(model, g, baseline, normalize)
                     runs.append(graphshapiq_approx(game, hoods, lam, k, index))
             for got, want in zip(*runs):  # the Moebius maps, then the index values
@@ -290,8 +288,7 @@ def test_row_tables_match_the_dense_route(case, pooling):
                     runs = []
                     for take, game in games.items():
                         with pytest.MonkeyPatch.context() as patch:
-                            patch.setattr(graphsi.moebius, "_tables_take",
-                                          lambda game, hoods, take=take: take)
+                            force_route(patch, take)
                             runs.append(graphshapiq_exact(game, hoods, k, index) if lam is None
                                         else graphshapiq_approx(game, hoods, min(lam, g.n), k,
                                                                 index))
@@ -320,7 +317,7 @@ def test_truncated_row_runs_convert_on_their_tables_as_convert_mi_does(case):
                 for index in INDICES[1:]:
                     for k in range(1, min(1 if index == "sv" else 3, g.n) + 1):
                         with pytest.MonkeyPatch.context() as patch:
-                            patch.setattr(graphsi.moebius, "_tables_take", lambda game, hoods: True)
+                            force_route(patch, tables=True)
                             mi, got = graphshapiq_approx(game, hoods, lam, k, index)
                         want = convert_mi(mi, index, k).values
                         assert list(got.values) == list(want)  # the same sets, in the same order

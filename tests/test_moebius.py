@@ -20,7 +20,7 @@ from graphsi.moebius import (
 )
 from graphsi.nn import load_model
 
-from helpers import DictGame, mask_to_set, random_table, table_as_nu
+from helpers import DictGame, force_route, mask_to_set, random_table, table_as_nu
 from oracles import (
     fast_moebius_oracle,
     field_masks,
@@ -198,16 +198,10 @@ def test_tabulated_fields_within_rounding_bound(instance):
             assert abs(Fraction(mi.values[mask]) - Fraction(oracle)) <= 2 * bound
 
 
-def dense_route(monkeypatch):
-    """Send exact runs through the family butterfly over memo values, where
-    the route rule would give MI straight from the node tables."""
-    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
-
-
 def test_overlapping_fields_agree_bit_for_bit(monkeypatch):
     g, model, hoods = tree30_instance()
     game = GraphGame(model, g)
-    dense_route(monkeypatch)
+    force_route(monkeypatch, tables=False)
     mi, _ = graphshapiq_exact(game, hoods, k=2)
     probe = game  # memo hits: the values the run used
     alone = {}
@@ -311,7 +305,7 @@ def test_a_truncated_run_builds_one_pair_index_per_butterfly(monkeypatch):
     assert calls == ["conversion"]
     assert max(t.bit_count() for t in mi.values) >= lam + 2
     calls.clear()
-    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+    force_route(monkeypatch, tables=False)
     dense, _ = graphshapiq_approx(GraphGame(model, g), hoods, lam=lam, k=2)
     assert calls == ["transform", "conversion"]  # the dense route's butterfly takes its own
     assert list(dense.values) == list(mi.values)
@@ -337,7 +331,7 @@ def test_a_truncated_row_table_run_converts_on_its_tables(monkeypatch, kind, con
                         counted("_convert_family", convert._convert_family))
     g, model = generate_instance("er", 48, 3, 9, kind, 2, 16, edge_prob=0.1)
     hoods = khop_neighborhoods(g, 2)
-    assert moebius._tables_take(GraphGame(model, g), hoods)
+    assert moebius._route(GraphGame(model, g), hoods) == {"gcn": "rows", "gin": "nodes"}[kind]
     mi, si = graphshapiq_approx(GraphGame(model, g), hoods, lam=3, k=2)
     assert sorted(set(calls)) == converted
     assert len(si.values) > 48 and any(t.bit_count() > 3 for t in mi.values)  # surrogates
@@ -468,7 +462,7 @@ def test_truncation_at_full_width_matches_exact(monkeypatch):
     n_max = max(h.bit_count() for h in hoods.hoods)
     assert n_max > DIRECT_MAX  # so the default exact run takes node tables
     tabled_mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
-    dense_route(monkeypatch)
+    force_route(monkeypatch, tables=False)
     exact_mi, _ = graphshapiq_exact(GraphGame(model, g), hoods, k=2)
     assert tabled_mi.values.keys() == exact_mi.values.keys()
     tol = 1e-12 * max(1.0, abs(GraphGame(model, g).nu_full))
@@ -530,7 +524,7 @@ def test_truncated_call_count_is_kept_plus_oversized(monkeypatch):
         mi_hat, _ = graphshapiq_approx(game, hoods, lam=lam, k=2)
         assert mi_hat.call_count == len(kept | oversized)
         assert set(game._memo) == oversized | ({0} if normalize else set())
-    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+    force_route(monkeypatch, tables=False)
     game = GraphGame(model, g)  # the dense route forwards every set it reports
     mi_hat, _ = graphshapiq_approx(game, hoods, lam=lam, k=2)
     assert game.call_count() == mi_hat.call_count == len(kept | oversized)
@@ -561,7 +555,7 @@ def test_a_run_after_node_tables_reports_the_sets_it_forwards(demo_dir, monkeypa
     assert set(game._memo) == {h for h in hoods.hoods if h.bit_count() > 2}
     assert game.call_count() == 7
     # on the dense stack the lambda run forwards its own sets
-    monkeypatch.setattr(moebius, "_tables_take", lambda game, hoods: False)
+    force_route(monkeypatch, tables=False)
     game = GraphGame(model, g)
     assert graphshapiq_approx(game, hoods, lam=2, k=2)[0].call_count == 40
     assert game.call_count() == 40
