@@ -62,14 +62,29 @@ def _union_powerset_size(masks: list[int], steps: list[int], weight: list[int]) 
     return total
 
 
+def _capped_subsets(n_max: int, lam: int) -> list[int]:
+    """weight[s] = sum_{j <= lam} C(s, j), the subsets of at most lam members
+    of an s-set, for s = 0..n_max: 2^s when s <= lam."""
+    return [1 << s if s <= lam else sum(math.comb(s, j) for j in range(lam + 1))
+            for s in range(n_max + 1)]
+
+
+def truncated_bound(hoods: NeighborhoodIndex, lam: int) -> int:
+    """Evaluations a run at order cap lam makes at most: sum_i C(|N_i|, <= lam)
+    sets plus one per distinct field of more than lam nodes. At lam >= n_max
+    it is sum_i 2^|N_i|, the bound on |I| that heads the exact chain."""
+    sizes = [h.bit_count() for h in hoods.hoods]
+    weight = _capped_subsets(max(sizes), lam)
+    return sum(weight[s] for s in sizes) + len({h for h in hoods.hoods if h.bit_count() > lam})
+
+
 def count_evaluated(hoods: NeighborhoodIndex, lam: int) -> int | None:
     """Distinct sets a run at order cap lam evaluates: the subsets of at most
     lam members of the fields, plus each distinct field of more than lam
     nodes. At lam >= n_max that is |I|, the union of the fields' power sets.
     None if counting would exceed COUNT_STEP_BUDGET recursion steps, a
     number that does not depend on lam."""
-    n_max = max(h.bit_count() for h in hoods.hoods)
-    weight = [sum(math.comb(s, j) for j in range(min(s, lam) + 1)) for s in range(n_max + 1)]
+    weight = _capped_subsets(max(h.bit_count() for h in hoods.hoods), lam)
     try:
         capped = _union_powerset_size(_unique_maximal(hoods.hoods), [COUNT_STEP_BUDGET], weight)
     except _OutOfSteps:
@@ -116,15 +131,9 @@ def estimate_calls(g: Graph, ell: int) -> CallEstimate:
     budget, fall back to the bound chain.
     """
     hoods = khop_neighborhoods(g, ell)
-    sizes = [h.bit_count() for h in hoods.hoods]
-    n = g.n
-    n_max = max(sizes)
-
-    if n_max > 63:
-        bound_sum: int | str = SATURATED
-    else:
-        bound_sum = _saturate(sum(1 << s for s in sizes))
-    bound_nmax = _pow2_times(n, n_max)
+    n_max = max(h.bit_count() for h in hoods.hoods)
+    bound_sum = _saturate(truncated_bound(hoods, n_max))
+    bound_nmax = _pow2_times(g.n, n_max)
 
     bound_dmax = degree_bound(g, ell)
     if bound_dmax is None:

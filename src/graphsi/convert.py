@@ -178,7 +178,7 @@ def _capped_supersets(v: np.ndarray, sizes: np.ndarray, drop: np.ndarray) -> Non
 
 def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> InteractionValues:
     """The requested index at order k straight from the transformed node
-    tables that mi was summed from (GraphGame.node_tables, whose node games
+    tables that mi was summed from (GraphGame.moebius_arrays, whose node games
     hold the pooling), with no pass over mi's values of the sets they hold;
     "mi" returns mi unchanged.
 
@@ -187,9 +187,10 @@ def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> Interac
     table by w(s, |L|, k) and sums it down over supersets: a 2^h table by
     one butterfly pass per local bit j, v[L] += v[L + 2^j] on every L
     without bit j; a table capped at lambda by _capped_supersets, on its
-    codes alone. The size-s entries are summed by global mask onto mi's
-    size-s keys, which a row table (one hop narrower than the fields) may
-    leave at 0.0. m(empty) and the biases reach no set of size >= 1. A
+    codes alone. The size-s entries are summed by position (the tables
+    moebius_arrays returns hold their keys' positions) onto mi's size-s
+    keys, which a row table (one hop narrower than the fields) may leave at
+    0.0. m(empty) and the biases reach no set of size >= 1. A
     truncated map's sets of more than lambda members, its surrogates, are
     in no table: they take convert_mi's subset loop, in map order.
     """
@@ -202,10 +203,8 @@ def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> Interac
     sizes = set_sizes(keys)
     w = _weight_table(weight, k, int(sizes[-1]))
     orders = len(w) if mi.lam is None else min(len(w), mi.lam)  # the tables' sets hold <= lam
-    # per order, one part per ball shape; an order above every row ball's size keeps 0.0
-    masks = [[np.empty(0, "<u8")] for _ in range(orders)]
-    sums = [[np.empty(0)] for _ in range(orders)]
-    for stack, glob, counts, drop in tables:
+    places, sums = [], []  # per ball shape and order, its size-s entries
+    for stack, place, counts, drop in tables:
         h = int(counts.max())  # the ball's size, or the cap on a capped table
         top = min(orders, h)
         # (orders, balls, codes) in C order, so the balls of all orders merge into one axis
@@ -218,16 +217,12 @@ def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> Interac
             _capped_supersets(v.reshape(-1, v.shape[-1]), counts, drop)
         for s in range(top):
             at = counts == s + 1
-            masks[s].append(glob[:, at].ravel())
-            sums[s].append(v[s][:, at].ravel())
-    bounds = np.searchsorted(sizes, np.arange(1, orders + 2)).tolist()
-    out: dict[int, float] = {}
-    for s, (parts, values) in enumerate(zip(masks, sums)):
-        same = keys[bounds[s]:bounds[s + 1]]
-        # adds in input order
-        total = np.bincount(np.searchsorted(same, np.concatenate(parts)),
-                            weights=np.concatenate(values), minlength=len(same))
-        out.update(zip(same.tolist(), total.tolist()))
+            places.append(place[:, at].ravel())
+            sums.append(v[s][:, at].ravel())
+    stop = int(np.searchsorted(sizes, orders, side="right"))  # keys[1:stop]: sizes 1..orders
+    # adds in input order; each key takes only entries of its own size, or keeps 0.0
+    total = np.bincount(np.concatenate(places), weights=np.concatenate(sums), minlength=stop)
+    out = dict(zip(keys[1:stop].tolist(), total[1:].tolist()))
     if mi.lam is not None:  # the surrogates
         rest = int(np.searchsorted(sizes, mi.lam, side="right"))
         _subset_loop(zip(keys[rest:].tolist(), found[rest:].tolist()), weight, k, out)

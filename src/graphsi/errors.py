@@ -92,7 +92,7 @@ class TruncatedBudgetExceeded(BudgetExceeded):
     than the ceiling, under the same rule (moebius.check_budget); the
     exact-mode chain does not apply. bound_sum holds the count of distinct
     sets the run evaluates (complexity.count_evaluated), or the bound
-    moebius.truncated_bound when counting gives up."""
+    complexity.truncated_bound when counting gives up."""
 
     def __init__(self, lam: int, sets: int, ceiling: int, suggested_lambda: int):
         RuntimeError.__init__(

@@ -33,26 +33,26 @@ alone keep small families off the tables. The family butterfly
 (_moebius_map) runs m[S] -= m[S ^ j] over the down-closed F, node bit j
 ascending (Bjorklund, Husfeldt, Kaski & Koivisto 2008): n*|F| operations a
 pass, no 2^h table. Table sums (GraphGame.moebius_arrays) transform each
-ball's table, capped at lambda on a truncated run, and sum them by global
-mask. Index values come from convert.convert_mi or, off the tables,
-convert.convert_tables, each rounding once per term. Capped node tables
-keep convert_mi: their codes outnumber the kept sets (114,241 to 17,292
-on the truncated benchmark's graph under a GIN), and converting on them
-measured slower. Every route ends in _surrogates, for the oversized
-fields. The map is an InteractionValues built from key and value arrays.
+ball's table, capped at lambda on a truncated run, and sum them onto the
+keys by each entry's position, which convert.convert_tables reuses. Index
+values come from convert.convert_mi or, off the tables, convert_tables,
+each rounding once per term. Capped node tables keep convert_mi: their
+codes outnumber the kept sets (114,241 to 17,292 on the truncated
+benchmark's graph under a GIN), and converting on them measured slower.
+Every route ends in _surrogates, for the oversized fields. The map is an
+InteractionValues built from key and value arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import comb
 
 import numpy as np
 
 from . import convert  # convert.convert_mi is looked up per call, so a wrapper set on it applies
 from .coalitions import (_unique_maximal, field_sets, full_mask, iter_subsets, pair_index,
                          small_family, sort_key)
-from .complexity import count_evaluated, degree_bound
+from .complexity import count_evaluated, degree_bound, truncated_bound
 from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
@@ -60,15 +60,6 @@ from .interactions import InteractionSet, InteractionValues
 from .nn import _table_hops
 
 DEFAULT_CEILING = 2 ** 24
-
-
-def truncated_bound(hoods: NeighborhoodIndex, lam: int) -> int:
-    """Evaluations a run at order cap lam makes at most: sum_i C(|N_i|, <= lam)
-    sets plus one per distinct field of more than lam nodes. At lam >= n_max
-    it is sum_i 2^|N_i|, the bound on |I| that heads the exact chain."""
-    sizes = [h.bit_count() for h in hoods.hoods]
-    return (sum(1 << h if h <= lam else sum(comb(h, j) for j in range(lam + 1)) for h in sizes)
-            + len({h for h in hoods.hoods if h.bit_count() > lam}))
 
 
 def check_budget(hoods: NeighborhoodIndex, lam: int | None, ceiling: int, graph=None) -> None:

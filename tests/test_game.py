@@ -287,6 +287,27 @@ def test_node_tables_write_nothing_into_the_game(normalize):
         assert (first[0] == 0.0) == normalize
 
 
+# node tables (the star's 1-layer GIN) and row tables (2-layer GCNs, as in
+# ROUTES); er48's 2-hop fields of up to 34 nodes admit only a truncated run
+@pytest.mark.parametrize("case,cap", [("star14", None), ("star14", 2), ("tree64-gcn", None),
+                                      ("tree64-gcn", 2), ("er48-gcn", 2)])
+def test_moebius_arrays_place_each_table_entry_among_the_keys(case, cap):
+    if case == "star14":
+        g, model = star_instance()
+    else:
+        kind, n = {"tree64-gcn": ("tree", 64), "er48-gcn": ("er", 48)}[case]
+        g, model = generate_instance(kind, n, 3, 9, "gcn", 2, 16, edge_prob=0.1)
+    game = GraphGame(model, g)
+    keys, _, tables = game.moebius_arrays(cap)
+    fresh = game.node_tables(cap)
+    assert len(tables) == len(fresh) > 0
+    for (stack, place, size, drop), (same_stack, masks, same_size, same_drop) in zip(tables, fresh):
+        assert place.dtype == np.intp and place.shape == masks.shape == stack.shape
+        assert np.array_equal(keys[place], masks)
+        assert np.array_equal(size, same_size) and np.array_equal(stack, same_stack)
+        assert drop is same_drop is None or np.array_equal(drop, same_drop)
+
+
 def _ball_forwards_match_the_stack(g, model, cap=None):
     """Each ball shape's projected ball forward against the untrimmed dense
     stack on the ball, at the center: times the readout column, or, when
