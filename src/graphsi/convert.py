@@ -164,7 +164,7 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
 def _capped_supersets(v: np.ndarray, sizes: np.ndarray, drop: np.ndarray) -> None:
     """Turn each row of v (rows, codes), on the capped codes of
     coalitions._capped_codes with these sizes and drop, into its sums over
-    supersets among those codes, in place. The transpose of node_tables'
+    supersets among those codes, in place. The transpose of moebius_arrays'
     capped passes with their sign flipped: for t = cap - 1 down to 0, each
     code c of more than t bits adds its value onto drop[c, t], c less its
     t-th lowest bit. Several codes drop onto one in a pass, so bincount sums

@@ -24,11 +24,9 @@ GIN last layers and 1-layer models keep the node games. The Moebius
 transform is linear too, so m(S) sums the tables' transforms at S over
 the balls holding S, plus the biases at S = empty (moebius_arrays). For
 |S| <= lam that reads a ball's table only on subsets of S, so a table
-capped at lam holds only its codes of at most lam bits. A ball forward
-reads its first conv layer off the coalition bits and folds the readout
-column into its last layer; its values agree with the dense stack to
-about 1e-14 relative (measured), not bit for bit. The tables write
-nothing into the game.
+capped at lam holds only its codes of at most lam bits. Ball forwards
+agree with the dense stack to about 1e-14 relative (measured), not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ class GraphGame(_MaskedGame):
     this selects the sole component). That construction pass is not a
     coalition evaluation and does not enter call_count.
 
-    call_count counts the coalitions forwarded on the dense stack; node_tables adds none.
+    call_count counts the coalitions forwarded on the dense stack; moebius_arrays adds none.
 
     Args:
         model: loaded GnnModel
@@ -134,10 +132,49 @@ class GraphGame(_MaskedGame):
     def _forward_stack(self, x: np.ndarray) -> list[float]:
         return forward_graph(self.model, self.graph, x)[:, self.target].tolist()
 
-    def _shapes(self, hops: int, cap: int | None):
-        """Per ball shape (size h, keep) at hops hops, ascending: (members, keep,
-        local codes, sizes, held, drop), as node_tables reads them; held and
-        drop are the capped codes' (_capped_codes), None on the 2^h path."""
+    def moebius_arrays(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray, list]:
+        """Moebius values on I, the union of the fields' power sets, and the
+        transformed tables they are summed from, freshly built: (keys, values,
+        tables), keys in canonical order; with cap (a truncated run's order
+        cap), on I's sets of at most cap members. Reads the model, graph,
+        baseline and target; writes nothing into the game.
+
+        Ball b's table holds at local index L its node (or row) game
+        (nn._forward_ball, on balls nn._table_hops(model) hops wide), with the
+        ball's j-th node in hop order (graph.ball_layouts) kept for each bit j
+        of L. The balls of one shape, (size h, keep), take one _forward_ball
+        call, shapes ascending, whose (balls, 2^h) stack takes the dense
+        subset butterfly in place: stack[b, L] is m_b(L), ball b's Moebius
+        value at L. Its local indices become global masks (balls, 2^h) by
+        doubling (coalitions._masks), their set sizes (2^h,) are set_sizes'.
+
+        With cap, a shape of more than cap nodes holds only its local codes
+        of at most cap bits, ascending (_capped_codes): C(h, <= cap) columns,
+        their sizes, and drop (C(h, <= cap), cap): each code's position less
+        its t-th lowest bit. That family is down-closed, and cap passes
+        transform it: pass t subtracts from each code of more than t bits the
+        value of that code without its t-th lowest bit, all reads before the
+        writes, so after pass t a code holds the transform over its t + 1
+        lowest bits (the butterfly, with each code's bits counted from its
+        lowest). A code's mask ORs its held bits' nodes. Shapes of at most
+        cap nodes keep the full 2^h path.
+
+        Each table is (stack, place, sizes, drop): place holds its entries'
+        positions among the keys, drop is None on the 2^h path. The tables
+        hold the pooling and are summed by position, by ascending shape and
+        then node; m(empty), that sum at keys[0], then takes the readout bias
+        (0 under normalize). Node tables hold I's masks: np.unique gives the
+        keys and each entry's position, and a stable sort by set_sizes the
+        canonical order. Row tables are one hop narrower than the fields, so
+        the keys are the fields' sets (coalitions.field_sets, capped at cap)
+        and the row masks are looked up among them: a set in no row ball
+        reads exactly 0.0, and m(empty) also takes n (b_L . w). Each way is
+        the faster one on its own tables: on node tables, field_sets keys and
+        their lookup measured 1.6-2.9 times slower (star14 0.53 -> 0.87 ms,
+        er64 0.53 -> 1.43 ms).
+        """
+        model, hops = self.model, _table_hops(self.model)
+        w = model.readout.weight[:, self.target] / {"sum": 1, "mean": self.n_players}[model.pooling]
         shapes: dict[tuple, list] = {}
         for nodes, keep in ball_layouts(self.graph, hops):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
@@ -145,50 +182,19 @@ class GraphGame(_MaskedGame):
         full = np.arange(1 << (widest if cap is None else min(cap, widest)), dtype="<u8")
         full_sizes = set_sizes(full)  # on either path a shape's codes and sizes are a prefix
         if cap is not None and cap < widest:
-            codes, counts, held, drop = _capped_codes(widest, cap)
+            capped = _capped_codes(widest, cap)  # (codes, sizes, held, drop)
+        tables, masks = [], []
         for (h, keep), group in sorted(shapes.items()):
             members = np.array(group, dtype="<u8")  # (balls, h)
-            if cap is not None and h > cap:
-                width = sum(comb(h, t) for t in range(cap + 1))
-                yield members, keep, codes[:width], counts[:width], held[:width], drop[:width]
+            if cap is None or h <= cap:
+                local, size, held, drop = full[:1 << h], full_sizes[:1 << h], None, None
             else:
-                yield members, keep, full[:1 << h], full_sizes[:1 << h], None, None
-
-    def node_tables(self, cap: int | None = None) -> list[tuple]:
-        """Each ball shape's transformed node tables, freshly built: a list of
-        (tables, masks, sizes, drop), shapes ascending; drop is the capped
-        codes' (below), None on the 2^h path. Reads the model, graph,
-        baseline and target; writes nothing into the game. cap is a
-        truncated run's order cap (None: no cap).
-
-        Ball b's table holds at local index L its node (or row) game
-        (nn._forward_ball, on balls nn._table_hops(model) hops wide), with the
-        ball's j-th node in hop order (graph.ball_layouts) kept for each bit j
-        of L. The balls of one shape, (size h, keep), take one _forward_ball
-        call, whose (balls, 2^h) stack takes the dense subset butterfly in
-        place: tables[b, L] is m_b(L), ball b's Moebius value at L. Its local
-        indices become the global masks (balls, 2^h) by doubling
-        (coalitions._masks), and their set sizes (2^h,) are set_sizes'.
-
-        With an order cap, a shape of more than cap nodes holds only its local
-        codes of at most cap bits, ascending (_capped_codes): C(h, <= cap)
-        columns of tables and masks, their sizes, and drop (C(h, <= cap), cap):
-        each code's position less its t-th lowest bit. That family is
-        down-closed, and cap passes transform it: pass t subtracts from each
-        code of more than t bits the value of that code without its t-th
-        lowest bit, all reads before the writes, so after pass t a code holds
-        the transform over its t + 1 lowest bits (the butterfly, with each
-        code's bits counted from its lowest). A code's mask ORs its held
-        bits' nodes. Shapes of at most cap nodes keep the full 2^h path.
-        """
-        model = self.model
-        w = model.readout.weight[:, self.target] / {"sum": 1, "mean": self.n_players}[model.pooling]
-        tables = []
-        for members, keep, local, size, held, drop in self._shapes(_table_hops(model), cap):
+                width = sum(comb(h, t) for t in range(cap + 1))
+                local, size, held, drop = (column[:width] for column in capped)
             stack = _forward_ball(model, self.graph, self.baseline, members, keep, local, w)
-            glob = _masks(members, held)
+            masks.append(_masks(members, held).ravel())
             if held is None:
-                for j in range(members.shape[1]):
+                for j in range(h):
                     v = stack.reshape(len(stack), -1, 2, 1 << j)
                     v[:, :, 1, :] -= v[:, :, 0, :]
             else:  # one pass per bit slot t: m(L) -= m(L less its t-th lowest bit)
@@ -197,31 +203,10 @@ class GraphGame(_MaskedGame):
                     partners = drop[at, t]
                     for row in stack:  # 1-d fancy indexing: 2-3 times faster than (balls, at)
                         row[at] -= row[partners]
-            tables.append((stack, glob, size, drop))
-        return tables
-
-    def moebius_arrays(self, cap: int | None = None) -> tuple[np.ndarray, np.ndarray, list]:
-        """Moebius values on I, the union of the fields' power sets, and the
-        node_tables(cap) they are summed from: (keys, values, tables), keys in
-        canonical order; with cap, on I's sets of at most cap members. The
-        tables hold their entries' positions among the keys in place of
-        global masks. They hold the pooling and are summed by position, by
-        ascending shape and then node; m(empty), that sum at keys[0], then
-        takes the readout bias (0 under normalize).
-
-        Node tables hold I's masks: np.unique gives the keys and each entry's
-        position, and a stable sort by set_sizes the canonical order. Row
-        tables are one hop narrower than the fields, so the keys are the
-        fields' sets (coalitions.field_sets, capped at cap) and the row masks
-        are looked up among them: a set in no row ball reads exactly 0.0, and
-        m(empty) also takes n (b_L . w). Each way is the faster one on its
-        own tables: on node tables, field_sets keys and their lookup measured
-        1.6-2.9 times slower (star14 0.53 -> 0.87 ms, er64 0.53 -> 1.43 ms).
-        """
-        model, tables = self.model, self.node_tables(cap)
+            tables.append((stack, size, drop))
         bias = float(model.readout.bias[self.target])
-        masks = np.concatenate([table[1].ravel() for table in tables])
-        if _table_hops(model) == model.num_layers:
+        masks = np.concatenate(masks)
+        if hops == model.num_layers:
             keys, where = np.unique(masks, return_inverse=True)
             order = np.argsort(set_sizes(keys), kind="stable")  # keys ascend: (size, mask) order
             keys, rank = keys[order], np.empty_like(order)
@@ -237,9 +222,9 @@ class GraphGame(_MaskedGame):
         sums = np.bincount(where, weights=np.concatenate([table[0].ravel() for table in tables]),
                            minlength=len(keys))
         sums[0] = 0.0 if self.normalize else sums[0] + bias
-        places = np.split(where, np.cumsum([table[1].size for table in tables[:-1]]))
-        return keys, sums, [(stack, place.reshape(glob.shape), size, drop)
-                            for (stack, glob, size, drop), place in zip(tables, places)]
+        places = np.split(where, np.cumsum([table[0].size for table in tables[:-1]]))
+        return keys, sums, [(stack, place.reshape(stack.shape), size, drop)
+                            for (stack, size, drop), place in zip(tables, places)]
 
     def evaluate_batch(self, coalitions) -> list[float]:
         """Values in input order; the empty coalition is forwarded last when normalizing."""

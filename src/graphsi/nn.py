@@ -298,7 +298,7 @@ def _gin_mlp(layer: GinLayer, agg: np.ndarray, flat: bool) -> np.ndarray:
 def _conv_stack(model: GnnModel, adj: np.ndarray, a_hat: np.ndarray,
                 x: np.ndarray, keep: list[int] | None = None) -> np.ndarray:
     """Last-layer node embeddings of x, (n, d) or (B, n, d), through every
-    conv layer of model (a ball forward passes its middle layers alone).
+    conv layer of model (a ball forward passes every layer after its first).
 
     keep, when given, holds per layer the number of leading rows that layer
     computes; every row they read must lie among the rows the layer before
@@ -377,32 +377,34 @@ def _forward_ball(model: GnnModel, g: Graph, baseline: np.ndarray, nodes: np.nda
     hops from the center reads the previous layer's rows within r + 1 hops,
     so layer l computes only keep[l] rows, each exact because all it reads
     lies in the ball; the last computes the center alone. Layer 0 is read
-    off the bits of L (_affine_layer); no masked feature stack is built. Up
-    to its output a node game's last layer is linear, so w is folded into
-    its weights (_projected) and no d-wide embedding of it is formed. The
-    ball matrices, layer 0's coefficients and the projected last layer are
-    built once for all codes.
+    off the bits of L (_affine_layer); no masked feature stack is built.
+    Every later conv layer passes _conv_stack on keep[1:]. Up to its output
+    a node game's last layer is linear, so w is folded into its weights
+    (_projected) and no d-wide embedding of it is formed. The ball
+    matrices, layer 0's coefficients and the projected last layer are built
+    once for all codes.
     """
     adj, a_hat = (matrix[nodes[:, None, :, None], nodes[:, None, None, :]]
                   for matrix in g.matrices)  # (balls, 1, h, h)
-    if _table_hops(model) < model.num_layers:  # c_r (W_L w) per row ball, as the last layer
+    if _table_hops(model) < model.num_layers:  # c_r (W_L w) per row ball, after the layers before
         last = np.multiply.outer(g.matrices[1].sum(axis=0)[nodes[:, 0]],
                                  model.layers[-1].weight @ w)[..., None]  # (balls, d, 1)
+        layers = model.layers[:-1]
     else:
-        last = _projected(model.layers[-1], w)
-    layers = model.layers[:-1] + (last,)
+        last, layers = None, model.layers[:-1] + (_projected(model.layers[-1], w),)
     coef = _affine_layer(layers[0], adj, a_hat, g.features[nodes], baseline, keep[0])
-    middle = replace(model, layers=model.layers[1:-1])
+    after = replace(model, layers=layers[1:])
     rows = max(1, _CHUNK_BYTES // (8 * len(nodes) * max(nodes.shape[1], keep[0] * model.width)))
     values = np.empty((len(nodes), len(local)))
     for start in range(0, len(local), rows):
-        values[:, start:start + rows] = _ball_chunk(layers, middle, keep, adj, a_hat, coef,
-                                                    local[start:start + rows])
+        values[:, start:start + rows] = _ball_chunk(layers[0], after, last, keep, adj, a_hat,
+                                                    coef, local[start:start + rows])
     return values
 
 
-def _ball_chunk(layers: tuple, middle: GnnModel, keep: list[int], adj: np.ndarray,
-                a_hat: np.ndarray, coef: np.ndarray, codes) -> np.ndarray:
+def _ball_chunk(first: GcnLayer | GinLayer, after: GnnModel, last: np.ndarray | None,
+                keep: list[int], adj: np.ndarray, a_hat: np.ndarray, coef: np.ndarray,
+                codes) -> np.ndarray:
     """_forward_ball on one chunk of codes; its temporaries die before the next chunk's."""
     balls, m = len(coef), coef.shape[1] - 1
     codes = np.asarray(codes, dtype="<u8")
@@ -411,18 +413,14 @@ def _ball_chunk(layers: tuple, middle: GnnModel, keep: list[int], adj: np.ndarra
                                 bitorder="little")[:, :m]
     bits[:, m] = 1.0  # layer 0's constants; a uint64 code has no bit 64 to hold them
     h = (bits @ coef.reshape(balls, m + 1, -1)).reshape(balls, len(codes), *coef.shape[2:])
-    h = h if isinstance(layers[0], GcnLayer) else _gin_mlp(layers[0], h, flat=True)
-    if len(layers) > 2:  # the middle layers, trimmed
+    h = h if isinstance(first, GcnLayer) else _gin_mlp(first, h, flat=True)
+    if after.layers:  # every conv layer after layer 0, trimmed
         np.maximum(h, 0.0, out=h)
-        h = _conv_stack(middle, adj, a_hat, h, keep[1:])
-    if len(layers) > 1:
-        np.maximum(h, 0.0, out=h)
-        last, cols = layers[-1], h.shape[-2]
-        if isinstance(last, np.ndarray):  # a row game: (balls, B, d) @ (balls, d, 1)
-            return (h[..., 0, :] @ last)[..., 0]
-        h = _gin_mlp(last, (1.0 + last.epsilon) * h[..., :1, :] + adj[..., :1, :cols] @ h,
-                     flat=True)
-    return h[..., 0, 0]
+        h = _conv_stack(after, adj, a_hat, h, keep[1:])
+    if last is None:
+        return h[..., 0, 0]
+    np.maximum(h, 0.0, out=h)  # a row game: (balls, B, d) @ (balls, d, 1)
+    return (h[..., 0, :] @ last)[..., 0]
 
 
 def _projected(layer: GcnLayer | GinLayer, w: np.ndarray) -> GcnLayer | GinLayer:

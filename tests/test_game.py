@@ -297,15 +297,20 @@ def test_moebius_arrays_place_each_table_entry_among_the_keys(case, cap):
     else:
         kind, n = {"tree64-gcn": ("tree", 64), "er48-gcn": ("er", 48)}[case]
         g, model = generate_instance(kind, n, 3, 9, "gcn", 2, 16, edge_prob=0.1)
-    game = GraphGame(model, g)
-    keys, _, tables = game.moebius_arrays(cap)
-    fresh = game.node_tables(cap)
-    assert len(tables) == len(fresh) > 0
-    for (stack, place, size, drop), (same_stack, masks, same_size, same_drop) in zip(tables, fresh):
-        assert place.dtype == np.intp and place.shape == masks.shape == stack.shape
-        assert np.array_equal(keys[place], masks)
-        assert np.array_equal(size, same_size) and np.array_equal(stack, same_stack)
-        assert drop is same_drop is None or np.array_equal(drop, same_drop)
+    keys, _, tables = GraphGame(model, g).moebius_arrays(cap)
+    shapes = {}  # (size, keep) -> its balls, as ball_layouts lists them
+    for nodes, keep in ball_layouts(g, _table_hops(model)):
+        shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
+    assert len(tables) == len(shapes) > 0
+    for ((h, _), group), (stack, place, sizes, drop) in zip(sorted(shapes.items()), tables):
+        codes = sorted(sum(1 << j for j in bits) for size in range(min(h, cap or h) + 1)
+                       for bits in combinations(range(h), size))
+        masks = [[mask_of(v for j, v in enumerate(nodes) if code >> j & 1) for code in codes]
+                 for nodes in group]
+        assert place.dtype == np.intp and place.shape == stack.shape == (len(group), len(codes))
+        assert keys[place].tolist() == masks
+        assert sizes.tolist() == [code.bit_count() for code in codes]
+        assert (drop is None) == (cap is None or h <= cap)
 
 
 def _ball_forwards_match_the_stack(g, model, cap=None):
@@ -506,8 +511,9 @@ def test_a_capped_table_is_its_balls_moebius_transform():
     layouts = {nodes[0]: nodes for nodes, _ in ball_layouts(g, model.num_layers)}
     cap = 2
     checked = 0
-    for stack, glob, sizes, _ in game.node_tables(cap):
-        for values, masks in zip(stack, glob):
+    keys, _, tables = game.moebius_arrays(cap)
+    for stack, place, sizes, _ in tables:
+        for values, masks in zip(stack, keys[place]):
             nodes = layouts[int(masks[1]).bit_length() - 1]  # local code 1 keeps the center
             codes = [c for c in range(1 << len(nodes)) if c.bit_count() <= cap]
             assert len(values) == len(masks) == len(sizes) == len(codes)
@@ -552,30 +558,45 @@ def test_balls_of_one_shape_share_one_forward(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["gin", "gcn"])
 def test_middle_layers_compute_only_the_rows_the_next_layer_reads(monkeypatch, kind):
-    # a 3-layer ball forward runs its one middle layer through _conv_stack on
-    # keep[1:]: keep[1] rows, the ones within one hop of the center
+    # a 3-layer ball forward runs every layer after layer 0 through _conv_stack
+    # on keep[1:]. Under GIN each layer's MLP reads the rows that layer keeps:
+    # keep[0], keep[1] (within one hop of the center), then the center alone.
+    # A GCN last layer is a row game's product, so _conv_stack runs the one
+    # middle layer on keep[1] rows.
     g = make_graph(12, [(i, i + 1) for i in range(11)],
                    np.random.Generator(np.random.Philox(5)).normal(size=(12, 3)))
     model = random_model(kind, 3, 3, 16, 5)
     w = model.readout.weight[:, GraphGame(model, g).target]
-    stacks = []  # (layers, keep, output rows) per _conv_stack call
-    real = graphsi.nn._conv_stack
+    calls = []  # GIN: rows per _gin_mlp call; GCN: (layers, keep, output rows) per _conv_stack
+    if kind == "gin":
+        real_mlp = graphsi.nn._gin_mlp
 
-    def recording(model, adj, a_hat, x, keep=None):
-        h = real(model, adj, a_hat, x, keep)
-        stacks.append((len(model.layers), keep, h.shape[-2]))
-        return h
+        def recording(layer, agg, flat):
+            calls.append(agg.shape[-2])
+            return real_mlp(layer, agg, flat)
 
-    monkeypatch.setattr(graphsi.nn, "_conv_stack", recording)
+        monkeypatch.setattr(graphsi.nn, "_gin_mlp", recording)
+    else:
+        real_stack = graphsi.nn._conv_stack
+
+        def recording(model, adj, a_hat, x, keep=None):
+            h = real_stack(model, adj, a_hat, x, keep)
+            calls.append((len(model.layers), keep, h.shape[-2]))
+            return h
+
+        monkeypatch.setattr(graphsi.nn, "_conv_stack", recording)
     shapes = {}
     for nodes, keep in ball_layouts(g, model.num_layers):
         shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
     assert any(keep[0] > keep[1] for _, keep in shapes)  # so keep[:-1] would be caught
     for (h, keep), group in shapes.items():
-        stacks.clear()
+        calls.clear()
         _forward_ball(model, g, default_baseline(g), np.array(group), list(keep),
                       list(range(1 << h)), w)
-        assert stacks and all(stack == (1, list(keep[1:]), keep[1]) for stack in stacks)
+        if kind == "gin":  # every chunk: keep[0], keep[1], 1
+            assert keep[-1] == 1 and calls and calls == list(keep) * (len(calls) // 3)
+        else:
+            assert calls and all(call == (1, list(keep[1:]), keep[1]) for call in calls)
 
 
 @pytest.mark.parametrize("pooling", ["sum", "mean"])
@@ -587,13 +608,13 @@ def test_node_tables_do_not_depend_on_the_chunk_size(monkeypatch, layers, kind, 
     game = GraphGame(model, g)
     tol = 1e-12 * max(1.0, abs(game.nu_full))
     for cap in (None, 2):
-        default = game.node_tables(cap)
+        keys, _, default = game.moebius_arrays(cap)
         with monkeypatch.context() as patch:
             patch.setattr(graphsi.nn, "_CHUNK_BYTES", 1)  # one code per chunk
-            chunked = game.node_tables(cap)
-        assert len(chunked) == len(default)
-        for (stack, glob, sizes, _), (want, want_glob, want_sizes, _) in zip(chunked, default):
-            assert glob.tolist() == want_glob.tolist() and sizes.tolist() == want_sizes.tolist()
+            chunked_keys, _, chunked = game.moebius_arrays(cap)
+        assert chunked_keys.tolist() == keys.tolist() and len(chunked) == len(default)
+        for (stack, place, sizes, _), (want, want_place, want_sizes, _) in zip(chunked, default):
+            assert place.tolist() == want_place.tolist() and sizes.tolist() == want_sizes.tolist()
             assert stack.shape == want.shape and np.abs(stack - want).max() <= tol
 
 
