@@ -150,14 +150,6 @@ def _masks(members: np.ndarray, held: np.ndarray | None) -> np.ndarray:
     return glob
 
 
-def set_sizes(masks: np.ndarray) -> np.ndarray:
-    """Member counts of uint64 masks, as uint8 (SWAR: np.bitwise_count needs NumPy 2)."""
-    x = masks - (masks >> 1 & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + (x >> 2 & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101 >> 56).astype(np.uint8)
-
-
 def field_sets(fields, cap: int | None = None) -> np.ndarray:
     """Every subset of at most cap >= 1 members (any size without a cap) of
     the given field masks, each once, as uint64 masks in canonical order
@@ -175,4 +167,4 @@ def field_sets(fields, cap: int | None = None) -> np.ndarray:
         for h, group in groups.items()])
     masks.sort()
     masks = masks[np.append(True, masks[1:] != masks[:-1])]
-    return masks[np.argsort(set_sizes(masks), kind="stable")]
+    return masks[np.argsort(np.bitwise_count(masks), kind="stable")]

@@ -146,13 +146,12 @@ def estimate_calls(g: Graph, ell: int) -> CallEstimate:
 
 def _row_calls(est: CallEstimate) -> tuple[int | str, bool]:
     """(calls, is_exact) for one study row: the exact count when
-    enumerated, else the tightest available bound."""
+    enumerated, else sum_i 2^|N_i|, the tightest bound of the chain: the
+    later bounds are no smaller (or inapplicable), so none is an int when
+    it saturates."""
     if isinstance(est.exact_I, int):
         return est.exact_I, True
-    for bound in (est.bound_sum, est.bound_nmax, est.bound_dmax):
-        if isinstance(bound, int):
-            return bound, False
-    return SATURATED, False
+    return est.bound_sum, False
 
 
 def scaling_study(graphs: list[Graph], ell_values: list[int], out=None,

@@ -31,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .coalitions import iter_members, pair_index, set_sizes, small_family
+from .coalitions import iter_members, pair_index, small_family
 from .interactions import InteractionValues
 
 
@@ -84,14 +84,15 @@ _WEIGHTS = {
 
 
 def _index_weight(index: str, k: int, n: int):
-    """The weight of a supported index at a valid order k over n players."""
-    if index not in _WEIGHTS:
+    """The weight of a supported index at a valid order k over n players;
+    None for "mi", the Moebius values themselves."""
+    if index not in _WEIGHTS and index != "mi":
         raise ValueError(f"unknown index {index!r}")
     if index == "sv" and k != 1:
         raise ValueError("the Shapley value is an order-1 index; use k=1")
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    return _WEIGHTS[index]
+    return _WEIGHTS.get(index)
 
 
 def _weight_table(weight, k: int, top: int) -> np.ndarray:
@@ -109,7 +110,7 @@ def _convert_family(keys: np.ndarray, found: np.ndarray, weight, k: int,
     AND-butterfly over the pair index decides it (an absent set reads as
     False) before the sums run over D alone.
     """
-    sizes = set_sizes(keys)
+    sizes = np.bitwise_count(keys)
     w = _weight_table(weight, k, int(sizes.max()))
     pairs = list(pair_index(keys))
     inside = np.append(np.ones(len(keys), dtype=bool), False)
@@ -176,11 +177,12 @@ def _capped_supersets(v: np.ndarray, sizes: np.ndarray, drop: np.ndarray) -> Non
         v += np.bincount(into, weights=v[:, at].ravel(), minlength=v.size).reshape(v.shape)
 
 
-def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> InteractionValues:
-    """The requested index at order k straight from the transformed node
-    tables that mi was summed from (GraphGame.moebius_arrays, whose node games
-    hold the pooling), with no pass over mi's values of the sets they hold;
-    "mi" returns mi unchanged.
+def convert_tables(mi: InteractionValues, tables, index: str, weight, k: int,
+                   ) -> InteractionValues:
+    """index at order k, whose weight _index_weight gave, straight from the
+    transformed node tables that mi was summed from (GraphGame.moebius_arrays,
+    whose node games hold the pooling), with no pass over mi's values of the
+    sets they hold.
 
     The index value of S, |S| = s, is the sum over the balls holding S of
     sum_{S <= T <= N_i} w(s, |T|, k) m_i(T). So each order s weights every
@@ -194,13 +196,8 @@ def convert_tables(mi: InteractionValues, tables, index: str, k: int) -> Interac
     truncated map's sets of more than lambda members, its surrogates, are
     in no table: they take convert_mi's subset loop, in map order.
     """
-    if mi.kind != "mi":
-        raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
-    if index == "mi":
-        return mi
-    weight = _index_weight(index, k, mi.n)
     keys, found = mi.arrays  # canonical order: keys[0] is the empty set, keys[-1] widest
-    sizes = set_sizes(keys)
+    sizes = np.bitwise_count(keys)
     w = _weight_table(weight, k, int(sizes[-1]))
     orders = len(w) if mi.lam is None else min(len(w), mi.lam)  # the tables' sets hold <= lam
     places, sums = [], []  # per ball shape and order, its size-s entries

@@ -14,7 +14,6 @@ import tempfile
 
 import numpy as np
 
-from .coalitions import set_sizes
 from .errors import ParseError
 from .graph import Graph
 from .interactions import InteractionValues
@@ -110,7 +109,7 @@ def build_si_graph(si: InteractionValues, nu_full: float, nu_empty: float,
     order. The empty set never appears; its value is nu_empty in the metadata.
     """
     keys, values = si.arrays
-    sizes = set_sizes(keys)
+    sizes = np.bitwise_count(keys)
     node = [0.0] * si.n
     single = sizes == 1
     for i, value in zip((np.frexp(keys[single])[1] - 1).tolist(), values[single].tolist()):

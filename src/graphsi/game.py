@@ -37,7 +37,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .coalitions import MAX_PLAYERS, _capped_codes, _masks, field_sets, full_mask, set_sizes
+from .coalitions import MAX_PLAYERS, _capped_codes, _masks, field_sets, full_mask
 from .errors import ParseError, as_vector
 from .graph import Graph, ball_layouts, khop_neighborhoods
 from .nn import (_CHUNK_BYTES, GnnModel, _forward_ball, _table_hops, default_baseline,
@@ -146,7 +146,7 @@ class GraphGame(_MaskedGame):
         call, shapes ascending, whose (balls, 2^h) stack takes the dense
         subset butterfly in place: stack[b, L] is m_b(L), ball b's Moebius
         value at L. Its local indices become global masks (balls, 2^h) by
-        doubling (coalitions._masks), their set sizes (2^h,) are set_sizes'.
+        doubling (coalitions._masks), their set sizes (2^h,) np.bitwise_count.
 
         With cap, a shape of more than cap nodes holds only its local codes
         of at most cap bits, ascending (_capped_codes): C(h, <= cap) columns,
@@ -164,7 +164,7 @@ class GraphGame(_MaskedGame):
         hold the pooling and are summed by position, by ascending shape and
         then node; m(empty), that sum at keys[0], then takes the readout bias
         (0 under normalize). Node tables hold I's masks: np.unique gives the
-        keys and each entry's position, and a stable sort by set_sizes the
+        keys and each entry's position, and a stable sort by size the
         canonical order. Row tables are one hop narrower than the fields, so
         the keys are the fields' sets (coalitions.field_sets, capped at cap)
         and the row masks are looked up among them: a set in no row ball
@@ -180,7 +180,7 @@ class GraphGame(_MaskedGame):
             shapes.setdefault((len(nodes), tuple(keep)), []).append(nodes)
         widest = max(h for h, _ in shapes)
         full = np.arange(1 << (widest if cap is None else min(cap, widest)), dtype="<u8")
-        full_sizes = set_sizes(full)  # on either path a shape's codes and sizes are a prefix
+        full_sizes = np.bitwise_count(full)  # on either path a shape's codes and sizes are a prefix
         if cap is not None and cap < widest:
             capped = _capped_codes(widest, cap)  # (codes, sizes, held, drop)
         tables, masks = [], []
@@ -208,7 +208,7 @@ class GraphGame(_MaskedGame):
         masks = np.concatenate(masks)
         if hops == model.num_layers:
             keys, where = np.unique(masks, return_inverse=True)
-            order = np.argsort(set_sizes(keys), kind="stable")  # keys ascend: (size, mask) order
+            order = np.argsort(np.bitwise_count(keys), kind="stable")  # keys ascend: (size, mask)
             keys, rank = keys[order], np.empty_like(order)
             rank[order] = np.arange(len(order))
         else:

@@ -199,8 +199,16 @@ def _route(game: GameOracle, hoods: NeighborhoodIndex) -> str:
 
 
 def _run(game: GameOracle, hoods: NeighborhoodIndex, lam: int | None, k: int, index: str,
-         ) -> tuple[InteractionValues, InteractionValues]:
-    """(mi, si) of an exact run (lam None) or one capped at lam, on its _route."""
+         ceiling: int = DEFAULT_CEILING) -> tuple[InteractionValues, InteractionValues]:
+    """(mi, si) of an exact run (lam None) or one capped at lam, on its
+    _route, after every refusal the entry points list, in their order."""
+    _check_readout(game)
+    n = len(hoods.hoods)
+    if lam is not None and not 1 <= lam <= n:
+        raise ValueError(f"lambda must be in 1..{n}, got {lam}")
+    weight = convert._index_weight(index, k, n)
+    if lam is None:
+        check_budget(hoods, None, ceiling, getattr(game, "graph", None))
     route = _route(game, hoods)
     oversized = sorted({h for h in hoods.hoods if lam is not None and h.bit_count() > lam},
                        key=sort_key)
@@ -215,8 +223,8 @@ def _run(game: GameOracle, hoods: NeighborhoodIndex, lam: int | None, k: int, in
         m = _moebius_map(keys, nu, route == "sums")
         nu = nu[len(kept):]  # free the kept sets' game values: the rest needs only the map
     mi = _surrogates(game, hoods, keys, m, oversized, nu, lam)
-    if route == "rows" or route == "nodes" and lam is None:
-        return mi, convert.convert_tables(mi, tables, index, k)
+    if weight is not None and (route == "rows" or route == "nodes" and lam is None):
+        return mi, convert.convert_tables(mi, tables, index, weight, k)
     return mi, convert.convert_mi(mi, index, k)
 
 
@@ -227,16 +235,12 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
     converted to the requested index at order k. Interactions outside I
     are exactly zero and never materialized; mi's call_count is |I|.
 
-    Returns (mi, si). Raises NonlinearReadout for mlp2 readouts and, before
-    anything is evaluated, BudgetExceeded (with a graph game's degree bound)
-    when |I| exceeds the ceiling (check_budget).
+    Returns (mi, si). Refuses, before anything is evaluated: an mlp2
+    readout (NonlinearReadout); an unknown index, "sv" at k != 1 or k
+    outside 1..n (ValueError); then |I| above the ceiling (BudgetExceeded
+    with a graph game's degree bound, check_budget).
     """
-    _check_readout(game)
-    n = len(hoods.hoods)
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must be in 1..{n}, got {k}")
-    check_budget(hoods, None, ceiling, getattr(game, "graph", None))
-    return _run(game, hoods, None, k, index)
+    return _run(game, hoods, None, k, index, ceiling)
 
 
 def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: int,
@@ -249,11 +253,10 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
     (_surrogates), converted to the requested index at order k; mi's
     call_count is the kept sets plus the oversized fields. Exact whenever
     lam >= n_max - 1.
+
+    Refuses, before anything is evaluated: an mlp2 readout
+    (NonlinearReadout); lam outside 1..n, an unknown index, "sv" at k != 1
+    or k outside 1..n (ValueError). It checks no budget; check_budget(hoods,
+    lam, ceiling) does.
     """
-    _check_readout(game)
-    n = len(hoods.hoods)
-    if not 1 <= lam <= n:
-        raise ValueError(f"lambda must be in 1..{n}, got {lam}")
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must be in 1..{n}, got {k}")
     return _run(game, hoods, lam, k, index)

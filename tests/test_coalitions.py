@@ -13,7 +13,6 @@ from graphsi.coalitions import (
     iter_subsets,
     mask_of,
     pair_index,
-    set_sizes,
     small_family,
     sort_key,
 )
@@ -161,12 +160,3 @@ def test_field_sets_match_the_interaction_set_oracle_on_drawn_fields(fields, dat
         oversized = [m for m in masks if cap is not None and m.bit_count() > cap]
         assert small_family(masks) == small_family(got + oversized)
 
-
-def test_set_sizes_match_bit_count():
-    rng = np.random.Generator(np.random.Philox(11))
-    masks = np.concatenate([np.array([0, (1 << 64) - 1, 1 << 63], dtype=np.uint64),
-                            np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)),
-                            rng.integers(0, 1 << 64, size=1000, dtype=np.uint64)])
-    got = set_sizes(masks)
-    assert got.dtype == np.uint8
-    assert got.tolist() == [m.bit_count() for m in masks.tolist()]

@@ -223,6 +223,17 @@ def test_study_csv_round_trip(tmp_path):
         assert float(written["speedup_log10"]) == row["speedup_log10"]
 
 
+def test_a_saturated_row_has_no_speedup(tmp_path):
+    # the hub's 1-hop field holds all 64 nodes: not enumerated, every bound saturated
+    star = make_graph(64, [(0, i) for i in range(1, 64)], [[0.0]] * 64)
+    out = tmp_path / "study.csv"
+    rows, fits = scaling_study([star], [1], out=out)
+    assert rows == [{"graph_id": "0", "n": 64, "ell": 1, "calls": SATURATED, "is_exact": False,
+                     "density": 0.03125, "speedup_log10": None}]
+    assert fits[1]["count"] == 0 and fits[1]["degenerate"] is True
+    assert out.read_text().splitlines()[1] == "0,64,1,saturated,false,0.03125,"
+
+
 def test_tree_scaling_fits_a_line_in_log_space():
     graphs = []
     grid = [10, 12, 14, 16, 20, 25, 30] + list(range(40, 101, 5))

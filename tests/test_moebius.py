@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import graphsi.convert as convert
+import graphsi.game
 import graphsi.moebius as moebius
 from graphsi.baselines import brute_force_mi
 from graphsi.coalitions import DIRECT_MAX, full_mask, iter_subsets, mask_of, sort_key
@@ -20,7 +21,8 @@ from graphsi.moebius import (
 )
 from graphsi.nn import load_model
 
-from helpers import DictGame, force_route, mask_to_set, random_table, table_as_nu
+from helpers import (DictGame, force_route, mask_to_set, random_table, star_instance,
+                     table_as_nu)
 from oracles import (
     fast_moebius_oracle,
     field_masks,
@@ -406,6 +408,81 @@ def test_nonlinear_readout_is_refused():
         graphshapiq_exact(game, hoods, k=2)
     with pytest.raises(NonlinearReadout):
         graphshapiq_approx(game, hoods, lam=2, k=2)
+
+
+def record_forwards(monkeypatch) -> list[str]:
+    """The names of graphsi.game's forwards (_forward_ball for the tables,
+    forward_graph for the dense stack) in the order they are called from now on."""
+    calls = []
+    for name in ("_forward_ball", "forward_graph"):
+        def recording(*args, real=getattr(graphsi.game, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(graphsi.game, name, recording)
+    return calls
+
+
+def refusal_run(name: str, demo_dir):
+    """(game, hoods, lam) of one route's run; lam None is an exact run."""
+    if name in ("path4", "er8-ell2"):  # the demo graphs: per-set sums, family butterfly
+        demo = name.split("-")[0]
+        g = load_graph(demo_dir / f"{demo}_graph.json")
+        return GraphGame(load_model(demo_dir / f"{demo}_model.json"), g), \
+            khop_neighborhoods(g, 2 if name == "er8-ell2" else 1), None
+    if name == "star14-lam2":  # node tables capped at lambda
+        g, model = star_instance()
+        return GraphGame(model, g), khop_neighborhoods(g, 1), 2
+    g, model = generate_instance("tree", 64, 3, 9, "gin", 2, 16)  # exact node tables
+    return GraphGame(model, g), khop_neighborhoods(g, 2), None
+
+
+@pytest.mark.parametrize("name,route", [("tree64", "nodes"), ("star14-lam2", "nodes"),
+                                        ("path4", "sums"), ("er8-ell2", "butterfly")])
+@pytest.mark.parametrize("case", ["index", "sv", "k=0", "k=n+1", "lambda=0"])
+def test_bad_arguments_are_refused_before_any_evaluation(demo_dir, monkeypatch, name, route,
+                                                         case):
+    game, hoods, lam = refusal_run(name, demo_dir)
+    assert moebius._route(game, hoods) == route
+    n = len(hoods.hoods)
+    index, k, bad_lam, message = {
+        "index": ("banzhaf", 2, None, "unknown index 'banzhaf'"),
+        "sv": ("sv", 2, None, "the Shapley value is an order-1 index; use k=1"),
+        "k=0": ("ksii", 0, None, f"order k must be in 1..{n}, got 0"),
+        "k=n+1": ("ksii", n + 1, None, f"order k must be in 1..{n}, got {n + 1}"),
+        "lambda=0": ("ksii", 2, 0, f"lambda must be in 1..{n}, got 0")}[case]
+    lam = lam if bad_lam is None else bad_lam
+    forwards = record_forwards(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        if lam is None:
+            graphshapiq_exact(game, hoods, k, index=index)
+        else:
+            graphshapiq_approx(game, hoods, lam, k, index=index)
+    assert str(err.value) == message
+    assert forwards == [] and game.call_count() == 0
+
+
+def test_refusals_come_in_order_before_any_evaluation(monkeypatch):
+    g, model, hoods = path4_instance(readout="mlp2")
+    nonlinear = GraphGame(model, g)
+    g, model, hoods = path4_instance()
+    game = GraphGame(model, g)
+    forwards = record_forwards(monkeypatch)
+    # the readout before any argument or the budget
+    with pytest.raises(NonlinearReadout):
+        graphshapiq_exact(nonlinear, hoods, k=0, index="banzhaf", ceiling=1)
+    with pytest.raises(NonlinearReadout):
+        graphshapiq_approx(nonlinear, hoods, lam=0, k=0, index="banzhaf")
+    # lambda before the index, the index before k, the arguments before the budget
+    with pytest.raises(ValueError, match="^lambda must be in 1..4, got 0$"):
+        graphshapiq_approx(game, hoods, lam=0, k=0, index="banzhaf")
+    with pytest.raises(ValueError, match="^unknown index 'banzhaf'$"):
+        graphshapiq_exact(game, hoods, k=0, index="banzhaf", ceiling=1)
+    with pytest.raises(ValueError, match="^order k must be in 1..4, got 0$"):
+        graphshapiq_exact(game, hoods, k=0, index="mi", ceiling=1)
+    with pytest.raises(BudgetExceeded):
+        graphshapiq_exact(game, hoods, k=2, ceiling=1)
+    assert forwards == []
+    assert nonlinear.call_count() == game.call_count() == 0
 
 
 def test_exact_recovery_and_efficiency():

@@ -1,11 +1,13 @@
 """The mutation registry (tools/mutations.py) stays applicable.
 
 Running the registry takes a pytest run per mutation; this only checks
-that each entry still names code that exists, so an entry goes stale
-loudly, here, when the code it mutates moves. tools/mutations.py imports
-only the standard library, so it is loaded by file path.
+that each entry still names code and tests that exist, so an entry goes
+stale loudly, here, when the code it mutates moves or a test it names is
+renamed. tools/mutations.py imports only the standard library, so it is
+loaded by file path.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -25,4 +27,8 @@ def test_every_mutation_applies_to_exactly_one_place():
     for name, path, old, new, tests in mutations:
         assert (ROOT / path).read_text().count(old) == 1, name
         assert old != new and tests, name
-        assert all((ROOT / test.split("::")[0]).is_file() for test in tests), name
+        for test in tests:
+            test_file, function = test.split("::")
+            tree = ast.parse((ROOT / test_file).read_text())
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert function.split("[")[0] in defined, (name, test)

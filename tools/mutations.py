@@ -62,8 +62,8 @@ MUTATIONS = (
       "tests/test_game.py::test_trimmed_ball_forward_matches_the_untrimmed_stack"
       "[6-kinds5-mean-er]")),
     ("size-sort-unstable", "src/graphsi/game.py",
-     'order = np.argsort(set_sizes(keys), kind="stable")',
-     "order = np.argsort(set_sizes(keys))",
+     'order = np.argsort(np.bitwise_count(keys), kind="stable")',
+     "order = np.argsort(np.bitwise_count(keys))",
      ("tests/test_game.py::test_node_tables_match_the_dense_game[1-kinds0-sum-er]",
       "tests/test_moebius.py::test_a_truncated_run_builds_one_pair_index_per_butterfly",
       "tests/test_instances.py::test_truncated_runs_from_capped_tables_match_the_dense_route")),
@@ -71,6 +71,32 @@ MUTATIONS = (
      "v += np.bincount(into, weights=v[:, at].ravel(), minlength=v.size).reshape(v.shape)",
      "v.ravel()[into] += v[:, at].ravel()",
      ("tests/test_convert.py::test_capped_superset_sums_match_a_brute_force_sum",)),
+    ("route-nodes-rows-swapped", "src/graphsi/moebius.py",
+     'return "nodes" if _table_hops(game.model) == game.model.num_layers else "rows"',
+     'return "rows" if _table_hops(game.model) == game.model.num_layers else "nodes"',
+     ("tests/test_game.py::test_each_case_takes_its_route[star14-nodes-convert_tables]",
+      "tests/test_game.py::test_each_case_takes_its_route[er48-rows-convert_tables]")),
+    ("route-sums-butterfly-swapped", "src/graphsi/moebius.py",
+     'return "sums"\n    if not (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers):'
+     '\n        return "butterfly"',
+     'return "butterfly"\n    if not (isinstance(game, GraphGame) and hoods.ell == game.model.num_layers):'
+     '\n        return "sums"',
+     ("tests/test_game.py::test_each_case_takes_its_route[path4-sums-convert_mi]",
+      "tests/test_game.py::test_each_case_takes_its_route[er8-ell2-butterfly-convert_mi]")),
+    ("surrogates-pairwise-sum", "src/graphsi/moebius.py",
+     "found[i] = value - float(np.cumsum(found[:i][inside])[-1])",
+     "found[i] = value - float(np.sum(found[:i][inside]))",
+     ("tests/test_moebius.py::test_surrogates_match_a_running_sum",)),
+    ("index-checked-at-conversion", "src/graphsi/moebius.py",
+     "weight = convert._index_weight(index, k, n)",
+     "weight = convert._WEIGHTS.get(index)",  # the checks left to convert_mi, after evaluating
+     ("tests/test_moebius.py::test_bad_arguments_are_refused_before_any_evaluation",)),
+    ("budget-before-arguments", "src/graphsi/moebius.py",
+     "    weight = convert._index_weight(index, k, n)\n    if lam is None:\n"
+     '        check_budget(hoods, None, ceiling, getattr(game, "graph", None))\n',
+     '    if lam is None:\n        check_budget(hoods, None, ceiling, getattr(game, "graph", None))\n'
+     "    weight = convert._index_weight(index, k, n)\n",
+     ("tests/test_moebius.py::test_refusals_come_in_order_before_any_evaluation",)),
 )
 
 
