@@ -32,6 +32,7 @@ from math import comb
 import numpy as np
 
 from .coalitions import iter_members, pair_index, small_family
+from .errors import ParseError, as_count
 from .interactions import InteractionValues
 
 
@@ -87,11 +88,10 @@ def _index_weight(index: str, k: int, n: int):
     """The weight of a supported index at a valid order k over n players;
     None for "mi", the Moebius values themselves."""
     if index not in _WEIGHTS and index != "mi":
-        raise ValueError(f"unknown index {index!r}")
+        raise ParseError(f"unknown index {index!r}")
     if index == "sv" and k != 1:
-        raise ValueError("the Shapley value is an order-1 index; use k=1")
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must be in 1..{n}, got {k}")
+        raise ParseError("the Shapley value is an order-1 index; use k=1")
+    as_count(k, "order k", n)
     return _WEIGHTS.get(index)
 
 
@@ -148,9 +148,9 @@ def convert_mi(mi: InteractionValues, index: str, k: int) -> InteractionValues:
     """The requested index at order k; "mi" returns the input unchanged."""
     if mi.kind != "mi":
         raise ValueError(f"conversion starts from Moebius values, got kind {mi.kind!r}")
-    if index == "mi":
-        return mi
     weight = _index_weight(index, k, mi.n)
+    if weight is None:
+        return mi
     out: dict[int, float] = {}
     keys, found = mi.arrays
     masks = keys.tolist()

@@ -1,9 +1,10 @@
 """Error types and the input boundary shared across the package.
 
 Every input from outside the program passes through here: read_json
-opens and parses graph, weights, baseline and config files, and
-as_matrix/as_vector check the arrays inside them. Each failure is a
-ParseError (exit code 2 on the command line), never a traceback.
+opens and parses graph, weights, baseline and config files,
+as_matrix/as_vector check the arrays inside them, and as_count a run's
+k, lambda, ell and ceiling. Each failure is a ParseError (exit code 2 on
+the command line), never a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    """Malformed input: graph, weights, baseline or config."""
+    """Malformed input: a graph, weights, baseline or config file, or a run
+    argument (k, lambda, ell, ceiling) that is no count in its range."""
+
+
+def as_count(value, name: str, top: int | None = None) -> int:
+    """value when it is an int, not a bool, in 1..top (>= 1 without top)."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        if top is None or value <= top:
+            return value
+    if top is None:
+        raise ParseError(f"{name} must be an integer >= 1, got {value!r}")
+    raise ParseError(f"{name} must be in 1..{top}, got {value!r}")
 
 
 def read_json(path, what: str):

@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .convert import efficiency_check
+from .convert import _index_weight, efficiency_check
 from .errors import ParseError
 from .export import build_si_graph, to_dot
 from .game import GraphGame
 from .graph import ensure_graph, khop_neighborhoods
-from .interactions import INDEX_KINDS
 from .moebius import DEFAULT_CEILING, check_budget, graphshapiq_approx, graphshapiq_exact
 from .nn import ensure_baseline, ensure_model
-
-
-def check_positive_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParseError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
 
 
 class GraphInteractionExplainer:
@@ -39,9 +32,9 @@ class GraphInteractionExplainer:
         baseline: "mean", a vector, or a path to a JSON array
         normalize: subtract nu(empty) from every game value
         ceiling: evaluation budget in distinct coalitions, the unit of
-            call_count_: a run that would evaluate more sets than this
-            raises BudgetExceeded before any evaluation, unless lam is 1
-            (moebius.check_budget)
+            call_count_, an integer >= 1 that every run checks: a run
+            that would evaluate more sets than this raises BudgetExceeded
+            before any evaluation, unless lam is 1 (moebius.check_budget)
 
     Fitted attributes: interactions_, moebius_, call_count_ (the run's cost,
     the sets of its Moebius map: |I| in exact mode), interaction_set_size_
@@ -76,12 +69,7 @@ class GraphInteractionExplainer:
 
     def _resolve_order(self, n: int) -> int:
         if self.order is not None:
-            order = check_positive_int(self.order, "order")
-            if order > n:
-                raise ParseError(f"order {order} exceeds the {n} nodes")
-            if self.index == "sv" and order != 1:
-                raise ParseError("the Shapley value is an order-1 index; use order=1")
-            return order
+            return self.order
         if self.index == "sv":
             return 1
         if self.index == "mi":
@@ -90,25 +78,20 @@ class GraphInteractionExplainer:
 
     def fit(self, graph) -> "GraphInteractionExplainer":
         """Run the pipeline on one graph; returns self with results attached."""
-        if self.index not in INDEX_KINDS:
-            raise ParseError(f"unknown index {self.index!r}")
         g = ensure_graph(graph)
         model = ensure_model(self.model)
         baseline = ensure_baseline(self.baseline, g)
         ell = self.ell if self.ell is not None else model.num_layers
-        check_positive_int(ell, "ell")
         game = GraphGame(model, g, baseline=baseline, normalize=self.normalize)
         hoods = khop_neighborhoods(g, ell)
         k = self._resolve_order(g.n)
+        _index_weight(self.index, k, g.n)  # exit 2 before the readout's 4 and the budget's 3
         if self.lam is None:
             mi, si = graphshapiq_exact(game, hoods, k, index=self.index, ceiling=self.ceiling)
             self.interaction_set_size_ = mi.call_count
         else:
-            lam = check_positive_int(self.lam, "lambda")
-            if lam > g.n:
-                raise ParseError(f"lambda {lam} exceeds the {g.n} nodes")
-            check_budget(hoods, lam, self.ceiling)
-            mi, si = graphshapiq_approx(game, hoods, lam, k, index=self.index)
+            check_budget(hoods, self.lam, self.ceiling)
+            mi, si = graphshapiq_approx(game, hoods, self.lam, k, index=self.index)
             self.interaction_set_size_ = None
         # the residual sums every exported value, so it is finite when they are
         residual = efficiency_check(si, game.nu_full, game.nu_empty)

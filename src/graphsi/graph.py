@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .coalitions import iter_members
-from .errors import ParseError, as_matrix, read_json
+from .errors import ParseError, as_count, as_matrix, read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +177,8 @@ def hop_rings(g: Graph, i: int, hops: int) -> list[int]:
 def khop_neighborhoods(g: Graph, ell: int) -> NeighborhoodIndex:
     """Closed ell-hop neighborhoods: the union of each node's hop rings.
     No shortest path has more than n - 1 hops, so the search stops there;
-    the index keeps the ell asked for."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    hops = min(ell, g.n - 1)
+    the index keeps the ell asked for: an integer >= 1 (else ParseError)."""
+    hops = min(as_count(ell, "ell"), g.n - 1)
     # the rings are disjoint, so their sum is their union
     return NeighborhoodIndex(ell=ell, hoods=tuple(sum(hop_rings(g, i, hops)) for i in range(g.n)))
 

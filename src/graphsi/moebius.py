@@ -46,6 +46,8 @@ InteractionValues built from key and value arrays.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from . import convert  # convert.convert_mi is looked up per call, so a wrapper 
 from .coalitions import (_unique_maximal, field_sets, full_mask, iter_subsets, pair_index,
                          small_family, sort_key)
 from .complexity import count_evaluated, degree_bound, truncated_bound
-from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded
+from .errors import BudgetExceeded, NonlinearReadout, TruncatedBudgetExceeded, as_count
 from .game import GameOracle, GraphGame
 from .graph import NeighborhoodIndex
 from .interactions import InteractionSet, InteractionValues
@@ -72,10 +74,12 @@ def check_budget(hoods: NeighborhoodIndex, lam: int | None, ceiling: int, graph=
     and refused on that count, or on the bound when the count runs out of
     COUNT_STEP_BUDGET steps. lam = 1 always runs: no run is cheaper.
 
-    Raises BudgetExceeded carrying the bound chain (with graph's degree
-    bound, when given) for an exact run, TruncatedBudgetExceeded carrying
-    the refused count for a truncated one. Both suggest the largest lam
-    this rule admits, or 1 when none does.
+    Refuses first a ceiling that is no integer >= 1, then a lam outside
+    1..n, n the nodes the fields hold (ParseError). Raises BudgetExceeded
+    carrying the bound chain (with graph's degree bound, when given) for
+    an exact run, TruncatedBudgetExceeded carrying the refused count for a
+    truncated one. Both suggest the largest lam this rule admits, or 1
+    when none does.
     """
     def refused(cap: int) -> int | None:
         """The sets a run at cap evaluates, when they exceed the ceiling."""
@@ -89,6 +93,9 @@ def check_budget(hoods: NeighborhoodIndex, lam: int | None, ceiling: int, graph=
             return bound
         return count if count > ceiling else None
 
+    as_count(ceiling, "ceiling")
+    if lam is not None:  # the nodes the fields hold: on a graph, all n
+        as_count(lam, "lambda", reduce(or_, hoods.hoods).bit_count())
     n_max = max(h.bit_count() for h in hoods.hoods)
     run = n_max if lam is None else min(lam, n_max)
     sets = refused(run)
@@ -204,8 +211,8 @@ def _run(game: GameOracle, hoods: NeighborhoodIndex, lam: int | None, k: int, in
     _route, after every refusal the entry points list, in their order."""
     _check_readout(game)
     n = len(hoods.hoods)
-    if lam is not None and not 1 <= lam <= n:
-        raise ValueError(f"lambda must be in 1..{n}, got {lam}")
+    if lam is not None:
+        as_count(lam, "lambda", n)
     weight = convert._index_weight(index, k, n)
     if lam is None:
         check_budget(hoods, None, ceiling, getattr(game, "graph", None))
@@ -237,8 +244,9 @@ def graphshapiq_exact(game: GameOracle, hoods: NeighborhoodIndex, k: int, index:
 
     Returns (mi, si). Refuses, before anything is evaluated: an mlp2
     readout (NonlinearReadout); an unknown index, "sv" at k != 1 or k
-    outside 1..n (ValueError); then |I| above the ceiling (BudgetExceeded
-    with a graph game's degree bound, check_budget).
+    outside 1..n, then a ceiling that is no integer >= 1 (ParseError, a
+    ValueError); then |I| above the ceiling (BudgetExceeded with a graph
+    game's degree bound, check_budget).
     """
     return _run(game, hoods, None, k, index, ceiling)
 
@@ -256,7 +264,7 @@ def graphshapiq_approx(game: GameOracle, hoods: NeighborhoodIndex, lam: int, k: 
 
     Refuses, before anything is evaluated: an mlp2 readout
     (NonlinearReadout); lam outside 1..n, an unknown index, "sv" at k != 1
-    or k outside 1..n (ValueError). It checks no budget; check_budget(hoods,
-    lam, ceiling) does.
+    or k outside 1..n (ParseError, a ValueError). It checks no budget;
+    check_budget(hoods, lam, ceiling) does.
     """
     return _run(game, hoods, lam, k, index)

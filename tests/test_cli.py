@@ -179,6 +179,16 @@ def test_truncated_run_past_the_ceiling_suggests_the_largest_lambda_that_fits(er
     assert main(["explain", *er8_args, "--lambda", "2", "--ceiling", "40"]) == 0
 
 
+def test_a_bad_order_is_refused_before_the_budget_and_the_readout(er8_args, path4_args,
+                                                                   demo_dir, capsys):
+    assert main(["explain", *er8_args, "--order", "9", "--lambda", "3", "--ceiling", "40"]) == 2
+    assert capsys.readouterr().err == "error: order k must be in 1..8, got 9\n"
+    mlp2 = str(demo_dir / "path4_mlp2.json")
+    for mode in (["--exact"], ["--lambda", "2"]):
+        assert main(["explain", path4_args[0], mlp2, "--order", "9", *mode]) == 2
+        assert capsys.readouterr().err == "error: order k must be in 1..4, got 9\n"
+
+
 def test_nonlinear_readout_exit_code(path4_args, demo_dir, capsys):
     rc = main(["explain", path4_args[0], str(demo_dir / "path4_mlp2.json"), "--exact"])
     assert rc == 4

@@ -15,6 +15,7 @@ from graphsi.convert import (
     mi_to_stii,
     mi_to_sv,
 )
+from graphsi.errors import ParseError
 from graphsi.graph import NeighborhoodIndex
 from graphsi.interactions import InteractionValues
 from graphsi.moebius import graphshapiq_approx, graphshapiq_exact
@@ -195,6 +196,8 @@ def test_convert_dispatch_validation():
     for bad in (0, 5):
         with pytest.raises(ValueError):
             mi_to_ksii(mi, bad)
+        with pytest.raises(ParseError, match=f"^order k must be in 1..4, got {bad}$"):
+            convert_mi(mi, "mi", bad)
     assert convert_mi(mi, "mi", 4) is mi
 
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import pytest
 
@@ -66,16 +67,21 @@ def test_order_one_graph_caps_default():
 
 
 @pytest.mark.parametrize("kwargs,match", [
-    ({"order": 9}, "exceeds"),
+    ({"order": 9}, "order k must be in 1..4, got 9"),
     ({"index": "sv", "order": 2}, "order-1"),
-    ({"order": 0}, "integer"),
+    ({"order": 0}, "order k must be in 1..4, got 0"),
     ({"index": "banzhaf"}, "unknown index"),
-    ({"lam": 9}, "lambda 9 exceeds"),
+    ({"lam": 9}, "lambda must be in 1..4, got 9"),
     ({"ell": 0}, "ell"),
+    ({"ceiling": "big"}, "ceiling must be an integer >= 1, got 'big'"),
+    ({"ceiling": 2.5}, "ceiling must be an integer >= 1, got 2.5"),
+    ({"ceiling": True}, "ceiling must be an integer >= 1, got True"),
+    ({"ceiling": 0}, "ceiling must be an integer >= 1, got 0"),
+    ({"lam": 1, "ceiling": 0}, "ceiling must be an integer >= 1, got 0"),
 ])
 def test_fit_rejects_bad_settings(path4, kwargs, match):
     graph, weights = path4
-    with pytest.raises(ParseError, match=match):
+    with pytest.raises(ParseError, match=re.escape(match)):
         GraphInteractionExplainer(weights, **kwargs).fit(graph)
 
 

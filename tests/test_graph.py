@@ -143,8 +143,10 @@ def test_huge_ell_searches_at_most_n_minus_1_hops(monkeypatch):
 
 
 def test_ell_must_be_positive():
-    with pytest.raises(ValueError):
-        khop_neighborhoods(path4(), 0)
+    for ell in (0, 1.5, True):
+        with pytest.raises(ParseError) as err:
+            khop_neighborhoods(path4(), ell)
+        assert str(err.value) == f"ell must be an integer >= 1, got {ell!r}"
 
 
 @pytest.mark.parametrize("seed", range(12))

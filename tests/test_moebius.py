@@ -8,7 +8,7 @@ import graphsi.moebius as moebius
 from graphsi.baselines import brute_force_mi
 from graphsi.coalitions import DIRECT_MAX, full_mask, iter_subsets, mask_of, sort_key
 from graphsi.complexity import degree_bound
-from graphsi.errors import BudgetExceeded, NonlinearReadout
+from graphsi.errors import BudgetExceeded, NonlinearReadout, ParseError
 from graphsi.game import GraphGame
 from graphsi.generate import generate_instance, random_graph
 from graphsi.graph import NeighborhoodIndex, khop_neighborhoods, load_graph, make_graph
@@ -117,6 +117,21 @@ def test_budget_guard_raises_with_fallback_order():
     # lambda = 2 evaluates 232 + 1 sets; lambda = 3 evaluates 1,562 + 1
     assert exc.suggested_lambda == 2
     assert_largest_admitted(hoods, exc.suggested_lambda, 1 << 10)
+
+
+def test_the_budget_refuses_a_bad_ceiling_then_a_bad_lambda():
+    star = make_graph(21, [(0, i) for i in range(1, 21)], [[0.0]] * 21)
+    hoods = khop_neighborhoods(star, 1)  # over a ceiling of 10 from lambda 2 up
+    for lam, ceiling, message in [(0, 10, "lambda must be in 1..21, got 0"),
+                                  (22, 10, "lambda must be in 1..21, got 22"),
+                                  (2.5, 10, "lambda must be in 1..21, got 2.5"),
+                                  (0, 0, "ceiling must be an integer >= 1, got 0"),
+                                  (1, 0, "ceiling must be an integer >= 1, got 0"),
+                                  (1, True, "ceiling must be an integer >= 1, got True"),
+                                  (None, 2.5, "ceiling must be an integer >= 1, got 2.5")]:
+        with pytest.raises(ParseError) as err:
+            check_budget(hoods, lam, ceiling)
+        assert str(err.value) == message
 
 
 def assert_largest_admitted(hoods: NeighborhoodIndex, lam: int, ceiling: int) -> None:
@@ -438,7 +453,8 @@ def refusal_run(name: str, demo_dir):
 
 @pytest.mark.parametrize("name,route", [("tree64", "nodes"), ("star14-lam2", "nodes"),
                                         ("path4", "sums"), ("er8-ell2", "butterfly")])
-@pytest.mark.parametrize("case", ["index", "sv", "k=0", "k=n+1", "lambda=0"])
+@pytest.mark.parametrize("case", ["index", "sv", "k=0", "k=n+1", "lambda=0", "k=2.0", "k=True",
+                                  "lambda=2.5", "lambda=True"])
 def test_bad_arguments_are_refused_before_any_evaluation(demo_dir, monkeypatch, name, route,
                                                          case):
     game, hoods, lam = refusal_run(name, demo_dir)
@@ -449,10 +465,14 @@ def test_bad_arguments_are_refused_before_any_evaluation(demo_dir, monkeypatch, 
         "sv": ("sv", 2, None, "the Shapley value is an order-1 index; use k=1"),
         "k=0": ("ksii", 0, None, f"order k must be in 1..{n}, got 0"),
         "k=n+1": ("ksii", n + 1, None, f"order k must be in 1..{n}, got {n + 1}"),
-        "lambda=0": ("ksii", 2, 0, f"lambda must be in 1..{n}, got 0")}[case]
+        "lambda=0": ("ksii", 2, 0, f"lambda must be in 1..{n}, got 0"),
+        "k=2.0": ("ksii", 2.0, None, f"order k must be in 1..{n}, got 2.0"),
+        "k=True": ("ksii", True, None, f"order k must be in 1..{n}, got True"),
+        "lambda=2.5": ("ksii", 2, 2.5, f"lambda must be in 1..{n}, got 2.5"),
+        "lambda=True": ("ksii", 2, True, f"lambda must be in 1..{n}, got True")}[case]
     lam = lam if bad_lam is None else bad_lam
     forwards = record_forwards(monkeypatch)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ParseError) as err:
         if lam is None:
             graphshapiq_exact(game, hoods, k, index=index)
         else:

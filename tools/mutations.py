@@ -30,6 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demo", "pyproject.toml")
 
+# The exact branch of GraphInteractionExplainer.fit, which one mutation keeps as it is
+EXACT_FIT = ("            mi, si = graphshapiq_exact(game, hoods, k, index=self.index, "
+             "ceiling=self.ceiling)\n            self.interaction_set_size_ = mi.call_count\n")
+
 # (id, file under the repository root, old snippet, new snippet, tests that must fail)
 MUTATIONS = (
     ("ball-layers-keep-rows", "src/graphsi/nn.py",
@@ -97,6 +101,40 @@ MUTATIONS = (
      '    if lam is None:\n        check_budget(hoods, None, ceiling, getattr(game, "graph", None))\n'
      "    weight = convert._index_weight(index, k, n)\n",
      ("tests/test_moebius.py::test_refusals_come_in_order_before_any_evaluation",)),
+    ("count-admits-bools", "src/graphsi/errors.py",
+     "if isinstance(value, int) and not isinstance(value, bool) and value >= 1:",
+     "if isinstance(value, int) and value >= 1:",
+     ("tests/test_moebius.py::test_bad_arguments_are_refused_before_any_evaluation"
+      "[k=True-path4-sums]",
+      "tests/test_moebius.py::test_bad_arguments_are_refused_before_any_evaluation"
+      "[lambda=True-path4-sums]")),
+    ("mi-passthrough-before-order-check", "src/graphsi/convert.py",
+     "    weight = _index_weight(index, k, mi.n)\n    if weight is None:\n        return mi\n",
+     '    if index == "mi":\n        return mi\n    weight = _index_weight(index, k, mi.n)\n',
+     ("tests/test_convert.py::test_convert_dispatch_validation",)),
+    ("explainer-order-after-the-budget", "src/graphsi/explainer.py",
+     "        _index_weight(self.index, k, g.n)  # exit 2 before the readout's 4 and the budget's 3\n"
+     "        if self.lam is None:\n" + EXACT_FIT + "        else:\n"
+     "            check_budget(hoods, self.lam, self.ceiling)\n",
+     "        if self.lam is None:\n" + EXACT_FIT + "        else:\n"
+     "            check_budget(hoods, self.lam, self.ceiling)\n"
+     "            _index_weight(self.index, k, g.n)\n",
+     ("tests/test_cli.py::test_a_bad_order_is_refused_before_the_budget_and_the_readout",)),
+    ("butterfly-bits-descending", "src/graphsi/moebius.py",
+     "    for rows, partners in pair_index(keys):\n        m[rows] -= m[partners]",
+     "    for rows, partners in reversed(list(pair_index(keys))):\n        m[rows] -= m[partners]",
+     ("tests/test_moebius.py::test_overlapping_fields_agree_bit_for_bit",
+      "tests/test_moebius.py::test_brute_force_mi_is_one_field")),
+    ("pair-index-no-absent-partner", "src/graphsi/coalitions.py",
+     "yield order[rows], np.where(keys[at] == wanted, order[at], absent)",
+     "yield order[rows], order[at]",
+     ("tests/test_coalitions.py::test_pair_index_matches_a_set_oracle_on_drawn_families",
+      "tests/test_convert.py::test_gapped_sets_take_the_loop[ksii]")),
+    ("conversion-subset-sum", "src/graphsi/convert.py",
+     "            column[partners] += column[rows]",
+     "            column[rows] += column[partners]",
+     ("tests/test_convert.py::test_conversions_match_definition_oracles",
+      "tests/test_convert.py::test_exact_pipeline_is_efficient")),
 )
 
 

@@ -24,8 +24,12 @@ It also covers three routes no CLI run reaches, on both demos for all five
 indices: the explainer at ell=2, exact and at lam=2 (the demo models have
 one layer, so both runs take the dense route, the truncated one on fields
 of up to eight nodes), and brute_force_mi followed by convert_mi, each
-written as dumps_json(build_si_graph(...)). Outputs of two commits compare
-with one diff:
+written as dumps_json(build_si_graph(...)). Refused `graphsi explain` runs
+(refusals) hash their exit code and stderr, so a moved error message or exit
+code shows too: on demo path4, --order 9, --order 0, --index sv --order 2,
+--lambda 0, --lambda 9, a {"ceiling": 0} config and the mlp2 model (exit 2
+or 4); on demo er8, --ceiling 16 and --lambda 3 --ceiling 40 (exit 3).
+Outputs of two commits compare with one diff:
 
     PYTHONPATH=src python tools/output_digests.py > digests.txt
 
@@ -34,8 +38,10 @@ With a directory argument the outputs are kept there, to inspect what moved.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -150,6 +156,24 @@ def runs(workdir: Path):
                                 *MEAN_FLAGS[workload]])
 
 
+def refusals(workdir: Path):
+    """(name, argv) for every covered refused run."""
+    config = workdir / "ceiling0.json"
+    config.write_text('{"ceiling": 0}')
+    demo = {name: [str(ROOT / "demo" / f"{name}_{part}.json") for part in ("graph", "model")]
+            for name in ("path4", "er8")}
+    for name, flags in (("order9", ["--order", "9"]), ("order0", ["--order", "0"]),
+                        ("sv_order2", ["--index", "sv", "--order", "2"]),
+                        ("lambda0", ["--lambda", "0"]), ("lambda9", ["--lambda", "9"]),
+                        ("config_ceiling0", ["--config", str(config)])):
+        yield f"refused_path4_{name}", ["explain", *demo["path4"], *flags]
+    yield "refused_path4_mlp2", ["explain", demo["path4"][0],
+                                 str(ROOT / "demo" / "path4_mlp2.json")]
+    yield "refused_er8_ceiling16", ["explain", *demo["er8"], "--ceiling", "16"]
+    yield "refused_er8_lambda3_ceiling40", ["explain", *demo["er8"], "--lambda", "3",
+                                             "--ceiling", "40"]
+
+
 def api_outputs():
     """(name, document text) for every covered output no CLI run reaches."""
     for demo in ("path4", "er8"):
@@ -181,6 +205,15 @@ def main(argv: list[str]) -> int:
         for name, text in api_outputs():
             out = outdir / f"{name}.json"
             out.write_text(text)
+            lines.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {name}")
+        for name, args in refusals(Path(scratch)):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = graphsi.cli.main([*args, "--out", str(Path(scratch) / "refused.json")])
+            if code == 0:
+                raise SystemExit(f"{name}: not refused")
+            out = outdir / f"{name}.txt"
+            out.write_text(f"exit code {code}\n{stderr.getvalue()}")
             lines.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {name}")
     print("\n".join(sorted(lines, key=lambda line: line.split()[1])))
     return 0
