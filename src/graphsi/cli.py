@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .baselines import audit_nonlinear_readout, compare_estimators
 from .complexity import scaling_study
-from .errors import BudgetExceeded, NonlinearReadout, ParseError, read_json
+from .errors import BudgetExceeded, NonlinearReadout, ParseError, as_count, read_json
 from .explainer import GraphInteractionExplainer
 from .export import atomic_write_text, dumps_json, dumps_si_graph, format_float
 from .generate import generate_instance
@@ -102,10 +102,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    ells = _parse_int_list(args.ell, "--ell")
-    for ell in ells:
-        if ell < 1:
-            raise ParseError(f"--ell entries must be >= 1, got {ell}")
+    ells = [as_count(ell, "--ell") for ell in _parse_int_list(args.ell, "--ell")]
     target = args.path
     if os.path.isdir(target):
         names = sorted(f for f in os.listdir(target) if f.endswith(".json"))

@@ -19,7 +19,8 @@ w(s, |S~|, k), f[S ^ j] += f[S] per node bit j, and the size-s entries
 are read off, n*|D| operations per pass. Its sets off D (oversized
 truncated fields, gaps) take the loop. convert_tables reads the index
 values off the node tables a map was summed from, with the same weight
-table.
+table; a truncated map's surrogates add their shares on sets of at most
+lambda members in one np.add.at, and take the loop only above lambda.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .coalitions import iter_members, pair_index, small_family
+from .coalitions import _capped_codes, _masks, iter_members, pair_index, small_family
 from .errors import ParseError, as_count
 from .interactions import InteractionValues
 
@@ -128,13 +129,13 @@ def _convert_family(keys: np.ndarray, found: np.ndarray, weight, k: int,
     return (~inside[:-1]).tolist()
 
 
-def _subset_loop(sets, weight, k: int, out: dict[int, float]) -> None:
+def _subset_loop(sets, weight, k: int, out: dict[int, float], low: int = 1) -> None:
     """Add w(s, |S~|, k) m(S~) to out[S] for each (S~, m(S~)) of sets, in
-    that order, and each subset S of S~ of s = 1..k members; a set new to out
-    goes last."""
+    that order, and each subset S of S~ of s = low..k members; a set new to
+    out goes last."""
     for s_tilde, value in sets:
         bits = [1 << i for i in iter_members(s_tilde)]
-        for size in range(1, min(k, len(bits)) + 1):
+        for size in range(low, min(k, len(bits)) + 1):
             w = weight(size, len(bits), k)
             if w == 0.0:
                 continue
@@ -177,6 +178,35 @@ def _capped_supersets(v: np.ndarray, sizes: np.ndarray, drop: np.ndarray) -> Non
         v += np.bincount(into, weights=v[:, at].ravel(), minlength=v.size).reshape(v.shape)
 
 
+def _surrogate_subsets(total: np.ndarray, keys: np.ndarray, bounds: np.ndarray,
+                       surrogates: np.ndarray, found: np.ndarray, w: np.ndarray) -> None:
+    """Add onto total (by position among the keys) each surrogate's share
+    w[s - 1, h] m(S~), for the surrogates S~ of h members and their values
+    found in map order, on its subsets of s = 1..len(w) members, which the
+    keys hold in the blocks keys[bounds[s - 1]:bounds[s]]. The subsets are
+    the capped codes (coalitions._capped_codes) of the widest surrogate,
+    those below 2^h for each. np.add.at is unbuffered and takes them
+    surrogate by surrogate, so each key takes the shares in map order, the
+    bits of _subset_loop."""
+    h = np.bitwise_count(surrogates)
+    octets = surrogates.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    # each row's members ascending, then nodes it lacks as padding
+    members = np.argsort(bits == 0, axis=1, kind="stable")[:, :h.max()].astype("<u8")
+    _, counts, held, _ = (column[1:] for column in _capped_codes(int(h.max()), len(w)))
+    weights = w[counts - 1][:, h].T  # (surrogates, codes)
+    # a code below 2^h holds no padding; a zero weight adds nothing, as in _subset_loop
+    take = (held.max(axis=1) < h[:, None]) & (weights != 0.0)
+    subsets, counts = _masks(members, held)[take], np.broadcast_to(counts, take.shape)[take]
+    at = np.empty(len(subsets), dtype=np.intp)
+    for s in range(1, len(w) + 1):
+        block = counts == s
+        at[block] = bounds[s - 1] + np.searchsorted(keys[bounds[s - 1]:bounds[s]], subsets[block])
+    if not np.array_equal(keys[at], subsets):  # at <= bounds[-1] < len(keys): surrogates follow
+        raise RuntimeError("internal error: a surrogate's subset is missing from the keys")
+    np.add.at(total, at, (found[:, None] * weights)[take])
+
+
 def convert_tables(mi: InteractionValues, tables, index: str, weight, k: int,
                    ) -> InteractionValues:
     """index at order k, whose weight _index_weight gave, straight from the
@@ -194,7 +224,9 @@ def convert_tables(mi: InteractionValues, tables, index: str, weight, k: int,
     keys, which a row table (one hop narrower than the fields) may leave at
     0.0. m(empty) and the biases reach no set of size >= 1. A
     truncated map's sets of more than lambda members, its surrogates, are
-    in no table: they take convert_mi's subset loop, in map order.
+    in no table: _surrogate_subsets adds their shares on the keys of at
+    most lambda members, and at k > lambda _subset_loop their sets of
+    lambda + 1..k members, new to the map, in map order.
     """
     keys, found = mi.arrays  # canonical order: keys[0] is the empty set, keys[-1] widest
     sizes = np.bitwise_count(keys)
@@ -216,13 +248,16 @@ def convert_tables(mi: InteractionValues, tables, index: str, weight, k: int,
             at = counts == s + 1
             places.append(place[:, at].ravel())
             sums.append(v[s][:, at].ravel())
-    stop = int(np.searchsorted(sizes, orders, side="right"))  # keys[1:stop]: sizes 1..orders
+    bounds = np.searchsorted(sizes, np.arange(orders + 1), side="right")  # size s ends bounds[s]
     # adds in input order; each key takes only entries of its own size, or keeps 0.0
-    total = np.bincount(np.concatenate(places), weights=np.concatenate(sums), minlength=stop)
-    out = dict(zip(keys[1:stop].tolist(), total[1:].tolist()))
-    if mi.lam is not None:  # the surrogates
-        rest = int(np.searchsorted(sizes, mi.lam, side="right"))
-        _subset_loop(zip(keys[rest:].tolist(), found[rest:].tolist()), weight, k, out)
+    total = np.bincount(np.concatenate(places), weights=np.concatenate(sums),
+                        minlength=bounds[-1])
+    rest = len(keys) if mi.lam is None else int(np.searchsorted(sizes, mi.lam, side="right"))
+    if rest < len(keys):  # the surrogates' sets of at most orders members
+        _surrogate_subsets(total, keys, bounds, keys[rest:], found[rest:], w[:orders])
+    out = dict(zip(keys[1:bounds[-1]].tolist(), total[1:].tolist()))
+    if len(w) > orders:  # k > lam: their sets of lam + 1..k members, new to out, go last
+        _subset_loop(zip(keys[rest:].tolist(), found[rest:].tolist()), weight, k, out, orders + 1)
     return InteractionValues(kind=index, k=k, n=mi.n, values=out, ell=mi.ell,
                              lam=mi.lam, call_count=mi.call_count)
 

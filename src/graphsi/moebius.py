@@ -39,8 +39,10 @@ values come from convert.convert_mi or, off the tables, convert_tables,
 each rounding once per term. Capped node tables keep convert_mi: their
 codes outnumber the kept sets (114,241 to 17,292 on the truncated
 benchmark's graph under a GIN), and converting on them measured slower.
-Every route ends in _surrogates, for the oversized fields. The map is an
-InteractionValues built from key and value arrays.
+Every route ends in _surrogates, for the oversized fields. On the tables
+convert_tables adds the surrogates' shares in one array pass, and leaves
+the subset loop only their sets of more than lambda members (k > lambda).
+The map is an InteractionValues built from key and value arrays.
 """
 
 from __future__ import annotations

@@ -357,10 +357,20 @@ def test_complexity_empty_directory(tmp_path, capsys):
     assert "no .json graph files" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ell", ["0", "two", ""])
-def test_complexity_bad_ell(path4_args, capsys, ell):
-    assert main(["complexity", path4_args[0], "--ell", ell]) == 2
-    capsys.readouterr()
+BAD_ELLS = {"0": "--ell must be an integer >= 1, got 0",
+            "two": "--ell must be a comma-separated integer list",
+            "": "--ell must not be empty",
+            "1,-2": "--ell must be an integer >= 1, got -2"}
+
+
+@pytest.mark.parametrize("ell", list(BAD_ELLS))
+def test_complexity_bad_ell(path4_args, tmp_path, capsys, ell):
+    # every ell is checked before any graph loads and before the first CSV row
+    out_csv = tmp_path / "report.csv"
+    assert main(["complexity", path4_args[0], "--ell", ell, "--csv", str(out_csv)]) == 2
+    out, err = capsys.readouterr()
+    assert BAD_ELLS[ell] in err
+    assert out == "" and not out_csv.exists()
 
 
 # -------------------------------------------------------------- benchmark

@@ -12,6 +12,7 @@ Moebius transform of the same floats.
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import graphsi.game
 from graphsi.coalitions import DIRECT_MAX, mask_of, small_family
-from graphsi.convert import convert_mi, efficiency_check
+from graphsi.convert import (_index_weight, _subset_loop, convert_mi, convert_tables,
+                             efficiency_check)
 from graphsi.explainer import GraphInteractionExplainer
 from graphsi.export import dumps_json, dumps_si_graph
 from graphsi.game import GraphGame
@@ -322,6 +324,58 @@ def test_truncated_row_runs_convert_on_their_tables_as_convert_mi_does(case):
                         want = convert_mi(mi, index, k).values
                         assert list(got.values) == list(want)  # the same sets, in the same order
                         assert max(abs(v - want[t]) for t, v in got.values.items()) <= tol
+
+
+def tables_then_subset_loop(mi, tables, index, weight, k):
+    """convert_tables' values with its surrogates taken by _subset_loop, in
+    map order, after the tables' sums (convert_tables on the kept sets alone)."""
+    keys, found = mi.arrays
+    rest = int(np.searchsorted(np.bitwise_count(keys), mi.lam, side="right"))
+    kept = InteractionValues(kind="mi", k=mi.k, n=mi.n, arrays=(keys[:rest], found[:rest]))
+    out = dict(convert_tables(kept, tables, index, weight, k).values)
+    _subset_loop(zip(keys[rest:].tolist(), found[rest:].tolist()), weight, k, out)
+    return out
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(gcn_last_instances())
+@example(ROW_PATH)
+def test_truncated_row_runs_add_the_surrogates_as_the_subset_loop_does(case):
+    # every index at k = 1-3 and lambda = 1-3 (k > lambda included), sum and
+    # mean pooling, with and without normalize: the same values, bit for bit,
+    # in the same order; ROW_PATH's surrogates share subsets
+    kind, n, seed, kinds, baseline = case
+    shared = False
+    for pooling in ("sum", "mean"):
+        g, model = build_biased(kind, n, seed, kinds, pooling)
+        hoods = khop_neighborhoods(g, model.num_layers)
+        for normalize in (False, True):
+            game = GraphGame(model, g, baseline, normalize)
+            for lam in range(1, min(3, g.n) + 1):
+                tables = game.moebius_arrays(lam)[2]
+                surrogates = [h for h in set(hoods.hoods) if h.bit_count() > lam]
+                shared |= any(a & b for a, b in combinations(surrogates, 2))
+                for index in INDICES[1:]:
+                    for k in range(1, min(1 if index == "sv" else 3, g.n) + 1):
+                        with pytest.MonkeyPatch.context() as patch:
+                            force_route(patch, tables=True)
+                            mi, got = graphshapiq_approx(game, hoods, lam, k, index)
+                        want = tables_then_subset_loop(mi, tables, index,
+                                                       _index_weight(index, k, g.n), k)
+                        assert list(got.values.items()) == list(want.items())
+    assert shared or case != ROW_PATH
+
+
+def test_a_surrogate_subset_off_the_keys_is_an_internal_error():
+    # the widest surrogate gains node 40, which no key holds
+    g, model = build_biased(*ROW_PATH[:4], "sum")
+    game = GraphGame(model, g)
+    mi, _ = graphshapiq_approx(game, khop_neighborhoods(g, model.num_layers), 2, 2, "sii")
+    keys, found = mi.arrays
+    widened = InteractionValues(kind="mi", k=mi.k, n=mi.n, lam=2, arrays=(
+        np.append(keys[:-1], keys[-1] | np.uint64(1 << 40)), found))
+    with pytest.raises(RuntimeError, match="internal error"):
+        convert_tables(widened, game.moebius_arrays(2)[2], "sii", _index_weight("sii", 2, g.n), 2)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -33,6 +33,9 @@ COPIED = ("src", "tests", "demo", "pyproject.toml")
 # The exact branch of GraphInteractionExplainer.fit, which one mutation keeps as it is
 EXACT_FIT = ("            mi, si = graphshapiq_exact(game, hoods, k, index=self.index, "
              "ceiling=self.ceiling)\n            self.interaction_set_size_ = mi.call_count\n")
+# The bit-for-bit test of convert_tables' pass over the surrogates
+SURROGATE_TEST = ("tests/test_instances.py::"
+                  "test_truncated_row_runs_add_the_surrogates_as_the_subset_loop_does")
 
 # (id, file under the repository root, old snippet, new snippet, tests that must fail)
 MUTATIONS = (
@@ -135,6 +138,18 @@ MUTATIONS = (
      "            column[rows] += column[partners]",
      ("tests/test_convert.py::test_conversions_match_definition_oracles",
       "tests/test_convert.py::test_exact_pipeline_is_efficient")),
+    ("surrogate-shares-buffered", "src/graphsi/convert.py",
+     "np.add.at(total, at, (found[:, None] * weights)[take])",
+     "total[at] += (found[:, None] * weights)[take]",  # a repeated position adds once
+     (SURROGATE_TEST,)),
+    ("surrogate-padding-kept", "src/graphsi/convert.py",
+     "take = (held.max(axis=1) < h[:, None]) & (weights != 0.0)",
+     "take = weights != 0.0",
+     (SURROGATE_TEST,)),
+    ("surrogate-block-offset", "src/graphsi/convert.py",
+     "at[block] = bounds[s - 1] + np.searchsorted(",
+     "at[block] = bounds[s - 1] + 1 + np.searchsorted(",
+     (SURROGATE_TEST,)),
 )
 
 

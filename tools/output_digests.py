@@ -8,8 +8,10 @@ graph at --lambda 3 (TABLE_LAMBDAS), which take capped node tables, and of
 a 64-node star under a 1-layer GIN and GCN at --lambda 2, whose hub's ball
 holds all 64 nodes. The hub and truncated graphs also run under mean pooling
 (MEAN_FLAGS, all five indices). The truncated graph also runs under its own
-sum pooling with all five indices, and with k-SII at --order 3 --lambda 2,
-whose sets of three members come only from the surrogates. A 12-node path
+sum pooling with all five indices, with k-SII at --order 3 --lambda 2,
+whose sets of three members come only from the surrogates, and with SII,
+k-SII and STII at --order 3 --lambda 3, whose surrogates add onto sets of
+one to three members (STII's with zero weights below the order). A 12-node path
 runs under a 3-layer GIN and GCN (exact and at --lambda 2, all five
 indices), whose ball forwards pass a middle layer. The tree64 graph of
 sparse64 also runs exact under a 2-layer GCN with biases (row_model), with
@@ -147,6 +149,10 @@ def runs(workdir: Path):
                     yield (f"{workload}_s{seed}_{call.name}_order3_lambda2",
                            ["explain", call.graph_path, call.model_path, "--index", "ksii",
                             "--order", "3", "--lambda", "2"])
+                    for index in ("sii", "ksii", "stii"):
+                        yield (f"{workload}_s{seed}_{call.name}_{index}_order3_lambda3",
+                               ["explain", call.graph_path, call.model_path, "--index", index,
+                                "--order", "3", "--lambda", "3"])
                 if workload in MEAN_FLAGS:
                     mean = workdir / f"{workload}_s{seed}_{call.name}_mean.json"
                     mean.write_text(json.dumps(dict(call.model, pooling="mean")))
